@@ -34,7 +34,7 @@ from .montecarlo import (
 )
 from .plant import SimConfig, simulate
 from .reach_geom import reach_bounds_geom
-from .reach_lmi import reach_bounds_lmi
+from .reach_lmi import LMI_CERT_TOL, reach_bounds_lmi
 from .scenario import Scenario, load_scenario
 from .svgplot import render_bounds_svg, render_heatmap_svg
 
@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
 
     bounds = _compute_bounds(scenario, "both")
     for bound in bounds["lmi"][:3]:
-        ok = bound.diagnostics.get("lmi_min_eig", -1.0) >= -1e-7
+        ok = bound.diagnostics.get("lmi_min_eig", -1.0) >= -LMI_CERT_TOL
         check(f"lmi certificate ({bound.target})", ok,
               f"min eig {bound.diagnostics.get('lmi_min_eig'):.2e}")
     for geom, lmi in zip(bounds["geometric"][:3], bounds["lmi"][:3]):

@@ -1,4 +1,4 @@
-"""Convex-optimization outer bounds via a log-det semidefinite program.
+"""Convex-optimization outer bounds from the invariant-ellipsoid LMI.
 
 For a stable recursion xi' = A xi + B mu with input constraint
 mu^T R mu <= 1 and a decay scalar a in (0,1), any P > 0 satisfying the
@@ -11,10 +11,17 @@ certifies the invariant ellipsoid { xi : xi^T P xi <= 1 }.  Minimizing
 -log det P over that cone gives the minimum-volume certificate for the
 given a; a one-dimensional outer search picks a.
 
-The solver is a primal interior-point path follower: Newton steps on
-t * (-log det P) - log det(block(P)) with t increased geometrically.
-Every accepted solution is returned with its block-matrix minimum
-eigenvalue so callers can re-verify feasibility independently.
+At fixed a the minimization has a closed form.  The block inequality reads
+diag(a P, (1-a) R) - [A B]^T P [A B] >= 0, and a Schur complement turns it
+into Q >= A Q A^T / a + W with Q = P^-1 and W = B R^-1 B^T / (1-a).  For
+a > rho(A)^2 the discrete Lyapunov equation Q = A Q A^T / a + W has a
+unique solution, sum_k A^k W (A^T)^k / a^k, and every feasible
+Q dominates it in the Loewner order, so it has the smallest log det Q and
+P = Q^-1 the largest log det P (Boyd, El Ghaoui, Feron and Balakrishnan,
+LMIs in System and Control Theory, SIAM 1994).  The equation is solved as
+one linear system in vec Q.  Every solution is returned with its
+block-matrix minimum eigenvalue, re-verified against LMI_CERT_TOL, so
+callers can check feasibility independently.
 """
 
 import math
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipsoids import Ellipsoid
-from .errors import AllInfeasible, DimensionMismatch, Infeasible, NoConvergence
+from .errors import AllInfeasible, DimensionMismatch, Infeasible
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
     METHOD_LMI,
@@ -33,6 +40,12 @@ from .reach_common import (
     ReachBound,
     total_state_bound,
 )
+
+# A certificate whose block matrix has a smaller minimum eigenvalue than
+# -LMI_CERT_TOL is rejected.
+LMI_CERT_TOL = 1e-7
+# Eigenvalues of Q below _Q_PD_RTOL * ||Q|| are round-off, not reach.
+_Q_PD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,32 +74,6 @@ class LmiProblem:
             object.__setattr__(self, name, arr)
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            basis.append(E)
-    return basis
-
-
-def _pack(P: np.ndarray, n: int) -> np.ndarray:
-    return np.array([P[i, j] for i in range(n) for j in range(i, n)])
-
-
-def _unpack(p: np.ndarray, n: int) -> np.ndarray:
-    P = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            P[i, j] = p[k]
-            P[j, i] = p[k]
-            k += 1
-    return P
-
-
 def block_matrix(P: np.ndarray, prob: LmiProblem) -> np.ndarray:
     A, B, R, a = prob.A, prob.B, prob.R, prob.a
     top = a * P - A.T @ P @ A
@@ -96,109 +83,35 @@ def block_matrix(P: np.ndarray, prob: LmiProblem) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _strictly_feasible_start(prob: LmiProblem) -> np.ndarray | None:
-    """eps * W with a W - A^T W A = I, eps shrunk until strictly inside."""
-    A = prob.A
-    n = A.shape[0]
-    lhs = prob.a * np.eye(n * n) - np.kron(A.T, A.T)
-    try:
-        Wv = np.linalg.solve(lhs, np.eye(n).reshape(-1))
-    except np.linalg.LinAlgError:
-        return None
-    W = Wv.reshape(n, n)
-    W = (W + W.T) / 2.0
-    if np.linalg.eigvalsh(W)[0] <= 0.0:
-        return None
-    margin = 1e-10 * (1.0 + float(np.linalg.norm(prob.R)))
-    eps = 1.0
-    for _ in range(300):
-        P0 = eps * W
-        if (np.linalg.eigvalsh(block_matrix(P0, prob))[0] > margin
-                and np.linalg.eigvalsh(P0)[0] > 0.0):
-            return P0
-        eps *= 0.5
-    return None
-
-
-def solve_logdet_sdp(prob: LmiProblem, gap_tol: float = 1e-10) -> tuple[np.ndarray, dict]:
+def solve_logdet_sdp(prob: LmiProblem) -> tuple[np.ndarray, dict]:
     """Minimize -log det P over the block-LMI cone at fixed a.
 
-    Returns (P, diagnostics) where diagnostics carries the re-verified
-    block minimum eigenvalue and Newton iteration count.  Raises Infeasible
-    when a <= rho(A)^2 (no P > 0 can satisfy the top-left block) or when no
-    strictly feasible start exists.
+    Returns (P, diagnostics) with P the inverse of the Lyapunov fixed point
+    Q; diagnostics carry the re-verified block minimum eigenvalue, the
+    relative Lyapunov residual ||Q - A Q A^T/a - W|| / ||Q|| and a.  Raises
+    Infeasible when a <= rho(A)^2 (no P > 0 can satisfy the top-left block),
+    when Q is not positive definite (the input cannot reach every direction,
+    so no bounded P exists) or when the certificate misses LMI_CERT_TOL.
     """
-    rho2 = spectral_radius(prob.A) ** 2
-    if prob.a <= rho2 + 1e-12:
-        raise Infeasible(f"a={prob.a:.4f} <= rho(A)^2={rho2:.4f}")
-    P0 = _strictly_feasible_start(prob)
-    if P0 is None:
-        raise Infeasible(f"no strictly feasible start found at a={prob.a:.4f}")
-
-    n = prob.A.shape[0]
-    q = prob.B.shape[1]
-    basis = _sym_basis(n)
-    mdim = len(basis)
-    zero_R = LmiProblem(prob.A, prob.B, np.zeros_like(prob.R), prob.a)
-    Mi = [block_matrix(E, zero_R) for E in basis]  # linear part of the block map
-
-    def phi(pvec: np.ndarray, t: float) -> float:
-        P = _unpack(pvec, n)
-        try:
-            np.linalg.cholesky(P)
-            np.linalg.cholesky(block_matrix(P, prob))
-        except np.linalg.LinAlgError:
-            return math.inf
-        _, ldP = np.linalg.slogdet(P)
-        _, ldM = np.linalg.slogdet(block_matrix(P, prob))
-        return -t * ldP - ldM
-
-    pvec = _pack(P0, n)
-    t = 1.0
-    barrier_rows = n + (n + q)
-    newton_iters = 0
-    while barrier_rows / t > gap_tol:
-        for _ in range(100):
-            P = _unpack(pvec, n)
-            Mb = block_matrix(P, prob)
-            Pinv = np.linalg.inv(P)
-            Minv = np.linalg.inv(Mb)
-            PiE = [Pinv @ E for E in basis]
-            MiM = [Minv @ M_ for M_ in Mi]
-            grad = np.array(
-                [-t * np.trace(PiE[i]) - np.trace(MiM[i]) for i in range(mdim)]
-            )
-            hess = np.empty((mdim, mdim))
-            for i in range(mdim):
-                for j in range(i, mdim):
-                    hess[i, j] = t * np.trace(PiE[i] @ PiE[j]) + np.trace(MiM[i] @ MiM[j])
-                    hess[j, i] = hess[i, j]
-            try:
-                step_dir = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            decrement = float(-grad @ step_dir)
-            if decrement / 2.0 < 1e-12:
-                break
-            f0 = phi(pvec, t)
-            step = 1.0
-            while step > 1e-14:
-                trial = pvec + step * step_dir
-                if phi(trial, t) < f0 - 0.25 * step * decrement:
-                    pvec = trial
-                    break
-                step *= 0.5
-            else:
-                break
-            newton_iters += 1
-            if newton_iters > 5000:
-                raise NoConvergence("interior-point Newton iteration cap exceeded")
-        t *= 10.0
-
-    P = _unpack(pvec, n)
+    A, B, a = prob.A, prob.B, prob.a
+    rho2 = spectral_radius(A) ** 2
+    if a <= rho2 + 1e-12:
+        raise Infeasible(f"a={a:.4f} <= rho(A)^2={rho2:.4f}")
+    n = A.shape[0]
+    W = B @ np.linalg.solve(prob.R, B.T) / (1.0 - a)
+    lhs = np.eye(n * n) - np.kron(A, A) / a
+    Q = np.linalg.solve(lhs, W.reshape(-1)).reshape(n, n)
+    Q = (Q + Q.T) / 2.0
+    q_norm = float(np.linalg.norm(Q))
+    if np.linalg.eigvalsh(Q)[0] <= _Q_PD_RTOL * q_norm:
+        raise Infeasible(f"Lyapunov solution is not positive definite at a={a:.4f}")
+    P = np.linalg.inv(Q)
     P = (P + P.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(block_matrix(P, prob))[0])
-    return P, {"lmi_min_eig": min_eig, "iterations": newton_iters, "a": prob.a}
+    if min_eig < -LMI_CERT_TOL:
+        raise Infeasible(f"certificate min eig {min_eig:.2e} < -{LMI_CERT_TOL:g} at a={a:.4f}")
+    residual = float(np.linalg.norm(Q - A @ Q @ A.T / a - W)) / q_norm
+    return P, {"lmi_min_eig": min_eig, "lyapunov_residual": residual, "a": a}
 
 
 def _neg_logdet(P: np.ndarray) -> float:
@@ -207,11 +120,13 @@ def _neg_logdet(P: np.ndarray) -> float:
 
 
 def min_volume_over_a(A, B, R, target: str = "bound",
-                      grid_step: float = 0.02, refine_reltol: float = 1e-3) -> ReachBound:
+                      grid_step: float = 0.02, refine_reltol: float = 1e-8) -> ReachBound:
     """Outer search over the decay scalar: coarse grid then golden refinement.
 
     Grid points below rho(A)^2 are infeasible by construction and skipped
-    silently; AllInfeasible is raised when nothing on the grid works.
+    silently; AllInfeasible is raised when nothing on the grid works.  The
+    bound's diagnostics add a_evaluations, the number of decay scalars
+    solved (feasible or not), to those of the solve at a*.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -266,7 +181,7 @@ def min_volume_over_a(A, B, R, target: str = "bound",
     E = Ellipsoid(np.linalg.inv(P))
     return ReachBound(
         shape=E, method=METHOD_LMI, target=target, volume=E.volume,
-        a_star=a_star, diagnostics=diag,
+        a_star=a_star, diagnostics={**diag, "a_evaluations": len(cache)},
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stealthreach import (
     unit_ball_volume,
 )
 from stealthreach.errors import AllInfeasible, Infeasible
+from stealthreach.plant import spectral_radius
 from stealthreach.reach_lmi import block_matrix
 from stealthreach.seeding import stream
 
@@ -67,6 +69,28 @@ class TestSolveLogdetSdp:
         P, diag = solve_logdet_sdp(prob)
         assert diag["lmi_min_eig"] >= -1e-7 * (1.0 + np.linalg.norm(prob.R))
         assert np.linalg.eigvalsh(P)[0] >= 1e-12
+
+
+class TestLyapunovOracle:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_matches_scipy_discrete_lyapunov(self, n):
+        # random stable A, B of rank n-1; the optimum is P = X^-1 for
+        # X = (A/sqrt(a)) X (A/sqrt(a))^T + B R^-1 B^T / (1-a)
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = stream(200, n)
+        for _ in range(4):
+            M = rng.standard_normal((n, n))
+            A = rng.uniform(0.3, 0.95) * M / spectral_radius(M)
+            B = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+            S = rng.standard_normal((n, n))
+            R = S @ S.T + n * np.eye(n)
+            rho2 = spectral_radius(A) ** 2
+            for a in (rho2 + 0.2 * (1.0 - rho2), rho2 + 0.7 * (1.0 - rho2)):
+                P, diag = solve_logdet_sdp(LmiProblem(A, B, R, a))
+                W = B @ np.linalg.inv(R) @ B.T / (1.0 - a)
+                P_ref = np.linalg.inv(scipy_linalg.solve_discrete_lyapunov(A / math.sqrt(a), W))
+                assert np.linalg.norm(P - P_ref) <= 1e-8 * np.linalg.norm(P_ref)
+                assert diag["lmi_min_eig"] >= -1e-7
 
 
 class TestCertificate:
@@ -132,6 +156,13 @@ class TestMinVolumeOverA:
         with pytest.raises(AllInfeasible):
             min_volume_over_a(0.999 * np.eye(2), np.eye(2), np.eye(2))
 
+    def test_uncontrollable_pair_all_infeasible_fast(self):
+        # the second coordinate is never driven, so no bounded P exists
+        start = time.perf_counter()
+        with pytest.raises(AllInfeasible):
+            min_volume_over_a(np.diag([0.5, 0.3]), np.array([[1.0], [0.0]]), np.array([[1.0]]))
+        assert time.perf_counter() - start <= 1.0
+
     def test_monotone_not_worse_than_grid_points(self, bench_model, alpha):
         A = bench_model.F
         B = -bench_model.L @ bench_model.SigmaSqrt
@@ -173,3 +204,10 @@ class TestBenchmarkBounds:
         # noise bound is shared between state and estimation error by symmetry
         assert noise.target == "noise"
         assert total.volume >= max(noise.volume, att_state.volume)
+
+    def test_solver_evidence(self, bench_model, alpha, vbar):
+        for bound in reach_bounds_lmi(bench_model, alpha, vbar)[:3]:
+            diag = bound.diagnostics
+            assert diag["lyapunov_residual"] <= 1e-12
+            assert diag["a_evaluations"] > len(np.arange(0.02, 1.0, 0.02))
+            assert diag["a"] == bound.a_star

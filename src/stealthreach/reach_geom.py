@@ -1,18 +1,25 @@
 """Geometric (Minkowski-sum) outer bounds on the attack/noise reachable sets.
 
-Each driven recursion xi' = A xi + B mu with an ellipsoidally bounded input
-unrolls into a sum of independent per-step ellipsoids E(A^k B Q0 B^T A^k^T);
-the limit set is outer-approximated by truncating the series once the terms'
-determinant and trace mass have both decayed below a relative tolerance and
-fitting one ellipsoid around the finite Minkowski sum.
+Each driven recursion xi' = A xi + B mu, observed as C xi, with an
+ellipsoidally bounded input unrolls into a sum of independent per-step
+ellipsoids E(C A^k B S B^T A^k^T C^T).  One generator, series_terms, yields
+these terms for all three targets: noise (F, I, vbar R1), attack error
+(F, L, alpha Sigma) and attack state (the cascade of state and estimation
+error, from k = 1).  The limit set is outer-approximated by truncating the
+series once the terms' determinant and trace mass have both decayed below a
+relative tolerance and fitting one ellipsoid around the finite Minkowski
+sum with minkowski_sum_many.  Each bound reports the stationarity gap of
+the fitted weights.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .ellipsoids import Ellipsoid, minkowski_sum_many
+from .ellipsoids import Ellipsoid, minkowski_sum_many, stationary_weights, weighted_shape
 from .errors import MaxTermsExceeded, UnstableClosedLoop, UnstableF
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
@@ -45,16 +52,51 @@ class GeomSumConfig:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
-def _truncated_terms(term_at, cfg: GeomSumConfig) -> list[np.ndarray]:
-    """Collect term_at(k) for k = 0.. until the decay rule fires."""
-    first = term_at(0)
+def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
+                 C: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield C A^k B S B^T A^k^T C^T for k = 0, 1, ... (C = I if None)."""
+    X = B
+    while True:
+        Y = X if C is None else C @ X
+        T = Y @ S @ Y.T
+        yield (T + T.T) / 2.0
+        X = A @ X
+
+
+def _noise_series(model: PlantModel, vbar: float) -> Iterator[np.ndarray]:
+    return series_terms(model.F, np.eye(model.n), vbar * model.R1)
+
+
+def _attack_error_series(model: PlantModel, alpha: float) -> Iterator[np.ndarray]:
+    return series_terms(model.F, model.L, alpha * model.Sigma)
+
+
+def _attack_state_series(model: PlantModel, alpha: float) -> Iterator[np.ndarray]:
+    """The attack-state terms as the output of the cascade (x, e).
+
+    With A = [[F + G K, -G K], [0, F]], input [0; L] and output [I 0], the
+    output map is [I 0] A^k [0; L] = (F^k - (F + G K)^k) L by telescoping
+    (-G K = F - (F + G K)), so the terms are H_k L Sigma L^T H_k^T with
+    H_k = (F + G K)^k - F^k.  H_0 = 0, so the series starts at k = 1: its
+    input is A [0; L].
+    """
+    n = model.n
+    GK = model.G @ model.K
+    A = np.block([[model.closed_loop, -GK], [np.zeros((n, n)), model.F]])
+    B = A @ np.vstack([np.zeros_like(model.L), model.L])
+    C = np.hstack([np.eye(n), np.zeros((n, n))])
+    return series_terms(A, B, alpha * model.Sigma, C)
+
+
+def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig) -> list[np.ndarray]:
+    """Take terms from the series until the decay rule fires."""
+    first = next(series)
     d_ref = float(np.linalg.det(first))
     t_ref = float(np.trace(first))
     if t_ref <= 0.0:
         return [first]
     terms = [first]
-    for k in range(1, cfg.max_terms):
-        Qk = term_at(k)
+    for Qk in islice(series, cfg.max_terms - 1):
         det_ratio = math.sqrt(max(float(np.linalg.det(Qk)), 0.0) / d_ref) if d_ref > 0.0 else 0.0
         trace_ratio = float(np.trace(Qk)) / t_ref
         if det_ratio < cfg.tail_tol and trace_ratio < cfg.tail_tol:
@@ -65,99 +107,73 @@ def _truncated_terms(term_at, cfg: GeomSumConfig) -> list[np.ndarray]:
     )
 
 
-def _fold(terms: list[np.ndarray], method_target: str, diag: dict) -> ReachBound:
-    E = minkowski_sum_many([Ellipsoid((Q + Q.T) / 2.0) for Q in terms])
+def stationarity_gap(E: Ellipsoid, terms: list[np.ndarray]) -> float | None:
+    """||Q - sum_i Q_i / w_i|| / ||Q|| with w = stationary_weights(Q, terms).
+
+    Zero at the volume-minimizing weights; None when Q is degenerate.
+    """
+    if E.is_degenerate():
+        return None
+    Qs = np.stack([Q for Q in terms if np.trace(Q) > 0.0])
+    resid = E.Q - weighted_shape(Qs, stationary_weights(E.Q, Qs))
+    return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
+
+
+def _bound(terms: list[np.ndarray], target: str, diag: dict) -> ReachBound:
+    E = minkowski_sum_many([Ellipsoid(Q) for Q in terms])
     return ReachBound(
         shape=E,
         method=METHOD_GEOMETRIC,
-        target=method_target,
+        target=target,
         volume=E.volume,
         terms_used=len(terms),
-        diagnostics=diag,
+        diagnostics={**diag, "stationarity_gap": stationarity_gap(E, terms)},
     )
 
 
 def noise_terms(model: PlantModel, vbar: float, count: int) -> list[np.ndarray]:
     """First `count` terms vbar F^k R1 F^k^T (for convergence experiments)."""
-    out, Fk = [], np.eye(model.n)
-    for _ in range(count):
-        out.append(vbar * Fk @ model.R1 @ Fk.T)
-        Fk = model.F @ Fk
-    return out
+    return list(islice(_noise_series(model, vbar), count))
 
 
 def noise_reach_geom(model: PlantModel, vbar: float, cfg: GeomSumConfig | None = None) -> ReachBound:
     """Outer bound of the truncated-noise reachable set (shared by state and
     estimation error, which follow the same recursion from zero)."""
-    cfg = cfg or GeomSumConfig()
     if spectral_radius(model.F) >= 1.0:
         raise UnstableF("noise reach sum needs rho(F) < 1")
-    powers = {0: np.eye(model.n)}
-
-    def term(k):
-        if k not in powers:
-            powers[k] = model.F @ powers[k - 1]
-        Fk = powers[k]
-        return vbar * Fk @ model.R1 @ Fk.T
-
-    return _fold(_truncated_terms(term, cfg), TARGET_NOISE, {"vbar": vbar})
+    terms = _truncated(_noise_series(model, vbar), cfg or GeomSumConfig())
+    return _bound(terms, TARGET_NOISE, {"vbar": vbar})
 
 
 def attack_error_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig | None = None) -> ReachBound:
     """Outer bound of the attack-driven estimation error: terms
     alpha F^k (L Sigma L^T) F^k^T."""
-    cfg = cfg or GeomSumConfig()
     if spectral_radius(model.F) >= 1.0:
         raise UnstableF("attack error reach sum needs rho(F) < 1")
-    core = model.L @ model.Sigma @ model.L.T
-    powers = {0: np.eye(model.n)}
-
-    def term(k):
-        if k not in powers:
-            powers[k] = model.F @ powers[k - 1]
-        Fk = powers[k]
-        return alpha * Fk @ core @ Fk.T
-
-    return _fold(_truncated_terms(term, cfg), TARGET_ATTACK_ERROR, {"alpha": alpha})
+    terms = _truncated(_attack_error_series(model, alpha), cfg or GeomSumConfig())
+    return _bound(terms, TARGET_ATTACK_ERROR, {"alpha": alpha})
 
 
 def attack_state_terms(model: PlantModel, alpha: float, count: int) -> list[np.ndarray]:
     """First `count` terms alpha H_k L Sigma L^T H_k^T, H_k = Acl^k - F^k, k >= 1."""
-    core = model.L @ model.Sigma @ model.L.T
-    out = []
-    Ak, Fk = np.eye(model.n), np.eye(model.n)
-    for _ in range(count):
-        Ak, Fk = model.closed_loop @ Ak, model.F @ Fk
-        H = Ak - Fk
-        out.append(alpha * H @ core @ H.T)
-    return out
+    return list(islice(_attack_state_series(model, alpha), count))
 
 
 def attack_state_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig | None = None) -> ReachBound:
     """Outer bound of the attack-driven state: terms alpha H_k L Sigma L^T H_k^T
     with H_k = (F + G K)^k - F^k, starting at k = 1 where H_1 = G K."""
-    cfg = cfg or GeomSumConfig()
     if spectral_radius(model.F) >= 1.0:
         raise UnstableF("attack state reach sum needs rho(F) < 1")
     if spectral_radius(model.closed_loop) >= 1.0:
         raise UnstableClosedLoop("attack state reach sum needs rho(F + G K) < 1")
-    core = model.L @ model.Sigma @ model.L.T
-    acl_powers = {1: model.closed_loop.copy()}
-    f_powers = {1: model.F.copy()}
-
-    def term(j):  # j = 0 maps to k = 1
-        k = j + 1
-        if k not in acl_powers:
-            acl_powers[k] = model.closed_loop @ acl_powers[k - 1]
-            f_powers[k] = model.F @ f_powers[k - 1]
-        H = acl_powers[k] - f_powers[k]
-        return alpha * H @ core @ H.T
-
-    return _fold(_truncated_terms(term, cfg), TARGET_ATTACK_STATE, {"alpha": alpha})
+    terms = _truncated(_attack_state_series(model, alpha), cfg or GeomSumConfig())
+    return _bound(terms, TARGET_ATTACK_STATE, {"alpha": alpha})
 
 
 def total_state_bound_geom(noise_bound: ReachBound, attack_bound: ReachBound) -> ReachBound:
-    return total_state_bound(noise_bound, attack_bound, METHOD_GEOMETRIC)
+    total = total_state_bound(noise_bound, attack_bound, METHOD_GEOMETRIC)
+    gap = stationarity_gap(total.shape, [noise_bound.shape.Q, attack_bound.shape.Q])
+    return replace(total, diagnostics={**total.diagnostics, "stationarity_gap": gap})
 
 
 def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float,

@@ -192,6 +192,14 @@ def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float,
     Instances: (noise) A=F, B=I, R=R1^-1/vbar; (attack error) A=F,
     B=-L SigmaSqrt, R=I/alpha; (attack state) A=F+GK, B=-GK, with the
     attack-error solution as the input-constraint matrix.
+
+    The noise and attack-error shapes are the geometric series
+    sum_k T_k / ((1-a*) a*^k), one member of the weighted Minkowski family
+    the geometric method minimizes over, so the geometric volume is at most
+    the LMI volume by construction.  The attack-state LMI is a cascade
+    through the attack-error ellipsoid rather than a weighting of the
+    attack-state terms, so its ordering against the geometric bound is not
+    structural.
     """
     n, p = model.n, model.p
     noise = min_volume_over_a(

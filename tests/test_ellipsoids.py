@@ -1,7 +1,11 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from stealthreach import (
     Ellipsoid,
@@ -27,6 +31,19 @@ SIGMA = np.array([[2.086, 0.134], [0.134, 2.230]])
 def random_spd(rng, n, scale=1.0):
     A = rng.standard_normal((n, n))
     return scale * (A @ A.T + 0.1 * np.eye(n))
+
+
+def pairwise_fold_oracle(Q1, Q2):
+    """Minimum-volume member of (1 + 1/beta) Q1 + (1 + beta) Q2 over beta > 0."""
+
+    def shape(log_beta):
+        b = math.exp(log_beta)
+        return (1.0 + 1.0 / b) * Q1 + (1.0 + b) * Q2
+
+    res = minimize_scalar(lambda t: np.linalg.slogdet(shape(t))[1],
+                          bounds=(-20.0, 20.0), method="bounded", options={"xatol": 1e-10})
+    Q = shape(res.x)
+    return (Q + Q.T) / 2.0
 
 
 def boundary_samples(E, rng, count):
@@ -221,9 +238,23 @@ class TestMinkowskiMany:
             count = rng.integers(2, 7)
             terms = [Ellipsoid(random_spd(rng, 2, scale=float(rng.random()) + 0.1))
                      for _ in range(count)]
-            best = minkowski_sum_many(terms, strategy="best")
-            folded = minkowski_sum_many(terms, strategy="pairwise")
+            best = minkowski_sum_many(terms)
+            folded = Ellipsoid(reduce(pairwise_fold_oracle, [E.Q for E in terms]))
             assert volume(best) <= volume(folded) + 1e-9
+
+    def test_rank_deficient_large_scale_terms(self):
+        # 17 rank-1/2 terms of scale 1.5e3: a pairwise fold over
+        # beta in [1e-9, 1e9] once raised NotPSD (eigenvalue -1.15e-4) here
+        rng = np.random.default_rng(1)
+        terms = []
+        for _ in range(17):
+            B = np.sqrt(1.5e3) * rng.standard_normal((4, int(rng.integers(1, 3))))
+            Q = B @ B.T
+            terms.append(Ellipsoid((Q + Q.T) / 2.0))
+        S = minkowski_sum_many(terms)
+        assert isinstance(S, Ellipsoid)
+        total = sum(boundary_samples(E, rng, 2000) for E in terms)
+        assert np.max(np.atleast_1d(S.membership(total))) <= 1.0 + 1e-9
 
     def test_higher_dimension_soundness(self):
         rng = np.random.default_rng(9)
@@ -231,3 +262,26 @@ class TestMinkowskiMany:
         S = minkowski_sum_many(terms)
         total = sum(boundary_samples(E, rng, 500) for E in terms)
         assert np.max(np.atleast_1d(S.membership(total))) <= 1.0 + 1e-9
+
+
+def rank_mixed_terms(rng, n, count):
+    """count random PSD terms in R^n; every other one has rank below n."""
+    out = []
+    for i in range(count):
+        B = rng.standard_normal((n, n if i % 2 == 0 else max(1, n - 1)))
+        out.append(Ellipsoid(B @ B.T))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), count=st.integers(1, 8))
+def test_affine_equivariance(seed, n, count):
+    # weights depend only on tr(Q^-1 Q_i), which x -> T x leaves unchanged
+    rng = np.random.default_rng(seed)
+    terms = rank_mixed_terms(rng, n, count)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    T = U @ np.diag(np.exp(rng.uniform(-1.0, 1.0, n))) @ V
+    base = volume(minkowski_sum_many(terms))
+    mapped = volume(minkowski_sum_many([linear_image(E, T) for E in terms]))
+    assert mapped == pytest.approx(abs(np.linalg.det(T)) * base, rel=1e-9)

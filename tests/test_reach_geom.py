@@ -7,12 +7,16 @@ from stealthreach import (
     attack_error_reach_geom,
     attack_state_reach_geom,
     build_model,
+    chi2_quantile,
     minkowski_sum_many,
     noise_reach_geom,
+    reach_bounds_geom,
+    reach_bounds_lmi,
     total_state_bound_geom,
 )
 from stealthreach.errors import MaxTermsExceeded
-from stealthreach.reach_geom import attack_state_terms, noise_terms
+from stealthreach.plant import spectral_radius
+from stealthreach.reach_geom import attack_state_terms, noise_terms, series_terms
 from stealthreach.seeding import stream
 
 def diag_model(f_scale, r1=None, k=None, g=None):
@@ -66,6 +70,15 @@ class TestAttackStateReach:
                             np.zeros((2, 2)), np.eye(2), np.eye(2))
         bound = attack_state_reach_geom(model, alpha)
         assert bound.volume == 0.0
+
+    def test_cascade_matches_power_difference(self, bench_model, alpha):
+        # reference: H_k = (F + G K)^k - F^k formed from explicit powers
+        core = bench_model.L @ bench_model.Sigma @ bench_model.L.T
+        for k, T in enumerate(attack_state_terms(bench_model, alpha, 40), start=1):
+            H = (np.linalg.matrix_power(bench_model.closed_loop, k)
+                 - np.linalg.matrix_power(bench_model.F, k))
+            ref = alpha * H @ core @ H.T
+            assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(core))
 
     def test_first_term_is_gk_image(self, bench_model, alpha):
         terms = attack_state_terms(bench_model, alpha, 3)
@@ -149,3 +162,55 @@ class TestTotalBound:
         back = ReachBound.from_dict(d)
         assert np.allclose(back.shape.Q, bound.shape.Q)
         assert back.volume == bound.volume
+
+
+def plant_4d(seed=4):
+    """Seeded n = 4, m = 2, p = 3 plant with rho(F) = 0.85 and a stable loop."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((4, 4))
+    F *= 0.85 / spectral_radius(F)
+    G = rng.standard_normal((4, 2))
+    K = -0.1 * np.linalg.pinv(G) @ F
+    M = rng.standard_normal((4, 4))
+    N = rng.standard_normal((3, 3))
+    return build_model(F, G, rng.standard_normal((3, 4)), K,
+                       0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
+
+
+def noise_and_attack_error(model, alpha, vbar):
+    """(series, geometric bound, LMI bound) for the noise and attack-error targets."""
+    lmi_noise, lmi_err = reach_bounds_lmi(model, alpha, vbar)[:2]
+    return [
+        (series_terms(model.F, np.eye(model.n), vbar * model.R1),
+         noise_reach_geom(model, vbar), lmi_noise),
+        (series_terms(model.F, model.L, alpha * model.Sigma),
+         attack_error_reach_geom(model, alpha), lmi_err),
+    ]
+
+
+class TestWeightedSeries:
+    def test_lmi_shape_is_series_with_geometric_weights(self, bench_model, alpha, vbar):
+        # the Lyapunov fixed point at a* is sum_k T_k / ((1 - a*) a*^k)
+        for series, _, lmi in noise_and_attack_error(bench_model, alpha, vbar):
+            a = lmi.a_star
+            terms = [next(series) for _ in range(400)]
+            Q = sum(T / ((1.0 - a) * a**k) for k, T in enumerate(terms))
+            assert np.max(np.abs(Q - lmi.shape.Q)) <= 1e-12 * np.max(np.abs(lmi.shape.Q))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_geometric_volume_at_most_lmi(self, bench_model, alpha, vbar, n):
+        if n == 2:
+            model, a, v = bench_model, alpha, vbar
+        else:
+            model = plant_4d()
+            a, v = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
+        for _, geom, lmi in noise_and_attack_error(model, a, v):
+            assert geom.volume <= lmi.volume
+
+    def test_stationarity_gap_on_bundled_bounds(self, bench_model, alpha, vbar):
+        for bound in reach_bounds_geom(bench_model, alpha, vbar):
+            assert bound.diagnostics["stationarity_gap"] < 1e-10
+
+    def test_stationarity_gap_none_when_degenerate(self, alpha):
+        bound = attack_state_reach_geom(diag_model(0.5, k=np.zeros((2, 2))), alpha)
+        assert bound.diagnostics["stationarity_gap"] is None

@@ -26,7 +26,6 @@ from .montecarlo import (
     containment_report,
     empirical_cloud,
     fit_ellipsoid_moment,
-    min_volume_enclosing_ellipsoid,
     volume_heatmap,
 )
 from .plant import (
@@ -61,7 +60,7 @@ __all__ = [
     "Ellipsoid", "contains", "linear_image", "minkowski_sum_many", "minkowski_sum_pair",
     "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
-    "fit_ellipsoid_moment", "min_volume_enclosing_ellipsoid", "volume_heatmap",
+    "fit_ellipsoid_moment", "volume_heatmap",
     "PlantModel", "SimConfig", "SimTrace", "build_model", "simulate", "solve_steady_state_kalman",
     "ReachBound", "total_state_bound",
     "GeomSumConfig", "attack_error_reach_geom", "attack_state_reach_geom",

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import ZERO_ALARM, make_policy
+from .csvout import write_csv
 from .detector import chi2_quantile
 from .errors import (
     AllInfeasible,
@@ -168,18 +169,12 @@ def cmd_montecarlo(args) -> int:
 
     if "csv" in scenario.output_formats:
         csv_path = out_dir / f"cloud_{source}.csv"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(csv_path, "w") as fh:
-            for key, value in _meta(scenario).items():
-                fh.write(f"# {key}={value}\n")
-            n = cloud.dim
-            fh.write("trial,k," + ",".join(f"x{i+1}" for i in range(n)) + "\n")
-            steps = len(cloud) // cloud.trials
-            first_k = (cfg.attack_start or 1) + cloud.burn_in
-            for idx, pt in enumerate(cloud.points):
-                trial = cloud.trial_index[idx]
-                k = first_k + idx % steps
-                fh.write(f"{trial},{k}," + ",".join(f"{v:.17g}" for v in pt) + "\n")
+        steps = len(cloud) // cloud.trials
+        first_k = (cfg.attack_start or 1) + cloud.burn_in
+        rows = np.column_stack([cloud.trial_index, first_k + np.arange(len(cloud)) % steps,
+                                cloud.points])
+        write_csv(csv_path, _meta(scenario), ["trial", "k"] + [f"x{i+1}" for i in range(cloud.dim)],
+                  rows, ["%d", "%d"] + ["%.17g"] * cloud.dim)
         print(f"wrote {csv_path}")
 
     if "svg" in scenario.output_formats:
@@ -200,12 +195,7 @@ def cmd_heatmap(args) -> int:
     out_dir = Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "heatmap.csv"
-    with open(csv_path, "w") as fh:
-        for key, value in _meta(scenario).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("c1,w1,volume\n")
-        for c1, w1, vol in result.grid:
-            fh.write(f"{c1:.17g},{w1:.17g},{vol:.17g}\n")
+    write_csv(csv_path, _meta(scenario), ["c1", "w1", "volume"], np.array(result.grid), "%.17g")
     print(f"wrote {csv_path}")
     if "svg" in scenario.output_formats:
         _write_text(out_dir / "heatmap.svg", render_heatmap_svg(result), scenario)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attacks import ZERO_ALARM, AttackSpec, make_policy
 from .ellipsoids import Ellipsoid
-from .errors import DegenerateCloud, DimensionMismatch, NoConvergence
+from .errors import DegenerateCloud, DimensionMismatch
 from .plant import PlantModel, SimConfig, simulate
 from .reach_common import ReachBound
 from .seeding import substream_seed
@@ -60,8 +60,8 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
     if source not in _SOURCE_COLUMN:
         raise DimensionMismatch(f"unknown cloud source {source!r}")
     if spec is None and source == SOURCE_NOISE:
-        # the noise-driven split is attack-independent but only integrated
-        # once an attack window is active: use a zero-magnitude attack
+        # the noise-driven split is the eta-free recursion that runs only
+        # inside an attack window: use a zero-magnitude attack from k = 1
         import dataclasses
 
         spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha if alpha else 1.0, c1=0.0, w1=0.0)
@@ -116,52 +116,6 @@ def fit_ellipsoid_moment(cloud, quantile: float = 1.0) -> tuple[Ellipsoid, float
         raise DegenerateCloud("all points at the origin")
     E = Ellipsoid(s * M)
     return E, E.volume
-
-
-def min_volume_enclosing_ellipsoid(points: np.ndarray, tol: float = 1e-7,
-                                   max_iter: int = 100_000) -> Ellipsoid:
-    """Origin-centered MVEE by Khachiyan's barycentric iteration.
-
-    Maximizes log det sum(u_i x_i x_i^T) over the simplex; at optimality the
-    ellipsoid { x : x^T (n M(u))^-1 x <= 1 } covers every point with the
-    leverage condition max_i x_i^T M^-1 x_i <= n (1 + tol).  Plain ascent
-    stalls sublinearly, so weight-decreasing away steps are interleaved
-    (Wolfe-Atwood), which restores linear convergence.
-    """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"points must be 2-D, got shape {X.shape}")
-    m, n = X.shape
-    if m < n:
-        raise DegenerateCloud(f"need at least {n} points, got {m}")
-    u = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
-        M = (X * u[:, None]).T @ X
-        try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateCloud("points do not span the space") from exc
-        kappa = np.einsum("ij,jk,ik->i", X, Minv, X)
-        j_add = int(np.argmax(kappa))
-        excess = float(kappa[j_add]) - n
-        support = u > 0.0
-        kappa_support = np.where(support, kappa, np.inf)
-        j_away = int(np.argmin(kappa_support))
-        deficit = n - float(kappa[j_away])
-        if excess <= n * tol and deficit <= n * tol:
-            Q = n * M
-            return Ellipsoid((Q + Q.T) / 2.0)
-        if excess >= deficit:
-            j, kj = j_add, float(kappa[j_add])
-            lam = (kj - n) / (n * (kj - 1.0))
-        else:
-            j, kj = j_away, float(kappa[j_away])
-            lam = (kj - n) / (n * (kj - 1.0)) if kj > 1.0 else -u[j] / (1.0 - u[j])
-            lam = max(lam, -u[j] / (1.0 - u[j]))  # keep u_j >= 0
-        u *= 1.0 - lam
-        u[j] += lam
-        np.clip(u, 0.0, None, out=u)
-    raise NoConvergence(f"MVEE did not reach tolerance {tol:g} in {max_iter} iterations")
 
 
 @dataclass(frozen=True)

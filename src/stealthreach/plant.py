@@ -2,9 +2,9 @@
 
 The model is x' = F x + G u + v, y = C x + eta, with static estimate
 feedback u = K xhat and a steady-state filter xhat' = F xhat + G u + L r.
-Sensor attacks enter additively on the measurement; the simulator also
-integrates the noise/attack superposition split of the state and the
-estimation error.
+Sensor attacks enter additively on the measurement; the simulator
+propagates the noise/attack superposition split of the state and the
+estimation error and derives the totals from it.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvout import write_csv
 from .ellipsoids import sym_sqrt
 from .errors import (
     DimensionMismatch,
@@ -233,34 +234,46 @@ class SimTrace:
     """Per-step record of one batch of simulated trials.
 
     Arrays are (trials, horizon, dim) for vectors and (trials, horizon) for
-    scalars; step index k runs 1..horizon.  Pre-attack rows have delta = 0
-    and carry the whole state in the noise-driven columns (x_v = x, e_v = e,
-    x_delta = e_delta = 0); from k* onward the four split recursions are
-    integrated alongside the true dynamics.
+    scalars; step index k runs 1..horizon.  The state and the estimation
+    error are stored as their superposition split: x_v, e_v are driven by
+    the initial state and the noise, x_delta, e_delta by the attack alone
+    (exactly zero before k* and in attack-free runs).  The totals x = x_v +
+    x_delta, e = e_v + e_delta and the estimate xhat = x - e are derived on
+    access.  delta is zero before k*; delta_bar is the attack draw, zero
+    before k*, or None when attack-free.
     """
 
-    x: np.ndarray
-    xhat: np.ndarray
-    e: np.ndarray
+    x_v: np.ndarray
+    e_v: np.ndarray
+    x_delta: np.ndarray
+    e_delta: np.ndarray
     r: np.ndarray
     z: np.ndarray
     alarm: np.ndarray
     delta: np.ndarray
     delta_bar: np.ndarray | None
-    x_v: np.ndarray
-    x_delta: np.ndarray
-    e_v: np.ndarray
-    e_delta: np.ndarray
     attack_start: int | None
     alpha: float | None
 
     @property
+    def x(self) -> np.ndarray:
+        return self.x_v + self.x_delta
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.e_v + self.e_delta
+
+    @property
+    def xhat(self) -> np.ndarray:
+        return self.x - self.e
+
+    @property
     def trials(self) -> int:
-        return self.x.shape[0]
+        return self.x_v.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.x.shape[1]
+        return self.x_v.shape[1]
 
     def attacked_slice(self) -> slice:
         """Column slice of the attacked steps (empty when attack-free)."""
@@ -275,33 +288,16 @@ class SimTrace:
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
         """Write rows trial,k,x*,e*,xv*,xd*,z,alarm,d* (metadata as # comments)."""
-        n = self.x.shape[2]
+        T, N, n = self.x_v.shape
         p = self.r.shape[2]
-        header = (
-            ["trial", "k"]
-            + [f"x{i+1}" for i in range(n)]
-            + [f"e{i+1}" for i in range(n)]
-            + [f"xv{i+1}" for i in range(n)]
-            + [f"xd{i+1}" for i in range(n)]
-            + ["z", "alarm"]
-            + [f"d{i+1}" for i in range(p)]
-        )
-        with open(path, "w") as fh:
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(",".join(header) + "\n")
-            for t in range(self.trials):
-                for k in range(self.horizon):
-                    row = (
-                        [str(t), str(k + 1)]
-                        + [f"{v:.17g}" for v in self.x[t, k]]
-                        + [f"{v:.17g}" for v in self.e[t, k]]
-                        + [f"{v:.17g}" for v in self.x_v[t, k]]
-                        + [f"{v:.17g}" for v in self.x_delta[t, k]]
-                        + [f"{self.z[t, k]:.17g}", str(int(self.alarm[t, k]))]
-                        + [f"{v:.17g}" for v in self.delta[t, k]]
-                    )
-                    fh.write(",".join(row) + "\n")
+        header = (["trial", "k"] + [f"{c}{i+1}" for c in ("x", "e", "xv", "xd") for i in range(n)]
+                  + ["z", "alarm"] + [f"d{i+1}" for i in range(p)])
+        trial, k = np.meshgrid(np.arange(T), np.arange(1, N + 1), indexing="ij")
+        columns = (trial[..., None], k[..., None], self.x, self.e, self.x_v, self.x_delta,
+                   self.z[..., None], self.alarm[..., None], self.delta)
+        rows = np.concatenate(columns, axis=2).reshape(T * N, -1)
+        fmt = ["%d", "%d"] + ["%.17g"] * (4 * n + 1) + ["%d"] + ["%.17g"] * p
+        write_csv(path, metadata, header, rows, fmt)
 
 
 def _draw_system_noise(rng, count, chol, vbar):
@@ -323,17 +319,29 @@ def _chol_or_zero(M):
     return np.linalg.cholesky(M)
 
 
+def _dot(a, M):
+    """a @ M over the last axis with the same arithmetic in every row,
+    whatever the row count (matmul picks its BLAS kernel by row count)."""
+    return np.einsum("...i,ij->...j", a, M)
+
+
 def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None = None) -> SimTrace:
     """Run cfg.trials closed-loop trajectories, attack injected from k*.
 
     Each trial consumes its own counter-based stream keyed by
     (master_seed, trial): first the system-noise block (with rejection
     redraw rounds when truncated), then the measurement-noise block, then
-    the attack magnitude/direction block.  Output is therefore bit-identical
-    for a given (model, cfg, attack) regardless of how trials are scheduled.
+    the attack magnitude/direction block.  Every product is a per-row
+    contraction, so output is bit-identical for a given (model, cfg, attack)
+    regardless of how many trials share a batch.
 
     When an attack policy is given, the injected sensor attack is
-    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn from the policy.
+    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn from the policy,
+    so from k* on the residual is r = SigmaSqrt @ dbar.  The state is
+    propagated as its noise part [x_v, e_v] and attack part [x_delta,
+    e_delta], both through the cascade x' = (F + G K) x - G K e + v,
+    e' = F e + v - L r.  The noise part takes v, and r = C e_v + eta
+    before k* (r = 0 after); the attack part takes r = SigmaSqrt @ dbar.
     """
     n, p = model.n, model.p
     T, N = cfg.trials, cfg.horizon
@@ -348,86 +356,49 @@ def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None
     chol_r1 = _chol_or_zero(model.R1)
     chol_r2 = _chol_or_zero(model.R2)
     vbar = cfg.vbar if cfg.truncate_noise else None
-    n_att = 0 if kstar is None else N - kstar + 1
+    attacked = np.zeros(N, dtype=bool) if kstar is None else np.arange(1, N + 1) >= kstar
 
     vs = np.zeros((T, N, n))
     etas = np.zeros((T, N, p))
-    dbars = np.zeros((T, n_att, p)) if n_att else None
+    dbar = np.zeros((T, N, p))
     for t in range(T):
         rng = stream(cfg.master_seed, t)
         if chol_r1 is not None:
             vs[t] = _draw_system_noise(rng, N, chol_r1, vbar)
         if chol_r2 is not None:
             etas[t] = rng.standard_normal((N, p)) @ chol_r2.T
-        if n_att:
-            dbars[t] = attack.sample_block(rng, n_att)
+        if kstar is not None:
+            dbar[t, kstar - 1:] = attack.sample_block(rng, N - kstar + 1)
 
-    F_T, G_T, C_T, K_T, L_T = model.F.T, model.G.T, model.C.T, model.K.T, model.L.T
-    Acl_T = model.closed_loop.T
-    GK_T = (model.G @ model.K).T
-    LS_T = (model.L @ model.SigmaSqrt).T
-    S_T = model.SigmaSqrt.T
-    SigInv = model.SigmaInv
+    # [x', e'] = [x, e, v, r] @ step_T for either part
+    F, GK = model.F, model.G @ model.K
+    step_T = np.block([
+        [F + GK, -GK, np.eye(n), np.zeros((n, p))],
+        [np.zeros((n, n)), F, np.eye(n), -model.L],
+    ]).T
+    C_T = model.C.T
 
-    out = {
-        name: np.zeros((T, N, n))
-        for name in ("x", "xhat", "e", "x_v", "x_delta", "e_v", "e_delta")
-    }
-    r_out = np.zeros((T, N, p))
-    delta_out = np.zeros((T, N, p))
-    z_out = np.zeros((T, N))
-    alarm_out = np.zeros((T, N), dtype=bool)
-    dbar_out = np.zeros((T, N, p)) if n_att else None
+    # per trial, row 0 is the noise part and row 1 the attack part (its v stays 0)
+    buf = np.zeros((T, 2, 3 * n + p))
+    buf[:, 0, :n] = x0
+    state, v, res = buf[..., :2 * n], buf[:, 0, 2 * n:3 * n], buf[..., 3 * n:]
+    split = np.empty((T, N, 2, 2 * n))
+    r_attack = _dot(dbar, model.SigmaSqrt.T)
+    r = np.empty((T, N, p))
+    for i in range(N):
+        split[:, i] = state
+        v[...] = vs[:, i]
+        res[:, 0] = 0.0 if attacked[i] else _dot(state[:, 0, n:], C_T) + etas[:, i]
+        res[:, 1] = r_attack[:, i]
+        r[:, i] = res[:, 0] + res[:, 1]
+        state[...] = _dot(buf, step_T)
 
-    x = np.tile(x0, (T, 1))
-    xhat = x.copy()
-    xv = ev = xd = ed = None
-    for k in range(1, N + 1):
-        i = k - 1
-        eta_k = etas[:, i]
-        v_k = vs[:, i]
-        e = x - xhat
-        attacked = kstar is not None and k >= kstar
-        if attacked and k == kstar:
-            xv, ev = x.copy(), e.copy()
-            xd, ed = np.zeros((T, n)), np.zeros((T, n))
-        if attacked:
-            dbar_k = dbars[:, k - kstar]
-            delta_k = -(e @ C_T) - eta_k + dbar_k @ S_T
-            dbar_out[:, i] = dbar_k
-        else:
-            delta_k = np.zeros((T, p))
-        r = e @ C_T + eta_k + delta_k
-        z = np.einsum("ij,jk,ik->i", r, SigInv, r)
-
-        out["x"][:, i] = x
-        out["xhat"][:, i] = xhat
-        out["e"][:, i] = e
-        out["x_v"][:, i] = xv if attacked else x
-        out["e_v"][:, i] = ev if attacked else e
-        if attacked:
-            out["x_delta"][:, i] = xd
-            out["e_delta"][:, i] = ed
-        r_out[:, i] = r
-        delta_out[:, i] = delta_k
-        z_out[:, i] = z
-        if alpha is not None:
-            alarm_out[:, i] = z > alpha
-
-        u = xhat @ K_T
-        x_next = x @ F_T + u @ G_T + v_k
-        xhat_next = xhat @ F_T + u @ G_T + r @ L_T
-        if attacked:
-            ev_next = ev @ F_T + v_k
-            ed_next = ed @ F_T - dbar_k @ LS_T
-            xv_next = xv @ Acl_T - ev @ GK_T + v_k
-            xd_next = xd @ Acl_T - ed @ GK_T
-            xv, ev, xd, ed = xv_next, ev_next, xd_next, ed_next
-        x, xhat = x_next, xhat_next
-
+    e_v, e_delta = split[..., 0, n:], split[..., 1, n:]
+    delta = np.where(attacked[:, None], r - _dot(e_v + e_delta, C_T) - etas, 0.0)
+    z = np.einsum("tki,ij,tkj->tk", r, model.SigmaInv, r)
     return SimTrace(
-        x=out["x"], xhat=out["xhat"], e=out["e"], r=r_out, z=z_out,
-        alarm=alarm_out, delta=delta_out, delta_bar=dbar_out,
-        x_v=out["x_v"], x_delta=out["x_delta"], e_v=out["e_v"], e_delta=out["e_delta"],
+        x_v=split[..., 0, :n], e_v=e_v, x_delta=split[..., 1, :n], e_delta=e_delta,
+        r=r, z=z, alarm=z > alpha if alpha is not None else np.zeros((T, N), dtype=bool),
+        delta=delta, delta_bar=dbar if kstar is not None else None,
         attack_start=kstar, alpha=alpha,
     )

@@ -179,13 +179,18 @@ def parse_scenario(raw: dict) -> Scenario:
         raise SchemaError("scenario.bounds.method", "must be 'lmi', 'geom', or 'both'")
     gblock = bblock.get("geom", {})
     _check_keys(gblock, _GEOM_KEYS, set(), "scenario.bounds.geom")
-    geom_cfg = GeomSumConfig(
-        tail_tol=gblock.get("tail_tol", 1e-12),
-        max_terms=int(gblock.get("max_terms", 500)),
-    )
+    tail_tol = _scalar(gblock.get("tail_tol", 1e-12), "scenario.bounds.geom.tail_tol")
+    if not 0.0 < tail_tol < 1.0:
+        raise SchemaError("scenario.bounds.geom.tail_tol", f"must be in (0,1), got {tail_tol}")
+    max_terms = _scalar(gblock.get("max_terms", 500), "scenario.bounds.geom.max_terms", int)
+    if max_terms < 1:
+        raise SchemaError("scenario.bounds.geom.max_terms", f"must be >= 1, got {max_terms}")
+    geom_cfg = GeomSumConfig(tail_tol=tail_tol, max_terms=max_terms)
     lblock = bblock.get("lmi", {})
     _check_keys(lblock, _LMI_KEYS, set(), "scenario.bounds.lmi")
-    grid_step = float(lblock.get("grid_step", 0.02))
+    grid_step = _scalar(lblock.get("grid_step", 0.02), "scenario.bounds.lmi.grid_step")
+    if not 0.0 < grid_step < 1.0:
+        raise SchemaError("scenario.bounds.lmi.grid_step", f"must be in (0,1), got {grid_step}")
 
     oblock = raw.get("output", {})
     _check_keys(oblock, _OUTPUT_KEYS, set(), "scenario.output")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stealthreach import load_scenario, parse_scenario
+from stealthreach import __version__, empirical_cloud, load_scenario, parse_scenario, volume_heatmap
 from stealthreach.cli import main
 from stealthreach.errors import SchemaError
 
@@ -122,6 +122,17 @@ class TestCliExitCodes:
     def test_missing_file_exit_2(self, capsys):
         assert main(["tune", "--scenario", "/definitely/not/here.json"]) == 2
 
+    @pytest.mark.parametrize("block,key,value", [
+        ("geom", "tail_tol", 2), ("geom", "tail_tol", 0), ("geom", "max_terms", "abc"),
+        ("geom", "max_terms", 0), ("lmi", "grid_step", "x"), ("lmi", "grid_step", 0),
+        ("lmi", "grid_step", 1.5),
+    ])
+    @pytest.mark.parametrize("command", ["bound", "montecarlo"])
+    def test_malformed_bound_setting_exit_2(self, tmp_path, capsys, block, key, value, command):
+        path = write_scenario(tmp_path, base_raw(bounds={block: {key: value}}))
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"scenario.bounds.{block}.{key}" in capsys.readouterr().err
+
 
 class TestCliOutputs:
     def test_bound_writes_eight_files(self, tmp_path, capsys):
@@ -154,6 +165,33 @@ class TestCliOutputs:
         entries = {(b["method"], b["target"]) for b in report["bounds"]}
         assert ("geometric", "attack_state") in entries
         assert ("lmi", "attack_state") in entries
+
+    def test_csv_bytes_match_per_row_oracle(self, tmp_path, capsys):
+        raw = base_raw()
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", path, "--out", str(out),
+                     "--cloud", "attack", "--burn-in", "10"]) == 0
+        assert main(["heatmap", "--scenario", path, "--out", str(out),
+                     "--res", "5", "--cell-trials", "2"]) == 0
+        scn = load_scenario(path)
+        meta = [f"# scenario_hash={scn.hash}", f"# master_seed={scn.sim.master_seed}",
+                f"# version={__version__}"]
+
+        cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack",
+                                burn_in=10, alpha=scn.alpha)
+        steps = len(cloud) // cloud.trials
+        lines = meta + ["trial,k,x1,x2"]
+        for idx, pt in enumerate(cloud.points):
+            k = scn.sim.attack_start + cloud.burn_in + idx % steps
+            lines.append(f"{cloud.trial_index[idx]},{k}," + ",".join(f"{v:.17g}" for v in pt))
+        assert (out / "cloud_attack.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+        result = volume_heatmap(scn.model, scn.alpha, grid_res=5, trials=2,
+                                master_seed=scn.sim.master_seed)
+        lines = meta + ["c1,w1,volume"]
+        lines += [f"{c1:.17g},{w1:.17g},{vol:.17g}" for c1, w1, vol in result.grid]
+        assert (out / "heatmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_heatmap_outputs(self, tmp_path, capsys):
         raw = base_raw()

@@ -9,7 +9,6 @@ from stealthreach import (
     containment_report,
     empirical_cloud,
     fit_ellipsoid_moment,
-    min_volume_enclosing_ellipsoid,
     named_spec,
     simulate,
     volume_heatmap,
@@ -40,26 +39,6 @@ class TestMomentFit:
         assert vol_q < vol_all
         memberships = np.atleast_1d(E_q.membership(pts))
         assert abs(np.mean(memberships <= 1.0 + 1e-12) - 0.9) <= 0.02
-
-
-class TestMvee:
-    def test_symmetric_cross(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        E = min_volume_enclosing_ellipsoid(pts, tol=1e-9)
-        assert np.max(np.abs(E.Q - np.eye(2))) <= 1e-4
-
-    def test_contains_all_points(self):
-        rng = np.random.default_rng(1)
-        pts = rng.standard_normal((300, 2)) @ np.array([[2.0, 0.3], [0.0, 0.5]])
-        E = min_volume_enclosing_ellipsoid(pts, tol=1e-7)
-        assert np.max(np.atleast_1d(E.membership(pts))) <= 1.0 + 1e-5
-
-    def test_tighter_than_moment_fit(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((500, 2))
-        E = min_volume_enclosing_ellipsoid(pts)
-        _, vol_moment = fit_ellipsoid_moment(pts)
-        assert E.volume <= vol_moment * (1.0 + 1e-6)
 
 
 class TestEmpiricalCloud:

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from stealthreach import SimConfig, build_model, make_policy, named_spec, simulate, solve_steady_state_kalman
+from stealthreach import (
+    SimConfig,
+    build_model,
+    chi2_quantile,
+    make_policy,
+    named_spec,
+    simulate,
+    solve_steady_state_kalman,
+)
 from stealthreach.attacks import AttackSpec, ZERO_ALARM
 from stealthreach.errors import (
     DimensionMismatch,
@@ -11,6 +19,8 @@ from stealthreach.errors import (
     UnstableF,
     UnstableFilter,
 )
+from stealthreach.plant import spectral_radius
+from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED
 
@@ -164,6 +174,114 @@ class TestSimulate:
             SimConfig(horizon=10, master_seed=0, trials=1, truncate_noise=True)
 
 
+COLUMNS = ("x", "xhat", "e", "r", "z", "alarm", "delta", "delta_bar",
+           "x_v", "x_delta", "e_v", "e_delta")
+
+
+def reference_trace(model, cfg, policy, alpha):
+    """Plain per-trial loop over the model equations.
+
+    Each trial redraws its inputs from its own stream (v block with
+    rejection rounds, eta block, dbar block) and runs x' = F x + G u + v,
+    y = C x + eta + delta, xhat' = F xhat + G u + L (y - C xhat), u = K xhat.
+    The noise part is the same loop with dbar = 0 (the attacker still
+    cancels C e + eta); the attack part is the difference.
+    """
+    n, p, N = model.n, model.p, cfg.horizon
+    kstar = cfg.attack_start if policy is not None else None
+    x0 = np.zeros(n) if cfg.initial_state is None else np.asarray(cfg.initial_state, dtype=float)
+    chol_r1, chol_r2 = np.linalg.cholesky(model.R1), np.linalg.cholesky(model.R2)
+    cols = {name: [] for name in COLUMNS}
+    for t in range(cfg.trials):
+        rng = stream(cfg.master_seed, t)
+        w = rng.standard_normal((N, n))
+        while cfg.truncate_noise and (np.sum(w * w, axis=1) > cfg.vbar).any():
+            bad = np.sum(w * w, axis=1) > cfg.vbar
+            w[bad] = rng.standard_normal((int(bad.sum()), n))
+        v = w @ chol_r1.T
+        eta = rng.standard_normal((N, p)) @ chol_r2.T
+        dbar = np.zeros((N, p))
+        if kstar is not None:
+            dbar[kstar - 1:] = policy.sample_block(rng, N - kstar + 1)
+
+        def run(dbar):
+            x, xhat = x0.copy(), x0.copy()
+            rows = {name: [] for name in ("x", "xhat", "r", "delta")}
+            for i in range(N):
+                e = x - xhat
+                attacked = kstar is not None and i + 1 >= kstar
+                delta = -model.C @ e - eta[i] + model.SigmaSqrt @ dbar[i] if attacked else np.zeros(p)
+                r = model.C @ x + eta[i] + delta - model.C @ xhat
+                for name, value in (("x", x), ("xhat", xhat), ("r", r), ("delta", delta)):
+                    rows[name].append(value)
+                u = model.K @ xhat
+                x, xhat = model.F @ x + model.G @ u + v[i], model.F @ xhat + model.G @ u + model.L @ r
+            return {name: np.array(rows[name]) for name in rows}
+
+        full, noise = run(dbar), run(np.zeros((N, p)))
+        e, e_v = full["x"] - full["xhat"], noise["x"] - noise["xhat"]
+        z = np.einsum("ki,ij,kj->k", full["r"], model.SigmaInv, full["r"])
+        for name, value in (("x", full["x"]), ("xhat", full["xhat"]), ("e", e),
+                            ("r", full["r"]), ("z", z), ("alarm", z > alpha),
+                            ("delta", full["delta"]), ("delta_bar", dbar),
+                            ("x_v", noise["x"]), ("x_delta", full["x"] - noise["x"]),
+                            ("e_v", e_v), ("e_delta", e - e_v)):
+            cols[name].append(value)
+    return {name: np.array(cols[name]) for name in COLUMNS}
+
+
+def plant_4d(seed=4):
+    """Seeded n = 4, m = 2, p = 3 plant with rho(F) = 0.85 and a stable loop."""
+    rng = np.random.default_rng(seed)
+    F4 = rng.standard_normal((4, 4))
+    F4 *= 0.85 / spectral_radius(F4)
+    G4 = rng.standard_normal((4, 2))
+    M = rng.standard_normal((4, 4))
+    N = rng.standard_normal((3, 3))
+    return build_model(F4, G4, rng.standard_normal((3, 4)), -0.1 * np.linalg.pinv(G4) @ F4,
+                       0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
+
+
+class TestReferenceDynamics:
+    @pytest.mark.parametrize("preset,attack_start,truncate", [
+        (None, None, False), ("ZA.B", 120, False), ("H.B", 1, True),
+    ])
+    def test_every_column_matches_plain_recursion(self, bench_model, alpha, vbar,
+                                                  preset, attack_start, truncate):
+        policy = make_policy(named_spec(preset, alpha), bench_model) if preset else None
+        cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
+                        master_seed=11, trials=3, initial_state=np.array([0.5, -1.0]),
+                        truncate_noise=truncate, vbar=vbar if truncate else None)
+        trace = simulate(bench_model, cfg, attack=policy, alpha=alpha)
+        ref = reference_trace(bench_model, cfg, policy, alpha)
+        for name in COLUMNS:
+            got = getattr(trace, name)
+            if got is None:
+                assert policy is None and name == "delta_bar"
+                continue
+            assert got.shape == ref[name].shape, name
+            if name == "alarm":
+                assert np.array_equal(got, ref[name])
+            else:
+                assert np.max(np.abs(got - ref[name])) <= 1e-12, name
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_single_trial_equals_trial_zero_of_batch(self, bench_model, n):
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        policy = make_policy(named_spec("H.B", a), model)
+        traces = [
+            simulate(model, SimConfig(horizon=80, attack_start=20, master_seed=8, trials=trials),
+                     attack=policy, alpha=a)
+            for trials in (1, 5)
+        ]
+        for name in COLUMNS:
+            single, batch = (getattr(tr, name) for tr in traces)
+            assert np.array_equal(single[0], batch[0]), name
+
+
 class TestTraceCsv:
     def test_schema_and_metadata(self, bench_model, alpha, tmp_path):
         cfg = SimConfig(horizon=5, master_seed=7, trials=2)
@@ -177,3 +295,24 @@ class TestTraceCsv:
         first = lines[2].split(",")
         assert first[0] == "0" and first[1] == "1"
         assert float(first[10]) == trace.z[0, 0]
+
+    def test_bytes_match_per_row_oracle(self, bench_model, alpha, tmp_path):
+        spec = named_spec("H.B", alpha)
+        cfg = SimConfig(horizon=6, attack_start=3, master_seed=9, trials=2)
+        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path, metadata={"seed": 9, "note": "x"})
+        lines = ["# seed=9", "# note=x", "trial,k,x1,x2,e1,e2,xv1,xv2,xd1,xd2,z,alarm,d1,d2"]
+        for t in range(trace.trials):
+            for k in range(trace.horizon):
+                row = (
+                    [str(t), str(k + 1)]
+                    + [f"{v:.17g}" for v in trace.x[t, k]]
+                    + [f"{v:.17g}" for v in trace.e[t, k]]
+                    + [f"{v:.17g}" for v in trace.x_v[t, k]]
+                    + [f"{v:.17g}" for v in trace.x_delta[t, k]]
+                    + [f"{trace.z[t, k]:.17g}", str(int(trace.alarm[t, k]))]
+                    + [f"{v:.17g}" for v in trace.delta[t, k]]
+                )
+                lines.append(",".join(row))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -8,8 +8,8 @@ a geometric Minkowski-sum method.
 
 __version__ = "0.1.0"
 
-from .attacks import AttackPolicy, AttackSpec, make_policy, named_spec, sample_delta_bar, sample_z
-from .detector import DetectorConfig, alarm_stream, chi2_quantile, distance, reg_lower_gamma
+from .attacks import AttackSpec, named_spec, sample_delta_bar, sample_z
+from .detector import alarm_stream, chi2_quantile, distance, reg_lower_gamma
 from .ellipsoids import (
     Ellipsoid,
     contains,
@@ -50,13 +50,12 @@ from .reach_lmi import (
     min_volume_over_a,
     reach_bounds_lmi,
     solve_logdet_sdp,
-    total_state_bound_lmi,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = [
-    "AttackPolicy", "AttackSpec", "make_policy", "named_spec", "sample_delta_bar", "sample_z",
-    "DetectorConfig", "alarm_stream", "chi2_quantile", "distance", "reg_lower_gamma",
+    "AttackSpec", "named_spec", "sample_delta_bar", "sample_z",
+    "alarm_stream", "chi2_quantile", "distance", "reg_lower_gamma",
     "Ellipsoid", "contains", "linear_image", "minkowski_sum_many", "minkowski_sum_pair",
     "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
@@ -66,6 +65,5 @@ __all__ = [
     "GeomSumConfig", "attack_error_reach_geom", "attack_state_reach_geom",
     "noise_reach_geom", "reach_bounds_geom", "total_state_bound_geom",
     "LmiProblem", "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
-    "total_state_bound_lmi",
     "Scenario", "load_scenario", "parse_scenario",
 ]

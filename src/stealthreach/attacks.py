@@ -124,23 +124,22 @@ def named_spec(name: str, alpha: float, rate_above: float = 0.05,
     )
 
 
-def sample_z(spec: AttackSpec, rng: np.random.Generator, size: int | None = None):
-    """Draw distance-measure targets from the mixture.
+def sample_z(spec: AttackSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size distance-measure targets from the mixture.
 
-    Scalar when size is None, else an array of length size.  Below-threshold
-    draws are capped at alpha*(1 - 1e-12); above-threshold draws use a
-    (0, 1] uniform so they stay strictly above the segment's left edge.
+    Below-threshold draws are capped at alpha*(1 - 1e-12); above-threshold
+    draws use a (0, 1] uniform so they stay strictly above the segment's
+    left edge.
     """
-    count = 1 if size is None else int(size)
-    u = rng.random(count)
+    u = rng.random(size)
     z = (spec.c1 - spec.w1 / 2.0) + spec.w1 * u
     z = np.minimum(np.maximum(z, 0.0), spec.alpha * (1.0 - BOUNDARY_BACKOFF))
     if spec.kind == HIDDEN:
-        above = rng.random(count) < spec.rate_above
-        u2 = 1.0 - rng.random(count)  # in (0, 1]
+        above = rng.random(size) < spec.rate_above
+        u2 = 1.0 - rng.random(size)  # in (0, 1]
         z2 = (spec.c2 - spec.w2 / 2.0) + spec.w2 * u2
         z = np.where(above, z2, z)
-    return float(z[0]) if size is None else z
+    return z
 
 
 def _directions(spec: AttackSpec, p: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -159,55 +158,15 @@ def _directions(spec: AttackSpec, p: int, rng: np.random.Generator, count: int) 
     return g / norms
 
 
-def sample_delta_bar(spec: AttackSpec, p: int, rng: np.random.Generator, size: int | None = None):
-    """Draw attack vectors dbar = sqrt(z) * u with u per the direction mode.
+def sample_delta_bar(spec: AttackSpec, p: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size attack vectors dbar = sqrt(z) * u, shape (size, p), with u
+    per the direction mode.
 
     By construction dbar^T dbar equals the paired z draw to round-off.
     """
-    count = 1 if size is None else int(size)
-    z = np.atleast_1d(sample_z(spec, rng, size=count))
-    u = _directions(spec, p, rng, count)
-    dbar = np.sqrt(z)[:, None] * u
-    return dbar[0] if size is None else dbar
-
-
-@dataclass(frozen=True)
-class AttackPolicy:
-    """Per-step sensor-attack callback for a given plant model.
-
-    Emits delta_k = -C e_k - eta_k + SigmaSqrt dbar_k, which cancels the
-    true measurement content of the output and replaces the residual with
-    SigmaSqrt dbar_k (the attacker reads the sensors and knows the filter).
-    """
-
-    spec: AttackSpec
-    C: np.ndarray
-    SigmaSqrt: np.ndarray
-
-    def __post_init__(self):
-        for name in ("C", "SigmaSqrt"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def p(self) -> int:
-        return self.C.shape[0]
-
-    def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return sample_delta_bar(self.spec, self.p, rng, size=count)
-
-    def delta_from_dbar(self, e: np.ndarray, eta: np.ndarray, dbar: np.ndarray) -> np.ndarray:
-        return -(e @ self.C.T) - eta + dbar @ self.SigmaSqrt.T
-
-    def __call__(self, e: np.ndarray, eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        dbar = sample_delta_bar(self.spec, self.p, rng)
-        return self.delta_from_dbar(np.asarray(e, dtype=float), np.asarray(eta, dtype=float), dbar)
-
-
-def make_policy(spec: AttackSpec, model) -> AttackPolicy:
-    """Bind an attack spec to a model's observation matrix and SigmaSqrt."""
-    return AttackPolicy(spec=spec, C=model.C, SigmaSqrt=model.SigmaSqrt)
+    z = sample_z(spec, rng, size)
+    u = _directions(spec, p, rng, size)
+    return np.sqrt(z)[:, None] * u
 
 
 def mixture_cdf(spec: AttackSpec, z) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line pipeline: tune -> bound -> montecarlo / heatmap -> verify.
 
-Exit codes: 0 success, 2 scenario schema error, 3 numeric failure
-(no convergence / infeasible), 4 model or invariant violation.
+Exit codes: 0 success, 2 scenario schema error or out-of-range argument,
+3 numeric failure (no convergence / infeasible), 4 model or invariant
+violation.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attacks import ZERO_ALARM, make_policy
+from .attacks import ZERO_ALARM
 from .csvout import write_csv
 from .detector import chi2_quantile
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     NoConvergence,
     SchemaError,
     StealthreachError,
+    UsageError,
 )
 from .montecarlo import (
     SOURCE_ATTACK,
@@ -70,12 +72,19 @@ def _write_text(path: Path, text: str, scenario: Scenario | None = None) -> None
     print(f"wrote {path}")
 
 
+def _check_arg(flag: str, value: int, lo: int, hi: int | None = None) -> None:
+    if value < lo or (hi is not None and value > hi):
+        allowed = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise UsageError(f"{flag} must be {allowed}, got {value}")
+
+
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
+        _check_arg("--trials", args.trials, 1)
         overrides["trials"] = args.trials
     if overrides:
         scenario = dataclasses.replace(
@@ -144,6 +153,8 @@ def cmd_montecarlo(args) -> int:
     cfg = scenario.sim
     if spec is not None and cfg.attack_start is None:
         cfg = dataclasses.replace(cfg, attack_start=1)
+    kstar = cfg.attack_start or 1
+    _check_arg("--burn-in", args.burn_in, 0, cfg.horizon - kstar)
     cloud = empirical_cloud(scenario.model, cfg, spec, source=source,
                             burn_in=args.burn_in, alpha=scenario.alpha)
 
@@ -170,7 +181,7 @@ def cmd_montecarlo(args) -> int:
     if "csv" in scenario.output_formats:
         csv_path = out_dir / f"cloud_{source}.csv"
         steps = len(cloud) // cloud.trials
-        first_k = (cfg.attack_start or 1) + cloud.burn_in
+        first_k = kstar + cloud.burn_in
         rows = np.column_stack([cloud.trial_index, first_k + np.arange(len(cloud)) % steps,
                                 cloud.points])
         write_csv(csv_path, _meta(scenario), ["trial", "k"] + [f"x{i+1}" for i in range(cloud.dim)],
@@ -187,6 +198,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    _check_arg("--res", args.res, 4)
+    _check_arg("--cell-trials", args.cell_trials, 1)
     scenario = _load(args)
     result = volume_heatmap(
         scenario.model, scenario.alpha, grid_res=args.res,
@@ -216,8 +229,9 @@ def cmd_verify(args) -> int:
     residual = abs(chi2_quantile(1.0 - scenario.target_rate, model.p) - scenario.alpha)
     check("threshold tuning round-trip", residual <= 1e-6 * max(scenario.alpha, 1.0),
           f"|alpha - quantile| = {residual:.2e}")
-    check("riccati fixed point", model.diagnostics["riccati_residual"] <= 1e-10,
-          f"residual {model.diagnostics['riccati_residual']:.2e}")
+    riccati, p_max = model.diagnostics["riccati_residual"], float(np.max(np.abs(model.P)))
+    check("riccati fixed point", riccati <= 1e-10 * p_max,
+          f"residual {riccati:.2e} vs max|P| {p_max:.2e}")
 
     steps = 100_000
     trials = max(1, steps // 1000)
@@ -228,10 +242,9 @@ def cmd_verify(args) -> int:
           f"{rate:.4f} vs target {scenario.target_rate}")
 
     if scenario.attack is not None:
-        policy = make_policy(scenario.attack, model)
         cfg_att = SimConfig(horizon=1000, attack_start=1,
                             master_seed=scenario.sim.master_seed + 1, trials=trials)
-        trace = simulate(model, cfg_att, attack=policy, alpha=scenario.alpha)
+        trace = simulate(model, cfg_att, attack=scenario.attack, alpha=scenario.alpha)
         att_rate = trace.alarm_rate(attacked_only=True)
         if scenario.attack.kind == ZERO_ALARM:
             check("zero-alarm stealth", att_rate == 0.0, f"attacked alarm rate {att_rate}")
@@ -316,6 +329,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,7 +6,6 @@ distance measure is chi-square with one degree of freedom per sensor.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,42 +125,3 @@ def alarm_stream(z, alpha: float):
     alarms = z > alpha
     rate = float(alarms.mean()) if z.size else 0.0
     return alarms, rate, list(np.flatnonzero(alarms))
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tuned detector: threshold alpha for a target false-alarm rate.
-
-    alpha = chi2_quantile(1 - target_rate, dof); sigma_inv is the cached
-    inverse residual covariance used by the distance measure.
-    """
-
-    alpha: float
-    dof: int
-    target_rate: float
-    sigma_inv: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        si = np.asarray(self.sigma_inv, dtype=float)
-        si.setflags(write=False)
-        object.__setattr__(self, "sigma_inv", si)
-
-    @classmethod
-    def from_rate(cls, target_rate: float, dof: int, sigma: np.ndarray) -> "DetectorConfig":
-        if not 0.0 < target_rate < 1.0:
-            raise DomainError(f"false-alarm rate must be in (0,1), got {target_rate}")
-        sigma = np.asarray(sigma, dtype=float)
-        alpha = chi2_quantile(1.0 - target_rate, dof)
-        return cls(alpha=alpha, dof=dof, target_rate=target_rate, sigma_inv=np.linalg.inv(sigma))
-
-    def distance(self, r: np.ndarray):
-        return distance(r, self.sigma_inv)
-
-
-def noise_truncation_level(target_rate: float, n: int) -> float:
-    """Truncation level for the system-noise quadratic form at mass 1 - rate.
-
-    chi2_quantile(1 - rate, n): same tuning rule as the detector threshold,
-    applied to the n-dimensional noise.
-    """
-    return chi2_quantile(1.0 - target_rate, n)

@@ -69,6 +69,10 @@ class MaxTermsExceeded(StealthreachError):
     """Geometric series truncation rule not met within the term cap."""
 
 
+class UsageError(StealthreachError):
+    """A command-line argument is out of range; the message names the flag."""
+
+
 class SchemaError(StealthreachError):
     """Scenario file violates the strict schema; carries the offending path."""
 

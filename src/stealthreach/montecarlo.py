@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import ZERO_ALARM, AttackSpec, make_policy
+from .attacks import ZERO_ALARM, AttackSpec
 from .ellipsoids import Ellipsoid
 from .errors import DegenerateCloud, DimensionMismatch
 from .plant import PlantModel, SimConfig, simulate
@@ -67,19 +67,17 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
         spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha if alpha else 1.0, c1=0.0, w1=0.0)
         if cfg.attack_start is None:
             cfg = dataclasses.replace(cfg, attack_start=1)
-    policy = None
-    if spec is not None:
-        policy = make_policy(spec, model)
-        if cfg.attack_start is None:
-            raise DimensionMismatch("attack spec given but cfg.attack_start is None")
-    alpha = alpha if alpha is not None else (spec.alpha if spec is not None else None)
-    trace = simulate(model, cfg, attack=policy, alpha=alpha)
     kstar = cfg.attack_start if spec is not None else 1
-    first = kstar - 1 + burn_in
-    if first >= cfg.horizon:
+    if kstar is None:
+        raise DimensionMismatch("attack spec given but cfg.attack_start is None")
+    if not 0 <= burn_in <= cfg.horizon - kstar:
         raise DimensionMismatch(
-            f"burn_in {burn_in} leaves no samples (attack_start {kstar}, horizon {cfg.horizon})"
+            f"burn_in {burn_in} must be in [0, {cfg.horizon - kstar}] "
+            f"(attack_start {kstar}, horizon {cfg.horizon})"
         )
+    alpha = alpha if alpha is not None else (spec.alpha if spec is not None else None)
+    trace = simulate(model, cfg, attack=spec, alpha=alpha)
+    first = kstar - 1 + burn_in
     block = getattr(trace, _SOURCE_COLUMN[source])[:, first:, :]
     T, steps, n = block.shape
     points = block.reshape(T * steps, n)
@@ -125,16 +123,10 @@ class HeatmapResult:
     grid: list = field(default_factory=list)  # (c1, w1, volume) triples
     alpha: float = 0.0
     resolution: tuple = (0, 0)
-    points_per_cell: int = 0
     master_seed: int = 0
 
     def argmax_cell(self) -> tuple[float, float, float]:
         return max(self.grid, key=lambda row: row[2])
-
-    def volume_at(self, c1: float, w1: float) -> float:
-        """Volume of the grid cell nearest to (c1, w1)."""
-        best = min(self.grid, key=lambda row: (row[0] - c1) ** 2 + (row[1] - w1) ** 2)
-        return best[2]
 
 
 def admissible_cells(alpha: float, res: int) -> list[tuple[float, float]]:
@@ -185,7 +177,6 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
         )
         grid.append((c1, w1, vol))
     return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res),
-                         points_per_cell=trials * (horizon - burn_in),
                          master_seed=master_seed)
 
 

@@ -12,7 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .attacks import AttackSpec, sample_delta_bar
 from .csvout import write_csv
+from .detector import distance
 from .ellipsoids import sym_sqrt
 from .errors import (
     DimensionMismatch,
@@ -58,8 +60,10 @@ def solve_steady_state_kalman(F, C, R1, R2, tol: float = 1e-12, max_iter: int = 
     """Steady-state predictor-form filter gain and error covariance.
 
     Iterates P <- F P F^T + R1 - F P C^T (C P C^T + R2)^+ C P F^T from
-    P0 = R1 to the fixed point, then L = F P C^T (C P C^T + R2)^+.
-    The final update size is returned as a diagnostic residual.
+    P0 = R1 until the largest entry of the update is at most tol times the
+    largest entry of P, so scaling the state by a constant does not move the
+    stopping point; then L = F P C^T (C P C^T + R2)^+.  The final update size
+    (absolute) is returned as a diagnostic residual.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -79,7 +83,7 @@ def solve_steady_state_kalman(F, C, R1, R2, tol: float = 1e-12, max_iter: int = 
         P_next = (P_next + P_next.T) / 2.0
         residual = float(np.max(np.abs(P_next - P)))
         P = P_next
-        if residual <= tol:
+        if residual <= tol * np.max(np.abs(P)):
             break
     else:
         raise NoConvergence(f"Riccati iteration residual {residual:.3e} after {max_iter} iterations")
@@ -132,10 +136,6 @@ class PlantModel:
     @property
     def closed_loop(self) -> np.ndarray:
         return self.F + self.G @ self.K
-
-    @property
-    def filter_matrix(self) -> np.ndarray:
-        return self.F - self.L @ self.C
 
 
 def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
@@ -325,7 +325,8 @@ def _dot(a, M):
     return np.einsum("...i,ij->...j", a, M)
 
 
-def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None = None) -> SimTrace:
+def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
+             alpha: float | None = None) -> SimTrace:
     """Run cfg.trials closed-loop trajectories, attack injected from k*.
 
     Each trial consumes its own counter-based stream keyed by
@@ -335,11 +336,11 @@ def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None
     contraction, so output is bit-identical for a given (model, cfg, attack)
     regardless of how many trials share a batch.
 
-    When an attack policy is given, the injected sensor attack is
-    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn from the policy,
-    so from k* on the residual is r = SigmaSqrt @ dbar.  The state is
-    propagated as its noise part [x_v, e_v] and attack part [x_delta,
-    e_delta], both through the cascade x' = (F + G K) x - G K e + v,
+    When an attack spec is given, the injected sensor attack is
+    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn by
+    sample_delta_bar, so from k* on the residual is r = SigmaSqrt @ dbar.
+    The state is propagated as its noise part [x_v, e_v] and attack part
+    [x_delta, e_delta], both through the cascade x' = (F + G K) x - G K e + v,
     e' = F e + v - L r.  The noise part takes v, and r = C e_v + eta
     before k* (r = 0 after); the attack part takes r = SigmaSqrt @ dbar.
     """
@@ -347,7 +348,7 @@ def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None
     T, N = cfg.trials, cfg.horizon
     kstar = cfg.attack_start if attack is not None else None
     if attack is not None and cfg.attack_start is None:
-        raise DimensionMismatch("attack policy given but cfg.attack_start is None")
+        raise DimensionMismatch("attack spec given but cfg.attack_start is None")
 
     x0 = np.zeros(n) if cfg.initial_state is None else np.asarray(cfg.initial_state, dtype=float)
     if x0.shape != (n,):
@@ -368,7 +369,7 @@ def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None
         if chol_r2 is not None:
             etas[t] = rng.standard_normal((N, p)) @ chol_r2.T
         if kstar is not None:
-            dbar[t, kstar - 1:] = attack.sample_block(rng, N - kstar + 1)
+            dbar[t, kstar - 1:] = sample_delta_bar(attack, p, rng, size=N - kstar + 1)
 
     # [x', e'] = [x, e, v, r] @ step_T for either part
     F, GK = model.F, model.G @ model.K
@@ -395,7 +396,7 @@ def simulate(model: PlantModel, cfg: SimConfig, attack=None, alpha: float | None
 
     e_v, e_delta = split[..., 0, n:], split[..., 1, n:]
     delta = np.where(attacked[:, None], r - _dot(e_v + e_delta, C_T) - etas, 0.0)
-    z = np.einsum("tki,ij,tkj->tk", r, model.SigmaInv, r)
+    z = distance(r, model.SigmaInv)
     return SimTrace(
         x_v=split[..., 0, :n], e_v=e_v, x_delta=split[..., 1, :n], e_delta=e_delta,
         r=r, z=z, alarm=z > alpha if alpha is not None else np.zeros((T, N), dtype=bool),

@@ -214,9 +214,4 @@ def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float,
         model.closed_loop, -model.G @ model.K, att_err.quad_matrix,
         target=TARGET_ATTACK_STATE, grid_step=grid_step,
     )
-    total = total_state_bound_lmi(noise, att_state)
-    return noise, att_err, att_state, total
-
-
-def total_state_bound_lmi(noise_bound: ReachBound, attack_bound: ReachBound) -> ReachBound:
-    return total_state_bound(noise_bound, attack_bound, METHOD_LMI)
+    return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_LMI)

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .attacks import HIDDEN, UNIFORM_SPHERE, ZERO_ALARM, AttackSpec, _resolve_alpha_token, named_spec
-from .detector import DetectorConfig, chi2_quantile
+from .detector import chi2_quantile
 from .errors import SchemaError
 from .plant import PlantModel, SimConfig, build_model
 from .reach_geom import GeomSumConfig
@@ -85,11 +85,6 @@ class Scenario:
     def hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(alpha=self.alpha, dof=self.model.p,
-                              target_rate=self.target_rate,
-                              sigma_inv=self.model.SigmaInv)
 
 
 def _parse_attack(block, alpha, default_rate, path) -> AttackSpec:

@@ -17,7 +17,6 @@ from stealthreach import (
     chi2_quantile,
     empirical_cloud,
     linear_image,
-    make_policy,
     minkowski_sum_many,
     minkowski_sum_pair,
     named_spec,
@@ -144,7 +143,7 @@ def test_criterion_04_zero_alarm_stealth(model, tuned):
         spec = named_spec(name, alpha)
         cfg = SimConfig(horizon=10_000, attack_start=1,
                         master_seed=substream_seed(SEED, 40 + i), trials=100)
-        trace = simulate(model, cfg, attack=make_policy(spec, model), alpha=alpha)
+        trace = simulate(model, cfg, attack=spec, alpha=alpha)
         total_alarms += int(trace.alarm.sum())
         shaped = trace.delta_bar @ model.SigmaSqrt.T
         worst_residual = max(worst_residual, float(np.max(np.abs(trace.r - shaped))))
@@ -163,7 +162,7 @@ def test_criterion_05_hidden_rate_matching(model, tuned):
         spec = named_spec(name, alpha)
         cfg = SimConfig(horizon=10_000, attack_start=1,
                         master_seed=substream_seed(SEED, 50 + i), trials=100)
-        trace = simulate(model, cfg, attack=make_policy(spec, model), alpha=alpha)
+        trace = simulate(model, cfg, attack=spec, alpha=alpha)
         rates[name] = trace.alarm_rate(attacked_only=True)
         del trace
     elapsed = time.time() - t0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stealthreach import SimConfig, make_policy, named_spec, sample_delta_bar, sample_z, simulate
+from stealthreach import SimConfig, named_spec, sample_delta_bar, sample_z, simulate
 from stealthreach.attacks import (
     BOUNDARY_BACKOFF,
     HIDDEN,
@@ -127,31 +127,19 @@ class TestSampleDeltaBar:
 class TestPolicy:
     def test_residual_is_shaped_attack(self, bench_model, alpha):
         spec = named_spec("ZA.B", alpha)
-        policy = make_policy(spec, bench_model)
         cfg = SimConfig(horizon=300, attack_start=1, master_seed=10, trials=4)
-        trace = simulate(bench_model, cfg, attack=policy, alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         shaped = trace.delta_bar @ bench_model.SigmaSqrt.T
         assert np.max(np.abs(trace.r - shaped)) <= 1e-9
 
     def test_zero_alarm_simulation_is_silent(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=2000, attack_start=1, master_seed=11, trials=10)
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert trace.alarm_rate(attacked_only=True) == 0.0
 
     def test_hidden_simulation_matches_rate(self, bench_model, alpha):
         spec = named_spec("H.C", alpha)
         cfg = SimConfig(horizon=2000, attack_start=1, master_seed=12, trials=50)
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert abs(trace.alarm_rate(attacked_only=True) - 0.05) <= 0.005
-
-    def test_scalar_callback(self, bench_model, alpha):
-        spec = named_spec("ZA.C", alpha)
-        policy = make_policy(spec, bench_model)
-        e = np.array([0.3, -0.2])
-        eta = np.array([0.1, 0.4])
-        delta = policy(e, eta, stream(13, 0))
-        # reconstruct the implied residual: C e + eta + delta = SigmaSqrt dbar
-        r = bench_model.C @ e + eta + delta
-        z = r @ bench_model.SigmaInv @ r
-        assert z == pytest.approx(alpha, rel=1e-9)

@@ -7,7 +7,7 @@ from stealthreach import __version__, empirical_cloud, load_scenario, parse_scen
 from stealthreach.cli import main
 from stealthreach.errors import SchemaError
 
-from conftest import C, F, G, K, R1, R2
+from conftest import C, F, G, K, R1, R2, plant_4d
 
 
 def base_raw(**overrides):
@@ -133,6 +133,16 @@ class TestCliExitCodes:
         assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
         assert f"scenario.bounds.{block}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("heatmap", "--res", "3"), ("heatmap", "--cell-trials", "0"),
+        ("montecarlo", "--trials", "0"), ("montecarlo", "--burn-in", "-1"),
+        ("montecarlo", "--burn-in", "80"),  # the horizon: no step left
+    ])
+    def test_out_of_range_argument_exit_2(self, tmp_path, capsys, command, flag, value):
+        path = write_scenario(tmp_path, base_raw())
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCliOutputs:
     def test_bound_writes_eight_files(self, tmp_path, capsys):
@@ -257,3 +267,17 @@ class TestVerifyCommand:
         assert report["all_pass"]
         stdout = capsys.readouterr().out
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
+
+    def test_verify_passes_on_4d_plant(self, tmp_path, capsys):
+        model = plant_4d()
+        mats = ("F", "G", "C", "K", "R1", "R2")
+        raw = base_raw(model={k: getattr(model, k).tolist() for k in mats})
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
+        checks = {c["name"] for c in json.loads((out / "verify.json").read_text())["checks"]}
+        for target in ("noise", "attack_error", "attack_state"):
+            assert f"lmi certificate ({target})" in checks
+            assert f"volume ordering ({target})" in checks
+        assert "total-state containment (geometric)" in checks
+        assert "[FAIL]" not in capsys.readouterr().out

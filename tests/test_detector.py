@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stealthreach import DetectorConfig, alarm_stream, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
+from stealthreach import alarm_stream, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
 from stealthreach.errors import DimensionMismatch, DomainError
 
 SIGMA = np.array([[2.086, 0.134], [0.134, 2.230]])
@@ -124,14 +124,3 @@ class TestAlarmStream:
     def test_domain(self):
         with pytest.raises(DomainError):
             alarm_stream([1.0], 0.0)
-
-
-class TestDetectorConfig:
-    def test_round_trip_alpha(self):
-        cfg = DetectorConfig.from_rate(0.05, 2, SIGMA)
-        assert cfg.alpha == pytest.approx(chi2_quantile(0.95, 2), abs=1e-12)
-        assert np.max(np.abs(cfg.sigma_inv @ SIGMA - np.eye(2))) <= 1e-9
-
-    def test_distance_shortcut(self):
-        cfg = DetectorConfig.from_rate(0.05, 2, np.eye(2))
-        assert cfg.distance(np.array([1.0, 1.0])) == pytest.approx(2.0)

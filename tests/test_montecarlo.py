@@ -13,7 +13,7 @@ from stealthreach import (
     simulate,
     volume_heatmap,
 )
-from stealthreach.errors import DegenerateCloud
+from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import SOURCE_ATTACK, SOURCE_NOISE, admissible_cells
 
 
@@ -50,15 +50,22 @@ class TestEmpiricalCloud:
         assert cloud.dim == 2
         assert cloud.trial_alarm_free.shape == (7,)
 
+    @pytest.mark.parametrize("burn_in", [-1, 150])
+    def test_burn_in_out_of_range(self, bench_model, alpha, burn_in):
+        # steps k >= k* + burn_in are kept, so burn_in runs 0..horizon - k*
+        spec = named_spec("ZA.C", alpha)
+        cfg = SimConfig(horizon=150, attack_start=1, master_seed=20, trials=2)
+        assert len(empirical_cloud(bench_model, cfg, spec, burn_in=149)) == 2
+        with pytest.raises(DimensionMismatch):
+            empirical_cloud(bench_model, cfg, spec, burn_in=burn_in)
+
     def test_noise_cloud_matches_error_split(self, bench_model, alpha, vbar):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=120, attack_start=1, master_seed=21, trials=3,
                         truncate_noise=True, vbar=vbar)
         cloud = empirical_cloud(bench_model, cfg, spec, source=SOURCE_NOISE, burn_in=20)
-        trace = simulate(bench_model, cfg, attack=None, alpha=alpha)
         # x_v equals e_v pointwise; the noise stream is attack-independent
-        from stealthreach import make_policy
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert np.max(np.abs(trace.x_v - trace.e_v)) <= 1e-12
         expected = trace.x_v[:, 20:, :].reshape(-1, 2)
         assert np.array_equal(cloud.points, expected)

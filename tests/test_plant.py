@@ -6,8 +6,8 @@ from stealthreach import (
     SimConfig,
     build_model,
     chi2_quantile,
-    make_policy,
     named_spec,
+    sample_delta_bar,
     simulate,
     solve_steady_state_kalman,
 )
@@ -19,10 +19,9 @@ from stealthreach.errors import (
     UnstableF,
     UnstableFilter,
 )
-from stealthreach.plant import spectral_radius
 from stealthreach.seeding import stream
 
-from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED
+from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, plant_4d
 
 
 class TestKalman:
@@ -108,7 +107,7 @@ class TestSimulate:
         spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=alpha, w1=0.0,
                           direction_mode=(1.0, 0.0))
         cfg = SimConfig(horizon=200, attack_start=5, master_seed=1, trials=1)
-        trace = simulate(model, cfg, attack=make_policy(spec, model), alpha=alpha)
+        trace = simulate(model, cfg, attack=spec, alpha=alpha)
         attacked = trace.z[:, 4:]
         assert np.max(np.abs(attacked - alpha)) <= 1e-9 * alpha
         assert not trace.alarm.any()
@@ -117,7 +116,7 @@ class TestSimulate:
     def test_superposition_mid_trajectory(self, bench_model, alpha):
         spec = named_spec("ZA.B", alpha)
         cfg = SimConfig(horizon=400, attack_start=120, master_seed=2, trials=4)
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert np.max(np.abs(trace.x - (trace.x_v + trace.x_delta))) <= 1e-9
         assert np.max(np.abs(trace.e - (trace.e_v + trace.e_delta))) <= 1e-9
         pre = slice(0, 119)
@@ -128,7 +127,7 @@ class TestSimulate:
     def test_noise_state_equals_noise_error(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=500, attack_start=1, master_seed=3, trials=3)
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert np.max(np.abs(trace.x_v - trace.e_v)) <= 1e-12
 
     def test_residual_whiteness(self, bench_model):
@@ -144,15 +143,14 @@ class TestSimulate:
 
     def test_determinism_and_trial_streams(self, bench_model, alpha):
         spec = named_spec("H.B", alpha)
-        policy = make_policy(spec, bench_model)
         cfg = SimConfig(horizon=200, attack_start=50, master_seed=5, trials=4)
-        t1 = simulate(bench_model, cfg, attack=policy, alpha=alpha)
-        t2 = simulate(bench_model, cfg, attack=policy, alpha=alpha)
+        t1 = simulate(bench_model, cfg, attack=spec, alpha=alpha)
+        t2 = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         assert np.array_equal(t1.x, t2.x)
         assert np.array_equal(t1.z, t2.z)
         # per-trial streams: a smaller batch reproduces the leading trials
         cfg_small = SimConfig(horizon=200, attack_start=50, master_seed=5, trials=2)
-        t3 = simulate(bench_model, cfg_small, attack=policy, alpha=alpha)
+        t3 = simulate(bench_model, cfg_small, attack=spec, alpha=alpha)
         assert np.array_equal(t1.x[:2], t3.x)
 
     def test_truncated_noise_respects_level(self, bench_model, vbar):
@@ -178,7 +176,7 @@ COLUMNS = ("x", "xhat", "e", "r", "z", "alarm", "delta", "delta_bar",
            "x_v", "x_delta", "e_v", "e_delta")
 
 
-def reference_trace(model, cfg, policy, alpha):
+def reference_trace(model, cfg, spec, alpha):
     """Plain per-trial loop over the model equations.
 
     Each trial redraws its inputs from its own stream (v block with
@@ -188,7 +186,7 @@ def reference_trace(model, cfg, policy, alpha):
     cancels C e + eta); the attack part is the difference.
     """
     n, p, N = model.n, model.p, cfg.horizon
-    kstar = cfg.attack_start if policy is not None else None
+    kstar = cfg.attack_start if spec is not None else None
     x0 = np.zeros(n) if cfg.initial_state is None else np.asarray(cfg.initial_state, dtype=float)
     chol_r1, chol_r2 = np.linalg.cholesky(model.R1), np.linalg.cholesky(model.R2)
     cols = {name: [] for name in COLUMNS}
@@ -202,7 +200,7 @@ def reference_trace(model, cfg, policy, alpha):
         eta = rng.standard_normal((N, p)) @ chol_r2.T
         dbar = np.zeros((N, p))
         if kstar is not None:
-            dbar[kstar - 1:] = policy.sample_block(rng, N - kstar + 1)
+            dbar[kstar - 1:] = sample_delta_bar(spec, p, rng, size=N - kstar + 1)
 
         def run(dbar):
             x, xhat = x0.copy(), x0.copy()
@@ -230,34 +228,22 @@ def reference_trace(model, cfg, policy, alpha):
     return {name: np.array(cols[name]) for name in COLUMNS}
 
 
-def plant_4d(seed=4):
-    """Seeded n = 4, m = 2, p = 3 plant with rho(F) = 0.85 and a stable loop."""
-    rng = np.random.default_rng(seed)
-    F4 = rng.standard_normal((4, 4))
-    F4 *= 0.85 / spectral_radius(F4)
-    G4 = rng.standard_normal((4, 2))
-    M = rng.standard_normal((4, 4))
-    N = rng.standard_normal((3, 3))
-    return build_model(F4, G4, rng.standard_normal((3, 4)), -0.1 * np.linalg.pinv(G4) @ F4,
-                       0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
-
-
 class TestReferenceDynamics:
     @pytest.mark.parametrize("preset,attack_start,truncate", [
         (None, None, False), ("ZA.B", 120, False), ("H.B", 1, True),
     ])
     def test_every_column_matches_plain_recursion(self, bench_model, alpha, vbar,
                                                   preset, attack_start, truncate):
-        policy = make_policy(named_spec(preset, alpha), bench_model) if preset else None
+        spec = named_spec(preset, alpha) if preset else None
         cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
                         master_seed=11, trials=3, initial_state=np.array([0.5, -1.0]),
                         truncate_noise=truncate, vbar=vbar if truncate else None)
-        trace = simulate(bench_model, cfg, attack=policy, alpha=alpha)
-        ref = reference_trace(bench_model, cfg, policy, alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
+        ref = reference_trace(bench_model, cfg, spec, alpha)
         for name in COLUMNS:
             got = getattr(trace, name)
             if got is None:
-                assert policy is None and name == "delta_bar"
+                assert spec is None and name == "delta_bar"
                 continue
             assert got.shape == ref[name].shape, name
             if name == "alarm":
@@ -271,10 +257,10 @@ class TestBatchInvariance:
     def test_single_trial_equals_trial_zero_of_batch(self, bench_model, n):
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
-        policy = make_policy(named_spec("H.B", a), model)
+        spec = named_spec("H.B", a)
         traces = [
             simulate(model, SimConfig(horizon=80, attack_start=20, master_seed=8, trials=trials),
-                     attack=policy, alpha=a)
+                     attack=spec, alpha=a)
             for trials in (1, 5)
         ]
         for name in COLUMNS:
@@ -299,7 +285,7 @@ class TestTraceCsv:
     def test_bytes_match_per_row_oracle(self, bench_model, alpha, tmp_path):
         spec = named_spec("H.B", alpha)
         cfg = SimConfig(horizon=6, attack_start=3, master_seed=9, trials=2)
-        trace = simulate(bench_model, cfg, attack=make_policy(spec, bench_model), alpha=alpha)
+        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
         path = tmp_path / "trace.csv"
         trace.to_csv(path, metadata={"seed": 9, "note": "x"})
         lines = ["# seed=9", "# note=x", "trial,k,x1,x2,e1,e2,xv1,xv2,xd1,xd2,z,alarm,d1,d2"]

@@ -15,9 +15,10 @@ from stealthreach import (
     total_state_bound_geom,
 )
 from stealthreach.errors import MaxTermsExceeded
-from stealthreach.plant import spectral_radius
 from stealthreach.reach_geom import attack_state_terms, noise_terms, series_terms
 from stealthreach.seeding import stream
+
+from conftest import plant_4d
 
 def diag_model(f_scale, r1=None, k=None, g=None):
     n = 2
@@ -164,19 +165,6 @@ class TestTotalBound:
         assert back.volume == bound.volume
 
 
-def plant_4d(seed=4):
-    """Seeded n = 4, m = 2, p = 3 plant with rho(F) = 0.85 and a stable loop."""
-    rng = np.random.default_rng(seed)
-    F = rng.standard_normal((4, 4))
-    F *= 0.85 / spectral_radius(F)
-    G = rng.standard_normal((4, 2))
-    K = -0.1 * np.linalg.pinv(G) @ F
-    M = rng.standard_normal((4, 4))
-    N = rng.standard_normal((3, 3))
-    return build_model(F, G, rng.standard_normal((3, 4)), K,
-                       0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
-
-
 def noise_and_attack_error(model, alpha, vbar):
     """(series, geometric bound, LMI bound) for the noise and attack-error targets."""
     lmi_noise, lmi_err = reach_bounds_lmi(model, alpha, vbar)[:2]
@@ -186,6 +174,19 @@ def noise_and_attack_error(model, alpha, vbar):
         (series_terms(model.F, model.L, alpha * model.Sigma),
          attack_error_reach_geom(model, alpha), lmi_err),
     ]
+
+
+class TestUnitChange:
+    @pytest.mark.parametrize("scale", [0.01, 100.0, 1000.0])
+    def test_volumes_follow_state_scaling(self, bench_model, alpha, vbar, scale):
+        # x -> s x maps P to s^2 P and every reach set to its image, so the
+        # Riccati stopping point and the volumes / s^n must not move
+        m = bench_model
+        scaled = build_model(m.F, scale * m.G, m.C / scale, m.K / scale, scale**2 * m.R1, m.R2)
+        assert scaled.diagnostics["riccati_iterations"] == m.diagnostics["riccati_iterations"]
+        pairs = zip(reach_bounds_geom(m, alpha, vbar), reach_bounds_geom(scaled, alpha, vbar))
+        for ref, got in pairs:
+            assert abs(got.volume / scale**m.n - ref.volume) <= 1e-12 * ref.volume, ref.target
 
 
 class TestWeightedSeries:

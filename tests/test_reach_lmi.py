@@ -12,11 +12,11 @@ from stealthreach import (
     reach_bounds_lmi,
     solve_logdet_sdp,
     sym_sqrt,
-    total_state_bound_lmi,
     unit_ball_volume,
 )
 from stealthreach.errors import AllInfeasible, Infeasible
 from stealthreach.plant import spectral_radius
+from stealthreach.reach_common import METHOD_LMI, total_state_bound
 from stealthreach.reach_lmi import block_matrix
 from stealthreach.seeding import stream
 
@@ -180,7 +180,7 @@ class TestTotalBound:
                            target="noise", volume=0.0)
         degen = ReachBound(shape=Ellipsoid.zero(2), method="lmi",
                            target="attack_state", volume=0.0)
-        total = total_state_bound_lmi(noise, degen)
+        total = total_state_bound(noise, degen, METHOD_LMI)
         assert np.array_equal(total.shape.Q, noise.shape.Q)
 
     def test_sphere_radii_add(self):
@@ -188,7 +188,7 @@ class TestTotalBound:
         b1 = ReachBound(shape=Ellipsoid(np.eye(2)), method="lmi", target="noise", volume=0.0)
         b2 = ReachBound(shape=Ellipsoid(4.0 * np.eye(2)), method="lmi",
                         target="attack_state", volume=0.0)
-        total = total_state_bound_lmi(b1, b2)
+        total = total_state_bound(b1, b2, METHOD_LMI)
         assert np.max(np.abs(total.shape.Q - 9.0 * np.eye(2))) <= 1e-8
         assert np.max(np.abs(total.quad_matrix - np.eye(2) / 9.0)) <= 1e-9
 

@@ -104,10 +104,7 @@ def _compute_bounds(scenario: Scenario, method: str):
         )
         out["geometric"] = [noise, att_err, att_state, total]
     if method in ("lmi", "both"):
-        noise, att_err, att_state, total = reach_bounds_lmi(
-            model, scenario.alpha, scenario.vbar, grid_step=scenario.lmi_grid_step
-        )
-        out["lmi"] = [noise, att_err, att_state, total]
+        out["lmi"] = list(reach_bounds_lmi(model, scenario.alpha, scenario.vbar))
     return out
 
 

@@ -1,4 +1,4 @@
-"""The CSV writer behind every tabular output: trace, cloud and heatmap."""
+"""The CSV writer behind every tabular output: cloud and heatmap."""
 
 import numpy as np
 

@@ -22,6 +22,7 @@ from .errors import (
     NotPSD,
 )
 
+# Relative to max|M| and max|eig|, so a change of units cannot flip a check.
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 RANGE_TOL = 1e-9
@@ -35,21 +36,28 @@ def _check_symmetric(M: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.T)) > tol:
-        raise NonSymmetric(f"asymmetry {np.max(np.abs(M - M.T)):.3e} exceeds {tol:.1e}")
+    asym = np.max(np.abs(M - M.T))
+    if asym > tol * np.max(np.abs(M)):
+        raise NonSymmetric(f"asymmetry {asym:.3e} exceeds {tol:.1e} of max|M|")
     return (M + M.T) / 2.0
+
+
+def _check_psd(w: np.ndarray) -> None:
+    """Raise NotPSD when the smallest of the ascending eigenvalues w is
+    below -PSD_TOL * max|w|."""
+    if w[0] < -PSD_TOL * np.max(np.abs(w)):
+        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} of max|eig|")
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via spectral decomposition.
 
-    Eigenvalues in [-1e-10, 0) are treated as round-off and clamped to 0;
-    anything more negative raises NotPSD.
+    Eigenvalues in [-PSD_TOL * max|eig|, 0) are treated as round-off and
+    clamped to 0; anything more negative raises NotPSD.
     """
     M = _check_symmetric(M)
     w, V = np.linalg.eigh(M)
-    if w[0] < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}")
+    _check_psd(w)
     w = np.clip(w, 0.0, None)
     S = (V * np.sqrt(w)) @ V.T
     return (S + S.T) / 2.0
@@ -68,9 +76,7 @@ class Ellipsoid:
 
     def __post_init__(self):
         Q = _check_symmetric(self.Q)
-        w = np.linalg.eigvalsh(Q)
-        if w[0] < -PSD_TOL:
-            raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}")
+        _check_psd(np.linalg.eigvalsh(Q))
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 

@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackSpec, sample_delta_bar
-from .csvout import write_csv
 from .detector import distance
 from .ellipsoids import sym_sqrt
 from .errors import (
@@ -285,19 +284,6 @@ class SimTrace:
         cols = self.attacked_slice() if attacked_only else slice(None)
         block = self.alarm[:, cols]
         return float(block.mean()) if block.size else 0.0
-
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        """Write rows trial,k,x*,e*,xv*,xd*,z,alarm,d* (metadata as # comments)."""
-        T, N, n = self.x_v.shape
-        p = self.r.shape[2]
-        header = (["trial", "k"] + [f"{c}{i+1}" for c in ("x", "e", "xv", "xd") for i in range(n)]
-                  + ["z", "alarm"] + [f"d{i+1}" for i in range(p)])
-        trial, k = np.meshgrid(np.arange(T), np.arange(1, N + 1), indexing="ij")
-        columns = (trial[..., None], k[..., None], self.x, self.e, self.x_v, self.x_delta,
-                   self.z[..., None], self.alarm[..., None], self.delta)
-        rows = np.concatenate(columns, axis=2).reshape(T * N, -1)
-        fmt = ["%d", "%d"] + ["%.17g"] * (4 * n + 1) + ["%d"] + ["%.17g"] * p
-        write_csv(path, metadata, header, rows, fmt)
 
 
 def _draw_system_noise(rng, count, chol, vbar):

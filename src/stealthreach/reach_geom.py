@@ -131,11 +131,6 @@ def _bound(terms: list[np.ndarray], target: str, diag: dict) -> ReachBound:
     )
 
 
-def noise_terms(model: PlantModel, vbar: float, count: int) -> list[np.ndarray]:
-    """First `count` terms vbar F^k R1 F^k^T (for convergence experiments)."""
-    return list(islice(_noise_series(model, vbar), count))
-
-
 def noise_reach_geom(model: PlantModel, vbar: float, cfg: GeomSumConfig | None = None) -> ReachBound:
     """Outer bound of the truncated-noise reachable set (shared by state and
     estimation error, which follow the same recursion from zero)."""
@@ -152,11 +147,6 @@ def attack_error_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig 
         raise UnstableF("attack error reach sum needs rho(F) < 1")
     terms = _truncated(_attack_error_series(model, alpha), cfg or GeomSumConfig())
     return _bound(terms, TARGET_ATTACK_ERROR, {"alpha": alpha})
-
-
-def attack_state_terms(model: PlantModel, alpha: float, count: int) -> list[np.ndarray]:
-    """First `count` terms alpha H_k L Sigma L^T H_k^T, H_k = Acl^k - F^k, k >= 1."""
-    return list(islice(_attack_state_series(model, alpha), count))
 
 
 def attack_state_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig | None = None) -> ReachBound:

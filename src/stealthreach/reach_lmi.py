@@ -9,22 +9,28 @@ block matrix inequality
 
 certifies the invariant ellipsoid { xi : xi^T P xi <= 1 }.  Minimizing
 -log det P over that cone gives the minimum-volume certificate for the
-given a; a one-dimensional outer search picks a.
+given a; a one-dimensional search picks a.
 
-At fixed a the minimization has a closed form.  The block inequality reads
-diag(a P, (1-a) R) - [A B]^T P [A B] >= 0, and a Schur complement turns it
-into Q >= A Q A^T / a + W with Q = P^-1 and W = B R^-1 B^T / (1-a).  For
-a > rho(A)^2 the discrete Lyapunov equation Q = A Q A^T / a + W has a
-unique solution, sum_k A^k W (A^T)^k / a^k, and every feasible
-Q dominates it in the Loewner order, so it has the smallest log det Q and
-P = Q^-1 the largest log det P (Boyd, El Ghaoui, Feron and Balakrishnan,
-LMIs in System and Control Theory, SIAM 1994).  The equation is solved as
-one linear system in vec Q.  Every solution is returned with its
-block-matrix minimum eigenvalue, re-verified against LMI_CERT_TOL, so
-callers can check feasibility independently.
+At fixed a a Schur complement turns the inequality into
+Q >= A Q A^T / a + W0 / (1-a) with Q = P^-1 and W0 = B R^-1 B^T.  For
+a > rho(A)^2 the discrete Lyapunov equation with equality has a unique
+solution, and every feasible Q dominates it in the Loewner order, so it
+has the smallest log det Q (Boyd, El Ghaoui, Feron and Balakrishnan, LMIs
+in System and Control Theory, SIAM 1994).  It is one linear solve in vec Q.
+
+The search needs no grid.  The solution is sum_k c_k(a) T_k with
+T_k = A^k W0 (A^T)^k and log-convex weights c_k = a^-k / (1-a), and
+det(sum_k x_k T_k) is a polynomial in x with nonnegative coefficients
+(mixed discriminants), so log det Q(a) is convex on (rho(A)^2, 1) and its
+minimum is found by bisecting the sign of the slope tr(Q^-1 Q').  The sign
+places a* to the bisection width; comparing values of log det Q would
+resolve it only to the square root of machine epsilon.
+
+Every solution carries its certificate: the minimum eigenvalue of the
+block matrix after the congruence diag(Q^1/2, R^-1/2), which does not
+change with the units of the state or the input.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +47,14 @@ from .reach_common import (
     total_state_bound,
 )
 
-# A certificate whose block matrix has a smaller minimum eigenvalue than
-# -LMI_CERT_TOL is rejected.
+# A certificate whose unit-free block matrix has a smaller minimum
+# eigenvalue than -LMI_CERT_TOL is rejected.
 LMI_CERT_TOL = 1e-7
 # Eigenvalues of Q below _Q_PD_RTOL * ||Q|| are round-off, not reach.
 _Q_PD_RTOL = 1e-12
+# The decay-scalar bisection stops at this bracket width; the bracket
+# (rho(A)^2, 1) is at most 1 wide, so it takes at most 40 halvings.
+A_BRACKET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,119 +83,111 @@ class LmiProblem:
             object.__setattr__(self, name, arr)
 
 
-def block_matrix(P: np.ndarray, prob: LmiProblem) -> np.ndarray:
-    A, B, R, a = prob.A, prob.B, prob.R, prob.a
-    top = a * P - A.T @ P @ A
-    off = -A.T @ P @ B
-    bot = (1.0 - a) * R - B.T @ P @ B
-    M = np.block([[top, off], [off.T, bot]])
-    return (M + M.T) / 2.0
+def _solve_sym(lhs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    X = np.linalg.solve(lhs, W.reshape(-1)).reshape(W.shape)
+    return (X + X.T) / 2.0
+
+
+def logdet_slope(A: np.ndarray, W0: np.ndarray, a: float) -> tuple[np.ndarray, float]:
+    """The Lyapunov fixed point Q(a) and d log det Q / da = tr(Q^-1 Q').
+
+    Q' solves Q' = A Q' A^T / a + W0 / (1-a)^2 - A Q A^T / a^2, with the
+    same matrix I - A (x) A / a acting on vec Q'.  Raises Infeasible unless
+    Q is positive definite.
+    """
+    n = A.shape[0]
+    lhs = np.eye(n * n) - np.kron(A, A) / a
+    Q = _solve_sym(lhs, W0 / (1.0 - a))
+    if np.linalg.eigvalsh(Q)[0] <= _Q_PD_RTOL * np.linalg.norm(Q):
+        raise Infeasible(f"Lyapunov solution is not positive definite at a={a:.4f}")
+    dQ = _solve_sym(lhs, W0 / (1.0 - a) ** 2 - A @ Q @ A.T / (a * a))
+    return Q, float(np.trace(np.linalg.solve(Q, dQ)))
+
+
+def _certificate_min_eig(Q: np.ndarray, prob: LmiProblem) -> float:
+    """Minimum eigenvalue of the block matrix at P = Q^-1 after the
+    congruence diag(Q^1/2, R^-1/2).
+
+    The congruent block is diag(a I, (1-a) I) - M^T M with
+    M = [Q^-1/2 A Q^1/2, Q^-1/2 B R^-1/2].  It does not change when the
+    state or the input changes units, so LMI_CERT_TOL is a tolerance
+    relative to the block's natural scale, whatever the units.
+    """
+    A, B, a = prob.A, prob.B, prob.a
+    w, V = np.linalg.eigh(Q)
+    wr, U = np.linalg.eigh(prob.R)
+    Q_inv_half = (V / np.sqrt(w)) @ V.T
+    M = np.hstack([Q_inv_half @ A @ (V * np.sqrt(w)) @ V.T,
+                   Q_inv_half @ B @ (U / np.sqrt(wr)) @ U.T])
+    n, q = B.shape
+    block = np.diag(np.r_[np.full(n, a), np.full(q, 1.0 - a)]) - M.T @ M
+    return float(np.linalg.eigvalsh((block + block.T) / 2.0)[0])
 
 
 def solve_logdet_sdp(prob: LmiProblem) -> tuple[np.ndarray, dict]:
     """Minimize -log det P over the block-LMI cone at fixed a.
 
     Returns (P, diagnostics) with P the inverse of the Lyapunov fixed point
-    Q; diagnostics carry the re-verified block minimum eigenvalue, the
-    relative Lyapunov residual ||Q - A Q A^T/a - W|| / ||Q|| and a.  Raises
-    Infeasible when a <= rho(A)^2 (no P > 0 can satisfy the top-left block),
-    when Q is not positive definite (the input cannot reach every direction,
-    so no bounded P exists) or when the certificate misses LMI_CERT_TOL.
+    Q; diagnostics carry the unit-free certificate lmi_min_eig, the
+    relative Lyapunov residual ||Q - A Q A^T/a - W|| / ||Q||, the slope
+    d log det Q / da and a.  Raises Infeasible when a <= rho(A)^2 (no P > 0
+    can satisfy the top-left block), when Q is not positive definite (the
+    input cannot reach every direction, so no bounded P exists) or when the
+    certificate misses LMI_CERT_TOL.
     """
     A, B, a = prob.A, prob.B, prob.a
     rho2 = spectral_radius(A) ** 2
     if a <= rho2 + 1e-12:
         raise Infeasible(f"a={a:.4f} <= rho(A)^2={rho2:.4f}")
-    n = A.shape[0]
-    W = B @ np.linalg.solve(prob.R, B.T) / (1.0 - a)
-    lhs = np.eye(n * n) - np.kron(A, A) / a
-    Q = np.linalg.solve(lhs, W.reshape(-1)).reshape(n, n)
-    Q = (Q + Q.T) / 2.0
-    q_norm = float(np.linalg.norm(Q))
-    if np.linalg.eigvalsh(Q)[0] <= _Q_PD_RTOL * q_norm:
-        raise Infeasible(f"Lyapunov solution is not positive definite at a={a:.4f}")
+    W0 = B @ np.linalg.solve(prob.R, B.T)
+    Q, slope = logdet_slope(A, W0, a)
     P = np.linalg.inv(Q)
     P = (P + P.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(block_matrix(P, prob))[0])
+    min_eig = _certificate_min_eig(Q, prob)
     if min_eig < -LMI_CERT_TOL:
         raise Infeasible(f"certificate min eig {min_eig:.2e} < -{LMI_CERT_TOL:g} at a={a:.4f}")
-    residual = float(np.linalg.norm(Q - A @ Q @ A.T / a - W)) / q_norm
-    return P, {"lmi_min_eig": min_eig, "lyapunov_residual": residual, "a": a}
+    residual = float(np.linalg.norm(Q - A @ Q @ A.T / a - W0 / (1.0 - a)) / np.linalg.norm(Q))
+    return P, {"lmi_min_eig": min_eig, "lyapunov_residual": residual,
+               "logdet_slope": slope, "a": a}
 
 
-def _neg_logdet(P: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(P)
-    return -ld if sign > 0 else math.inf
+def min_volume_over_a(A, B, R, target: str = "bound") -> ReachBound:
+    """The minimum-volume certificate over the decay scalar a.
 
-
-def min_volume_over_a(A, B, R, target: str = "bound",
-                      grid_step: float = 0.02, refine_reltol: float = 1e-8) -> ReachBound:
-    """Outer search over the decay scalar: coarse grid then golden refinement.
-
-    Grid points below rho(A)^2 are infeasible by construction and skipped
-    silently; AllInfeasible is raised when nothing on the grid works.  The
-    bound's diagnostics add a_evaluations, the number of decay scalars
-    solved (feasible or not), to those of the solve at a*.
+    Bisects the sign of d log det Q / da on (rho(A)^2, 1) down to
+    A_BRACKET_TOL, then solves once at the bracket midpoint a*.  Raises
+    AllInfeasible when rho(A) >= 1 or when the input does not reach every
+    direction.  The bound's diagnostics are those of the solve at a* plus
+    a_evaluations, the number of decay scalars solved.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     R = np.asarray(R, dtype=float)
-
-    cache: dict[float, tuple[np.ndarray, dict] | None] = {}
-
-    def solve_at(a: float):
-        key = round(a, 12)
-        if key not in cache:
-            try:
-                cache[key] = solve_logdet_sdp(LmiProblem(A, B, R, a))
-            except Infeasible:
-                cache[key] = None
-        return cache[key]
-
-    best_a, best_obj = None, math.inf
-    grid = np.arange(grid_step, 1.0, grid_step)
-    for a in grid:
-        out = solve_at(float(a))
-        if out is None:
-            continue
-        obj = _neg_logdet(out[0])
-        if obj < best_obj:
-            best_a, best_obj = float(a), obj
-    if best_a is None:
-        raise AllInfeasible("no feasible decay scalar on the grid")
-
-    lo = max(best_a - grid_step, 1e-6)
-    hi = min(best_a + grid_step, 1.0 - 1e-9)
-
-    def objective(a: float) -> float:
-        out = solve_at(a)
-        return math.inf if out is None else _neg_logdet(out[0])
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while (hi - lo) > refine_reltol * max(best_a, 1e-6):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = objective(d)
-    candidates = [(objective(a), a) for a in (best_a, c, d) if math.isfinite(objective(a))]
-    _, a_star = min(candidates)
-    P, diag = solve_at(a_star)
-    E = Ellipsoid(np.linalg.inv(P))
-    return ReachBound(
-        shape=E, method=METHOD_LMI, target=target, volume=E.volume,
-        a_star=a_star, diagnostics={**diag, "a_evaluations": len(cache)},
-    )
+    W0 = B @ np.linalg.solve(R, B.T)
+    lo, hi = spectral_radius(A) ** 2 + 1e-12, 1.0
+    if lo >= hi:
+        raise AllInfeasible(f"rho(A)^2={lo:.6f} leaves no decay scalar in (0,1)")
+    evaluations = 1
+    while hi - lo > A_BRACKET_TOL:
+        mid = (lo + hi) / 2.0
+        evaluations += 1
+        try:
+            rising = logdet_slope(A, W0, mid)[1] > 0.0
+        except Infeasible:  # round-off near rho(A)^2, where Q(a) blows up
+            rising = False
+        lo, hi = (lo, mid) if rising else (mid, hi)
+    a_star = (lo + hi) / 2.0
+    try:
+        Q, _ = logdet_slope(A, W0, a_star)  # the fixed point the solve inverts
+        _, diag = solve_logdet_sdp(LmiProblem(A, B, R, a_star))
+    except Infeasible as exc:
+        raise AllInfeasible(f"no feasible decay scalar: {exc}") from None
+    E = Ellipsoid(Q)
+    return ReachBound(shape=E, method=METHOD_LMI, target=target, volume=E.volume,
+                      a_star=a_star, diagnostics={**diag, "a_evaluations": evaluations})
 
 
-def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float,
-                     grid_step: float = 0.02):
+def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float):
     """The three invariant-ellipsoid bounds plus the total-state combination.
 
     Instances: (noise) A=F, B=I, R=R1^-1/vbar; (attack error) A=F,
@@ -202,16 +203,10 @@ def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float,
     structural.
     """
     n, p = model.n, model.p
-    noise = min_volume_over_a(
-        model.F, np.eye(n), np.linalg.inv(model.R1) / vbar,
-        target=TARGET_NOISE, grid_step=grid_step,
-    )
-    att_err = min_volume_over_a(
-        model.F, -model.L @ model.SigmaSqrt, np.eye(p) / alpha,
-        target=TARGET_ATTACK_ERROR, grid_step=grid_step,
-    )
-    att_state = min_volume_over_a(
-        model.closed_loop, -model.G @ model.K, att_err.quad_matrix,
-        target=TARGET_ATTACK_STATE, grid_step=grid_step,
-    )
+    noise = min_volume_over_a(model.F, np.eye(n), np.linalg.inv(model.R1) / vbar,
+                              target=TARGET_NOISE)
+    att_err = min_volume_over_a(model.F, -model.L @ model.SigmaSqrt, np.eye(p) / alpha,
+                                target=TARGET_ATTACK_ERROR)
+    att_state = min_volume_over_a(model.closed_loop, -model.G @ model.K, att_err.quad_matrix,
+                                  target=TARGET_ATTACK_STATE)
     return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_LMI)

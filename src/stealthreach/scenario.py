@@ -26,9 +26,8 @@ _DETECTOR_KEYS = {"A", "alpha"}
 _ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2", "A", "direction_mode"}
 _SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "initial_state", "truncate_noise"}
 _SIM_REQUIRED = {"horizon", "master_seed", "trials"}
-_BOUNDS_KEYS = {"method", "geom", "lmi"}
+_BOUNDS_KEYS = {"method", "geom"}
 _GEOM_KEYS = {"tail_tol", "max_terms"}
-_LMI_KEYS = {"grid_step"}
 _OUTPUT_KEYS = {"dir", "formats"}
 _TOP_KEYS = {"model", "detector", "attack", "sim", "bounds", "output"}
 
@@ -77,7 +76,6 @@ class Scenario:
     sim: SimConfig
     bounds_method: str
     geom_config: GeomSumConfig
-    lmi_grid_step: float
     output_dir: str
     output_formats: tuple
 
@@ -181,11 +179,6 @@ def parse_scenario(raw: dict) -> Scenario:
     if max_terms < 1:
         raise SchemaError("scenario.bounds.geom.max_terms", f"must be >= 1, got {max_terms}")
     geom_cfg = GeomSumConfig(tail_tol=tail_tol, max_terms=max_terms)
-    lblock = bblock.get("lmi", {})
-    _check_keys(lblock, _LMI_KEYS, set(), "scenario.bounds.lmi")
-    grid_step = _scalar(lblock.get("grid_step", 0.02), "scenario.bounds.lmi.grid_step")
-    if not 0.0 < grid_step < 1.0:
-        raise SchemaError("scenario.bounds.lmi.grid_step", f"must be in (0,1), got {grid_step}")
 
     oblock = raw.get("output", {})
     _check_keys(oblock, _OUTPUT_KEYS, set(), "scenario.output")
@@ -198,7 +191,7 @@ def parse_scenario(raw: dict) -> Scenario:
     return Scenario(
         raw=raw, model=model, target_rate=rate, alpha=alpha, vbar=vbar,
         attack=attack, sim=sim, bounds_method=method, geom_config=geom_cfg,
-        lmi_grid_step=grid_step, output_dir=out_dir, output_formats=formats,
+        output_dir=out_dir, output_formats=formats,
     )
 
 

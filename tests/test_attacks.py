@@ -10,10 +10,30 @@ from stealthreach.attacks import (
     TABLE_PRESETS,
     ZERO_ALARM,
     AttackSpec,
-    mixture_cdf,
 )
 from stealthreach.errors import InvalidSpec
 from stealthreach.seeding import stream
+
+
+def mixture_cdf(spec: AttackSpec, z) -> np.ndarray:
+    """Analytic CDF of the two-segment mixture as actually sampled,
+    i.e. with the below-threshold segment capped at alpha*(1 - 1e-12)."""
+    z = np.asarray(z, dtype=float)
+    cap = spec.alpha * (1.0 - BOUNDARY_BACKOFF)
+    lo1 = min(spec.c1 - spec.w1 / 2.0, cap)
+    hi1 = min(spec.c1 + spec.w1 / 2.0, cap)
+    mass1 = 1.0 if spec.kind == ZERO_ALARM else 1.0 - spec.rate_above
+
+    def seg_cdf(lo, hi, v):
+        if hi <= lo:  # point mass
+            return (v >= lo).astype(float)
+        return np.clip((v - lo) / (hi - lo), 0.0, 1.0)
+
+    total = mass1 * seg_cdf(lo1, hi1, z)
+    if spec.kind == HIDDEN:
+        lo2, hi2 = spec.c2 - spec.w2 / 2.0, spec.c2 + spec.w2 / 2.0
+        total = total + spec.rate_above * seg_cdf(lo2, hi2, z)
+    return total
 
 
 class TestSpecValidation:

@@ -102,7 +102,8 @@ class TestCliExitCodes:
         assert "unknown_block" in capsys.readouterr().err
 
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
-        # rho(F)^2 = 0.998 makes every grid point infeasible
+        # K = 0 makes the attack-state input -G K zero, so the attack-state
+        # LMI has no bounded solution at any decay scalar
         raw = base_raw()
         raw["model"]["F"] = (0.999 * np.eye(2)).tolist()
         raw["model"]["K"] = np.zeros((2, 2)).tolist()
@@ -131,7 +132,10 @@ class TestCliExitCodes:
     def test_malformed_bound_setting_exit_2(self, tmp_path, capsys, block, key, value, command):
         path = write_scenario(tmp_path, base_raw(bounds={block: {key: value}}))
         assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
-        assert f"scenario.bounds.{block}.{key}" in capsys.readouterr().err
+        # the decay-scalar search has no setting, so a bounds.lmi block is unknown as a whole
+        expected = ("scenario.bounds.lmi: unknown key" if block == "lmi"
+                    else f"scenario.bounds.{block}.{key}")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,value", [
         ("heatmap", "--res", "3"), ("heatmap", "--cell-trials", "0"),

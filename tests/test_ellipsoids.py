@@ -92,6 +92,19 @@ class TestEllipsoid:
         with pytest.raises(DimensionMismatch):
             Ellipsoid(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_validation_is_scale_free(self, scale):
+        # the checks are relative to the matrix, so units cannot flip them
+        rounded = np.array([[2.0, 0.5], [0.5 * (1.0 + 1e-15), 1.0]])
+        assert Ellipsoid(scale * rounded).dim == 2
+        assert sym_sqrt(scale * np.diag([-1e-11, 1.0]))[0, 0] == 0.0
+        with pytest.raises(NonSymmetric):
+            Ellipsoid(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(NotPSD):
+            Ellipsoid(scale * np.diag([-1.0, 1.0]))
+        with pytest.raises(NotPSD):
+            sym_sqrt(scale * np.diag([-1e-9, 1.0]))
+
     def test_json_round_trip(self):
         E = Ellipsoid(np.array([[2.0, 0.5], [0.5, 1.0]]))
         d = E.to_dict()

@@ -267,38 +267,3 @@ class TestBatchInvariance:
             single, batch = (getattr(tr, name) for tr in traces)
             assert np.array_equal(single[0], batch[0]), name
 
-
-class TestTraceCsv:
-    def test_schema_and_metadata(self, bench_model, alpha, tmp_path):
-        cfg = SimConfig(horizon=5, master_seed=7, trials=2)
-        trace = simulate(bench_model, cfg, alpha=alpha)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path, metadata={"seed": 7})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed=7"
-        assert lines[1] == "trial,k,x1,x2,e1,e2,xv1,xv2,xd1,xd2,z,alarm,d1,d2"
-        assert len(lines) == 2 + 2 * 5
-        first = lines[2].split(",")
-        assert first[0] == "0" and first[1] == "1"
-        assert float(first[10]) == trace.z[0, 0]
-
-    def test_bytes_match_per_row_oracle(self, bench_model, alpha, tmp_path):
-        spec = named_spec("H.B", alpha)
-        cfg = SimConfig(horizon=6, attack_start=3, master_seed=9, trials=2)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path, metadata={"seed": 9, "note": "x"})
-        lines = ["# seed=9", "# note=x", "trial,k,x1,x2,e1,e2,xv1,xv2,xd1,xd2,z,alarm,d1,d2"]
-        for t in range(trace.trials):
-            for k in range(trace.horizon):
-                row = (
-                    [str(t), str(k + 1)]
-                    + [f"{v:.17g}" for v in trace.x[t, k]]
-                    + [f"{v:.17g}" for v in trace.e[t, k]]
-                    + [f"{v:.17g}" for v in trace.x_v[t, k]]
-                    + [f"{v:.17g}" for v in trace.x_delta[t, k]]
-                    + [f"{trace.z[t, k]:.17g}", str(int(trace.alarm[t, k]))]
-                    + [f"{v:.17g}" for v in trace.delta[t, k]]
-                )
-                lines.append(",".join(row))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

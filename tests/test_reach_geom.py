@@ -1,3 +1,6 @@
+import json
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,22 @@ from stealthreach import (
     reach_bounds_lmi,
     total_state_bound_geom,
 )
+from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
-from stealthreach.reach_geom import attack_state_terms, noise_terms, series_terms
+from stealthreach.reach_geom import _attack_state_series, series_terms
+from stealthreach.reach_lmi import LMI_CERT_TOL
 from stealthreach.seeding import stream
 
 from conftest import plant_4d
+
+
+def noise_terms(model, vbar, count):
+    return list(islice(series_terms(model.F, np.eye(model.n), vbar * model.R1), count))
+
+
+def attack_state_terms(model, alpha, count):
+    return list(islice(_attack_state_series(model, alpha), count))
+
 
 def diag_model(f_scale, r1=None, k=None, g=None):
     n = 2
@@ -176,17 +190,43 @@ def noise_and_attack_error(model, alpha, vbar):
     ]
 
 
+def scaled_model(m, scale):
+    """The loop in the state units x -> s x: G s, C / s, K / s, R1 s^2."""
+    return build_model(m.F, scale * m.G, m.C / scale, m.K / scale, scale**2 * m.R1, m.R2)
+
+
 class TestUnitChange:
-    @pytest.mark.parametrize("scale", [0.01, 100.0, 1000.0])
+    @pytest.mark.parametrize("scale", [1e-5, 0.01, 100.0, 1000.0, 1e5])
     def test_volumes_follow_state_scaling(self, bench_model, alpha, vbar, scale):
         # x -> s x maps P to s^2 P and every reach set to its image, so the
-        # Riccati stopping point and the volumes / s^n must not move
+        # Riccati stopping point, the decay scalars, the certificates and all
+        # eight volumes / s^n must not move
         m = bench_model
-        scaled = build_model(m.F, scale * m.G, m.C / scale, m.K / scale, scale**2 * m.R1, m.R2)
+        scaled = scaled_model(m, scale)
         assert scaled.diagnostics["riccati_iterations"] == m.diagnostics["riccati_iterations"]
-        pairs = zip(reach_bounds_geom(m, alpha, vbar), reach_bounds_geom(scaled, alpha, vbar))
+        ref_lmi, got_lmi = reach_bounds_lmi(m, alpha, vbar), reach_bounds_lmi(scaled, alpha, vbar)
+        pairs = zip(reach_bounds_geom(m, alpha, vbar) + ref_lmi,
+                    reach_bounds_geom(scaled, alpha, vbar) + got_lmi)
         for ref, got in pairs:
-            assert abs(got.volume / scale**m.n - ref.volume) <= 1e-12 * ref.volume, ref.target
+            assert abs(got.volume / scale**m.n - ref.volume) <= 1e-12 * ref.volume, \
+                (ref.method, ref.target)
+        for ref, got in zip(ref_lmi[:3], got_lmi[:3]):
+            assert abs(got.a_star - ref.a_star) <= 1e-12, ref.target
+            assert got.diagnostics["lmi_min_eig"] >= -LMI_CERT_TOL, ref.target
+
+    def test_cli_lmi_bound_at_large_scale(self, bench_model, tmp_path, capsys):
+        m = scaled_model(bench_model, 1e5)
+        raw = {
+            "model": {k: getattr(m, k).tolist() for k in ("F", "G", "C", "K", "R1", "R2")},
+            "detector": {"A": 0.05},
+            "sim": {"horizon": 80, "master_seed": 1, "trials": 3},
+            "output": {"formats": ["json"]},
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["bound", "--scenario", str(path), "--out", str(out), "--method", "lmi"]) == 0
+        assert len(list(out.glob("bound_lmi_*.json"))) == 4
 
 
 class TestWeightedSeries:

@@ -17,8 +17,18 @@ from stealthreach import (
 from stealthreach.errors import AllInfeasible, Infeasible
 from stealthreach.plant import spectral_radius
 from stealthreach.reach_common import METHOD_LMI, total_state_bound
-from stealthreach.reach_lmi import block_matrix
+from stealthreach.reach_lmi import A_BRACKET_TOL, logdet_slope
 from stealthreach.seeding import stream
+
+
+def block_matrix(P, prob):
+    """The invariant-ellipsoid block matrix at P, symmetrized."""
+    A, B, R, a = prob.A, prob.B, prob.R, prob.a
+    top = a * P - A.T @ P @ A
+    off = -A.T @ P @ B
+    bot = (1.0 - a) * R - B.T @ P @ B
+    M = np.block([[top, off], [off.T, bot]])
+    return (M + M.T) / 2.0
 
 
 def scalar_family_optimum(sigma, a):
@@ -152,9 +162,18 @@ class TestMinVolumeOverA:
         assert bound.volume == pytest.approx(unit_ball_volume(2) / p_star, rel=1e-3)
 
     def test_all_infeasible(self):
-        # rho(A)^2 = 0.998 exceeds every grid point
-        with pytest.raises(AllInfeasible):
-            min_volume_over_a(0.999 * np.eye(2), np.eye(2), np.eye(2))
+        # rho(A) >= 1 leaves no decay scalar in (rho(A)^2, 1)
+        for sigma in (1.0, 1.2):
+            with pytest.raises(AllInfeasible):
+                min_volume_over_a(sigma * np.eye(2), np.eye(2), np.eye(2))
+
+    def test_near_unit_scalar_family_closed_form(self):
+        # sigma = 0.999 leaves only (0.998001, 1): the optimum is still a* = sigma
+        sigma = 0.999
+        bound = min_volume_over_a(sigma * np.eye(2), np.eye(2), np.eye(2))
+        assert bound.a_star == pytest.approx(sigma, abs=1e-9)
+        p_star = scalar_family_optimum(sigma, sigma)
+        assert bound.volume == pytest.approx(unit_ball_volume(2) / p_star, rel=1e-9)
 
     def test_uncontrollable_pair_all_infeasible_fast(self):
         # the second coordinate is never driven, so no bounded P exists
@@ -209,5 +228,47 @@ class TestBenchmarkBounds:
         for bound in reach_bounds_lmi(bench_model, alpha, vbar)[:3]:
             diag = bound.diagnostics
             assert diag["lyapunov_residual"] <= 1e-12
-            assert diag["a_evaluations"] > len(np.arange(0.02, 1.0, 0.02))
+            # bisection halvings of a bracket at most 1 wide, plus the solve at a*
+            assert diag["a_evaluations"] <= math.ceil(math.log2(1.0 / A_BRACKET_TOL)) + 1
             assert diag["a"] == bound.a_star
+            # the slope at a* is zero to the bracket width times the curvature
+            assert abs(diag["logdet_slope"]) <= 1e-9
+
+
+def oracle_instances(count=50):
+    """Seeded (A, B, R): n = 2-5, B of rank below n in 40% of them, input
+    scales 1e-3 to 1e3; then a rank-1 input that reaches two of three
+    states only through 1e-3 couplings, where cond(Q) is about 2e11."""
+    rng = stream(300)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        M = rng.standard_normal((n, n))
+        A = rng.uniform(0.2, 0.95) * M / spectral_radius(M)
+        q = int(rng.integers(1, n)) if rng.random() < 0.4 else n
+        B = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((n, q))
+        S = rng.standard_normal((q, q))
+        yield A, B, S @ S.T + q * np.eye(q)
+    A = np.array([[0.5, 0.0, 0.0], [1e-3, 0.9, 0.0], [0.0, 1e-3, 0.3]])
+    yield A, np.array([[1.0], [0.0], [0.0]]), np.eye(1)
+
+
+class TestBisectionOracle:
+    def test_bisection_beats_dense_grid_and_slope_is_monotone(self):
+        # log det Q(a) is convex on (rho(A)^2, 1), so the bisection optimum is
+        # at or below the fixed point at every point of a 400-point grid, and
+        # the slope changes sign at most once along it.  log det Q carries
+        # round-off of about eps * cond(Q) per dimension, so the margin scales
+        # with cond(Q).
+        eps = np.finfo(float).eps
+        for A, B, R in oracle_instances():
+            W0 = B @ np.linalg.solve(R, B.T)
+            bound = min_volume_over_a(A, B, R)
+            rho2 = spectral_radius(A) ** 2
+            grid = rho2 + (1.0 - rho2) * np.arange(1, 401) / 401
+            # logdet_slope returns the fixed point that solve_logdet_sdp inverts
+            on_grid = [logdet_slope(A, W0, a) for a in grid]
+            grid_logdet = min(np.linalg.slogdet(Q)[1] for Q, _ in on_grid)
+            margin = 1e-12 + 10.0 * len(A) * eps * np.linalg.cond(bound.shape.Q)
+            assert np.linalg.slogdet(bound.shape.Q)[1] <= grid_logdet + margin
+            signs = np.sign([slope for _, slope in on_grid])
+            assert np.count_nonzero(np.diff(signs)) <= 1

@@ -2,16 +2,27 @@
 
 import numpy as np
 
+# Rows formatted per write: one block's Python floats are small next to a
+# whole cloud's, so the list never inflates the peak memory of a large cloud.
+BLOCK_ROWS = 4096
+
 
 def write_csv(path, metadata: dict | None, header: list[str], rows, fmt) -> None:
     """Write '# key=value' metadata lines, the header, then one line per row.
 
     rows is 2-D with one column per header name; fmt is one %-format per
     column, or one for all ("%d" for counters, "%.17g" for floats, which
-    round-trips every double).
+    round-trips every double).  The bytes are those of np.savetxt with
+    delimiter ","; each block of rows is formatted with one % on the row
+    format repeated once per row.
     """
+    rows = np.asarray(rows)
+    fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
+    line = ",".join(fmts) + "\n"
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, rows, fmt=fmt, delimiter=",")
+        for lo in range(0, rows.shape[0], BLOCK_ROWS):
+            block = rows[lo:lo + BLOCK_ROWS]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

@@ -288,14 +288,16 @@ class SimTrace:
 
 def _draw_system_noise(rng, count, chol, vbar):
     """Standard-normal block mapped through chol(R1), rejection-truncated in
-    whitened coordinates where the quadratic form is exactly the squared norm."""
+    whitened coordinates where the quadratic form is exactly the squared norm.
+    Each round redraws the rejected rows in ascending order and re-tests
+    only those rows."""
     n = chol.shape[0]
     zed = rng.standard_normal((count, n))
     if vbar is not None:
-        bad = np.einsum("ij,ij->i", zed, zed) > vbar
-        while bad.any():
-            zed[bad] = rng.standard_normal((int(bad.sum()), n))
-            bad = np.einsum("ij,ij->i", zed, zed) > vbar
+        bad = np.flatnonzero(np.einsum("ij,ij->i", zed, zed) > vbar)
+        while bad.size:
+            redrawn = zed[bad] = rng.standard_normal((bad.size, n))
+            bad = bad[np.einsum("ij,ij->i", redrawn, redrawn) > vbar]
     return zed @ chol.T
 
 
@@ -311,39 +313,23 @@ def _dot(a, M):
     return np.einsum("...i,ij->...j", a, M)
 
 
-def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
-             alpha: float | None = None) -> SimTrace:
-    """Run cfg.trials closed-loop trajectories, attack injected from k*.
+def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None):
+    """(vs, etas, dbar), each (trials, horizon, dim): system noise,
+    measurement noise and attack draw (zero before k* and when attack-free).
 
-    Each trial consumes its own counter-based stream keyed by
-    (master_seed, trial): first the system-noise block (with rejection
-    redraw rounds when truncated), then the measurement-noise block, then
-    the attack magnitude/direction block.  Every product is a per-row
-    contraction, so output is bit-identical for a given (model, cfg, attack)
-    regardless of how many trials share a batch.
-
-    When an attack spec is given, the injected sensor attack is
-    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn by
-    sample_delta_bar, so from k* on the residual is r = SigmaSqrt @ dbar.
-    The state is propagated as its noise part [x_v, e_v] and attack part
-    [x_delta, e_delta], both through the cascade x' = (F + G K) x - G K e + v,
-    e' = F e + v - L r.  The noise part takes v, and r = C e_v + eta
-    before k* (r = 0 after); the attack part takes r = SigmaSqrt @ dbar.
+    Trial t consumes the counter-based stream keyed by (master_seed, t):
+    first the system-noise block (with rejection redraw rounds when
+    truncated), then the measurement-noise block, then the attack
+    magnitude/direction block from k* on.
     """
     n, p = model.n, model.p
     T, N = cfg.trials, cfg.horizon
-    kstar = cfg.attack_start if attack is not None else None
     if attack is not None and cfg.attack_start is None:
         raise DimensionMismatch("attack spec given but cfg.attack_start is None")
-
-    x0 = np.zeros(n) if cfg.initial_state is None else np.asarray(cfg.initial_state, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
-
+    kstar = cfg.attack_start if attack is not None else None
     chol_r1 = _chol_or_zero(model.R1)
     chol_r2 = _chol_or_zero(model.R2)
     vbar = cfg.vbar if cfg.truncate_noise else None
-    attacked = np.zeros(N, dtype=bool) if kstar is None else np.arange(1, N + 1) >= kstar
 
     vs = np.zeros((T, N, n))
     etas = np.zeros((T, N, p))
@@ -356,6 +342,29 @@ def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None
             etas[t] = rng.standard_normal((N, p)) @ chol_r2.T
         if kstar is not None:
             dbar[t, kstar - 1:] = sample_delta_bar(attack, p, rng, size=N - kstar + 1)
+    return vs, etas, dbar
+
+
+def propagate(model: PlantModel, inputs, kstar: int | None = None,
+              alpha: float | None = None, initial_state=None) -> SimTrace:
+    """Run the closed-loop recursion on draw_inputs' arrays, attack from k*.
+
+    kstar=None means attack-free.  Trials may be stacked from several
+    draws; every product is a per-row contraction, so each trial's trace is
+    bit-identical whatever the other trials in the batch.
+
+    The state is propagated as its noise part [x_v, e_v] and attack part
+    [x_delta, e_delta], both through the cascade x' = (F + G K) x - G K e + v,
+    e' = F e + v - L r.  The noise part takes v, and r = C e_v + eta
+    before k* (r = 0 after); the attack part takes r = SigmaSqrt @ dbar.
+    """
+    n, p = model.n, model.p
+    vs, etas, dbar = inputs
+    T, N = vs.shape[:2]
+    x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
+    attacked = np.zeros(N, dtype=bool) if kstar is None else np.arange(1, N + 1) >= kstar
 
     # [x', e'] = [x, e, v, r] @ step_T for either part
     F, GK = model.F, model.G @ model.K
@@ -389,3 +398,20 @@ def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None
         delta=delta, delta_bar=dbar if kstar is not None else None,
         attack_start=kstar, alpha=alpha,
     )
+
+
+def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
+             alpha: float | None = None) -> SimTrace:
+    """Run cfg.trials closed-loop trajectories, attack injected from k*.
+
+    Each trial draws from its own counter-based stream keyed by
+    (master_seed, trial) (draw_inputs), and the recursion is per row
+    (propagate), so output is bit-identical for a given (model, cfg, attack)
+    regardless of how many trials share a batch.
+
+    When an attack spec is given, the injected sensor attack is
+    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn by
+    sample_delta_bar, so from k* on the residual is r = SigmaSqrt @ dbar.
+    """
+    kstar = cfg.attack_start if attack is not None else None
+    return propagate(model, draw_inputs(model, cfg, attack), kstar, alpha, cfg.initial_state)

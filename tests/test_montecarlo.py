@@ -6,6 +6,7 @@ import pytest
 from stealthreach import (
     SimConfig,
     attack_state_reach_geom,
+    chi2_quantile,
     containment_report,
     empirical_cloud,
     fit_ellipsoid_moment,
@@ -14,7 +15,16 @@ from stealthreach import (
     volume_heatmap,
 )
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
-from stealthreach.montecarlo import SOURCE_ATTACK, SOURCE_NOISE, admissible_cells
+from stealthreach.montecarlo import (
+    HEATMAP_BATCH_TRIALS,
+    SOURCE_ATTACK,
+    SOURCE_NOISE,
+    admissible_cells,
+    heatmap_cell_volume,
+)
+from stealthreach.seeding import substream_seed
+
+from conftest import plant_4d
 
 
 class TestMomentFit:
@@ -137,3 +147,24 @@ class TestHeatmap:
         # 3-cell moving average is non-decreasing in c1 up to sampling noise
         for a, b in zip(smoothed, smoothed[1:]):
             assert b >= a - 0.05 * max(smoothed)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_batched_cells_equal_cells_alone(self, bench_model, n):
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        trials, res, seed = 7, 13, 27
+        cells = admissible_cells(a, res)
+        # 7 trials do not divide the batch budget, and two batch boundaries
+        # fall inside the grid
+        assert HEATMAP_BATCH_TRIALS % trials != 0
+        assert len(cells) > 2 * (HEATMAP_BATCH_TRIALS // trials)
+        result = volume_heatmap(model, a, grid_res=res, trials=trials, horizon=70,
+                                burn_in=15, master_seed=seed)
+        alone = [
+            (c1, w1, heatmap_cell_volume(model, a, c1, w1, trials=trials, horizon=70,
+                                         burn_in=15, master_seed=substream_seed(seed, idx)))
+            for idx, (c1, w1) in enumerate(cells)
+        ]
+        assert result.grid == alone
+        assert result.grid[0][:3] == (0.0, 0.0, 0.0)
+        assert all(vol > 0.0 for _, _, vol in result.grid[1:])

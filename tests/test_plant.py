@@ -19,6 +19,7 @@ from stealthreach.errors import (
     UnstableF,
     UnstableFilter,
 )
+from stealthreach.plant import _draw_system_noise
 from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, plant_4d
@@ -267,3 +268,32 @@ class TestBatchInvariance:
             single, batch = (getattr(tr, name) for tr in traces)
             assert np.array_equal(single[0], batch[0]), name
 
+
+
+def full_recheck_draw(rng, count, chol, vbar):
+    """Rejection sampling that re-tests every row after each redraw round."""
+    zed = rng.standard_normal((count, chol.shape[0]))
+    rounds = 0
+    bad = np.einsum("ij,ij->i", zed, zed) > vbar
+    while bad.any():
+        zed[bad] = rng.standard_normal((int(bad.sum()), chol.shape[0]))
+        bad = np.einsum("ij,ij->i", zed, zed) > vbar
+        rounds += 1
+    return zed @ chol.T, rounds
+
+
+class TestTruncatedDraw:
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("vbar", [5.99, 1.0, 0.3])
+    def test_matches_full_recheck_oracle(self, bench_model, n, vbar):
+        model = bench_model if n == 2 else plant_4d()
+        chol = np.linalg.cholesky(model.R1)
+        for seed in range(3):
+            got_rng, want_rng = stream(seed, 9), stream(seed, 9)
+            got = _draw_system_noise(got_rng, 550, chol, vbar)
+            want, rounds = full_recheck_draw(want_rng, 550, chol, vbar)
+            assert np.array_equal(got, want)
+            # both consumed the stream to the same point
+            assert got_rng.standard_normal() == want_rng.standard_normal()
+            if vbar == 0.3:
+                assert rounds >= 5

@@ -13,7 +13,8 @@ import numpy as np
 from .attacks import ZERO_ALARM, AttackSpec
 from .ellipsoids import Ellipsoid
 from .errors import DegenerateCloud, DimensionMismatch
-from .plant import PlantModel, SimConfig, draw_inputs, propagate, simulate
+from .detector import distance
+from .plant import PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part
 from .reach_common import ReachBound
 from .seeding import substream_seed
 
@@ -21,11 +22,10 @@ SOURCE_NOISE = "noise"
 SOURCE_ATTACK = "attack"
 SOURCE_TOTAL = "total"
 
-_SOURCE_COLUMN = {SOURCE_NOISE: "x_v", SOURCE_ATTACK: "x_delta", SOURCE_TOTAL: "x"}
-
 # Heatmap cells are propagated together, consecutive cells stacked along the
-# trial axis up to this many trials.  The cost per trial-step flattens at
-# 160-320 trials; each trial adds about 0.2 MB to the batch.
+# trial axis up to this many trials.  At 20 trials a cell and horizon 550 the
+# attack-part cost per trial-step flattens at 160-320 trials, larger batches
+# do not shorten the heatmap, and each trial adds about 45 kB to the batch.
 HEATMAP_BATCH_TRIALS = 256
 
 
@@ -57,39 +57,39 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
     """Simulate cfg.trials trajectories and collect post-burn-in states.
 
     source picks the column: noise-driven split, attack-driven split, or the
-    full state.  Steps k >= k* + burn_in are kept (k >= 1 + burn_in for
-    attack-free runs).  Alarm-free flags per trial are recorded so callers
-    can split clouds by whether the whole attack history stayed below the
-    threshold.
+    full state; only the parts it reads are propagated.  Steps k >= k* +
+    burn_in are kept (k >= 1 + burn_in for attack-free runs).  Alarm-free
+    flags per trial are recorded so callers can split clouds by whether the
+    whole attack history stayed below the threshold.
     """
-    if source not in _SOURCE_COLUMN:
+    if source not in (SOURCE_NOISE, SOURCE_ATTACK, SOURCE_TOTAL):
         raise DimensionMismatch(f"unknown cloud source {source!r}")
-    if spec is None and source == SOURCE_NOISE:
-        # the noise-driven split is the eta-free recursion that runs only
-        # inside an attack window: use a zero-magnitude attack from k = 1
-        import dataclasses
-
-        spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha if alpha else 1.0, c1=0.0, w1=0.0)
-        if cfg.attack_start is None:
-            cfg = dataclasses.replace(cfg, attack_start=1)
-    kstar = cfg.attack_start if spec is not None else 1
-    if kstar is None:
-        raise DimensionMismatch("attack spec given but cfg.attack_start is None")
-    if not 0 <= burn_in <= cfg.horizon - kstar:
+    attack_start = cfg.attack_start if spec is not None else None
+    # the noise-driven split is the eta-free recursion that runs only inside
+    # an attack window, from k = 1 when no attack is given
+    kstar = (cfg.attack_start or 1) if source == SOURCE_NOISE else attack_start
+    start = kstar or 1
+    if not 0 <= burn_in <= cfg.horizon - start:
         raise DimensionMismatch(
-            f"burn_in {burn_in} must be in [0, {cfg.horizon - kstar}] "
-            f"(attack_start {kstar}, horizon {cfg.horizon})"
+            f"burn_in {burn_in} must be in [0, {cfg.horizon - start}] "
+            f"(attack_start {start}, horizon {cfg.horizon})"
         )
-    alpha = alpha if alpha is not None else (spec.alpha if spec is not None else None)
-    trace = simulate(model, cfg, attack=spec, alpha=alpha)
-    first = kstar - 1 + burn_in
-    block = getattr(trace, _SOURCE_COLUMN[source])[:, first:, :]
-    T, steps, n = block.shape
+    vs, etas, dbar = draw_inputs(model, cfg, spec)
+    first, n = start - 1 + burn_in, model.n
+    block = None
+    if source != SOURCE_ATTACK:
+        block = noise_part(model, vs, etas, kstar, cfg.initial_state)[:, first:, :n]
+    if source != SOURCE_NOISE:
+        x_delta = attack_part(model, dbar, attack_start)[:, first:, :n]
+        block = x_delta if block is None else block + x_delta
+    T, steps = block.shape[:2]
     points = block.reshape(T * steps, n)
     if not np.all(np.isfinite(points)):
         raise DegenerateCloud("cloud contains non-finite states")
-    attacked = trace.alarm[:, trace.attacked_slice()]
-    alarm_free = ~attacked.any(axis=1) if attacked.size else np.ones(T, dtype=bool)
+    alarm_free = np.ones(T, dtype=bool)
+    if spec is not None:
+        z = distance(attack_residual(model, dbar, attack_start), model.SigmaInv)
+        alarm_free = ~(z > (spec.alpha if alpha is None else alpha)).any(axis=1)
     return PointCloud(
         points=points, source=source, spec=spec, trials=T,
         horizon=cfg.horizon, master_seed=cfg.master_seed, burn_in=burn_in,
@@ -151,23 +151,23 @@ def _cell_volumes(model: PlantModel, alpha: float, cells, trials: int, horizon: 
                   burn_in: int, direction_mode="uniform_sphere") -> list[float]:
     """Fitted attack-cloud volume per (c1, w1, seed) cell, in one propagation.
 
-    Each cell draws its trials from its own seed, the cells' inputs are
-    stacked along the trial axis and propagated once, and each cell is fitted
-    from its own slice of x_delta after burn-in.  The recursion is per-row, so
-    every volume is bitwise what the cell gives propagated alone.
+    Each cell draws its trials from its own seed, the cells' attack draws are
+    stacked along the trial axis and their attack part propagated once, and
+    each cell is fitted from its own slice of x_delta after burn-in.  The
+    recursion is per-row, so every volume is bitwise what the cell gives
+    propagated alone.
     """
     if not 0 <= burn_in <= horizon - 1:
         raise DimensionMismatch(
             f"burn_in {burn_in} must be in [0, {horizon - 1}] (attack_start 1, horizon {horizon})"
         )
-    parts = []
+    dbars = []
     for c1, w1, seed in cells:
         spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1,
                           direction_mode=direction_mode)
         cfg = SimConfig(horizon=horizon, attack_start=1, master_seed=seed, trials=trials)
-        parts.append(draw_inputs(model, cfg, spec))
-    inputs = [np.concatenate(arrays) for arrays in zip(*parts)]
-    x_delta = propagate(model, inputs, kstar=1).x_delta
+        dbars.append(draw_inputs(model, cfg, spec)[2])
+    x_delta = attack_part(model, np.concatenate(dbars), kstar=1)[..., :model.n]
     volumes = []
     for i in range(len(cells)):
         points = x_delta[i * trials:(i + 1) * trials, burn_in:, :].reshape(-1, model.n)

@@ -4,7 +4,7 @@ The model is x' = F x + G u + v, y = C x + eta, with static estimate
 feedback u = K xhat and a steady-state filter xhat' = F xhat + G u + L r.
 Sensor attacks enter additively on the measurement; the simulator
 propagates the noise/attack superposition split of the state and the
-estimation error and derives the totals from it.
+estimation error as two linear recursions and derives the totals from it.
 """
 
 from dataclasses import dataclass, field
@@ -309,7 +309,8 @@ def _chol_or_zero(M):
 
 def _dot(a, M):
     """a @ M over the last axis with the same arithmetic in every row,
-    whatever the row count (matmul picks its BLAS kernel by row count)."""
+    whatever the row count (matmul picks its BLAS kernel by row count).
+    Contract whole arrays, then slice: step-sliced views run ~5x slower."""
     return np.einsum("...i,ij->...j", a, M)
 
 
@@ -345,6 +346,56 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     return vs, etas, dbar
 
 
+def _advance(model: PlantModel, S, pre: int, start: int = 0):
+    """Run one part's [x, e] recursion in place on S (trials, horizon, 2n):
+    for i = start .. horizon - 2, add S[:, i] @ A_i^T into S[:, i + 1],
+    which held the input of step i + 1.  A_i is x' = (F + G K) x - G K e
+    with e' = (F - L C) e for i < pre (before k* the noise residual feeds
+    back through -L) and e' = F e after (the attacker cancels it)."""
+    n, F, GK = model.n, model.F, model.G @ model.K
+    post_T = np.block([[F + GK, -GK], [np.zeros((n, n)), F]]).T
+    pre_T = post_T.copy()
+    pre_T[n:, n:] -= (model.L @ model.C).T
+    for i in range(start, S.shape[1] - 1):
+        S[:, i + 1] += _dot(S[:, i], pre_T if i < pre else post_T)
+    return S
+
+
+def noise_part(model: PlantModel, vs, etas, kstar: int | None = None,
+               initial_state=None) -> np.ndarray:
+    """[x_v, e_v] per step, (trials, horizon, 2n), driven by the initial
+    state and the noise: v enters both blocks, and -L eta the e-block
+    before k*."""
+    n = model.n
+    T, N = vs.shape[:2]
+    x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
+    if x0.shape != (n,):
+        raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
+    pre = N - 1 if kstar is None else kstar - 1  # steps before k*
+    S = np.empty((T, N, 2 * n))
+    S[:, 0, :n], S[:, 0, n:] = x0, 0.0
+    S[:, 1:, :n] = S[:, 1:, n:] = vs[:, :-1]
+    S[:, 1:pre + 1, n:] -= _dot(etas, model.L.T)[:, :pre]
+    return _advance(model, S, pre)
+
+
+def attack_part(model: PlantModel, dbar, kstar: int | None) -> np.ndarray:
+    """[x_delta, e_delta] per step, (trials, horizon, 2n), driven by
+    -L SigmaSqrt dbar in the e-block; zero up to step k* (throughout when
+    kstar is None), so its recursion starts after it."""
+    n = model.n
+    S = np.zeros(dbar.shape[:2] + (2 * n,))
+    if kstar is not None:
+        S[:, kstar:, n:] = _dot(dbar, -(model.L @ model.SigmaSqrt).T)[:, kstar - 1:-1]
+        _advance(model, S, 0, start=kstar)
+    return S
+
+
+def attack_residual(model: PlantModel, dbar, kstar: int) -> np.ndarray:
+    """Residual r = SigmaSqrt dbar of the attacked steps k* .. horizon."""
+    return _dot(dbar, model.SigmaSqrt.T)[:, kstar - 1:]
+
+
 def propagate(model: PlantModel, inputs, kstar: int | None = None,
               alpha: float | None = None, initial_state=None) -> SimTrace:
     """Run the closed-loop recursion on draw_inputs' arrays, attack from k*.
@@ -353,48 +404,25 @@ def propagate(model: PlantModel, inputs, kstar: int | None = None,
     draws; every product is a per-row contraction, so each trial's trace is
     bit-identical whatever the other trials in the batch.
 
-    The state is propagated as its noise part [x_v, e_v] and attack part
-    [x_delta, e_delta], both through the cascade x' = (F + G K) x - G K e + v,
-    e' = F e + v - L r.  The noise part takes v, and r = C e_v + eta
-    before k* (r = 0 after); the attack part takes r = SigmaSqrt @ dbar.
+    The noise part (noise_part) and the attack part (attack_part) are two
+    linear recursions over [x, e]; r = C e_v + eta before k* and r =
+    SigmaSqrt dbar from k*.
     """
-    n, p = model.n, model.p
+    n = model.n
     vs, etas, dbar = inputs
-    T, N = vs.shape[:2]
-    x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
-    attacked = np.zeros(N, dtype=bool) if kstar is None else np.arange(1, N + 1) >= kstar
-
-    # [x', e'] = [x, e, v, r] @ step_T for either part
-    F, GK = model.F, model.G @ model.K
-    step_T = np.block([
-        [F + GK, -GK, np.eye(n), np.zeros((n, p))],
-        [np.zeros((n, n)), F, np.eye(n), -model.L],
-    ]).T
-    C_T = model.C.T
-
-    # per trial, row 0 is the noise part and row 1 the attack part (its v stays 0)
-    buf = np.zeros((T, 2, 3 * n + p))
-    buf[:, 0, :n] = x0
-    state, v, res = buf[..., :2 * n], buf[:, 0, 2 * n:3 * n], buf[..., 3 * n:]
-    split = np.empty((T, N, 2, 2 * n))
-    r_attack = _dot(dbar, model.SigmaSqrt.T)
-    r = np.empty((T, N, p))
-    for i in range(N):
-        split[:, i] = state
-        v[...] = vs[:, i]
-        res[:, 0] = 0.0 if attacked[i] else _dot(state[:, 0, n:], C_T) + etas[:, i]
-        res[:, 1] = r_attack[:, i]
-        r[:, i] = res[:, 0] + res[:, 1]
-        state[...] = _dot(buf, step_T)
-
-    e_v, e_delta = split[..., 0, n:], split[..., 1, n:]
-    delta = np.where(attacked[:, None], r - _dot(e_v + e_delta, C_T) - etas, 0.0)
+    noise = noise_part(model, vs, etas, kstar, initial_state)
+    attack = attack_part(model, dbar, kstar)
+    e_v, e_delta = noise[..., n:], attack[..., n:]
+    r = _dot(e_v, model.C.T) + etas
+    delta = np.zeros_like(etas)
+    if kstar is not None:
+        att = slice(kstar - 1, None)
+        r[:, att] = attack_residual(model, dbar, kstar)
+        delta[:, att] = r[:, att] - _dot(e_v[:, att] + e_delta[:, att], model.C.T) - etas[:, att]
     z = distance(r, model.SigmaInv)
     return SimTrace(
-        x_v=split[..., 0, :n], e_v=e_v, x_delta=split[..., 1, :n], e_delta=e_delta,
-        r=r, z=z, alarm=z > alpha if alpha is not None else np.zeros((T, N), dtype=bool),
+        x_v=noise[..., :n], e_v=e_v, x_delta=attack[..., :n], e_delta=e_delta,
+        r=r, z=z, alarm=z > alpha if alpha is not None else np.zeros(z.shape, dtype=bool),
         delta=delta, delta_bar=dbar if kstar is not None else None,
         attack_start=kstar, alpha=alpha,
     )

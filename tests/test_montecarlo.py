@@ -14,11 +14,13 @@ from stealthreach import (
     simulate,
     volume_heatmap,
 )
+from stealthreach.attacks import ZERO_ALARM, AttackSpec
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import (
     HEATMAP_BATCH_TRIALS,
     SOURCE_ATTACK,
     SOURCE_NOISE,
+    SOURCE_TOTAL,
     admissible_cells,
     heatmap_cell_volume,
 )
@@ -94,6 +96,27 @@ class TestEmpiricalCloud:
         # the noise-driven component is attack-independent
         assert np.array_equal(cloud.points, attacked.points)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_clouds_equal_full_trace(self, bench_model, n):
+        # each source propagates only the parts it reads; its points and
+        # alarm flags are bitwise those of the full simulation
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        spec = named_spec("H.B", a)
+        cfg = SimConfig(horizon=46, attack_start=40, master_seed=28, trials=60,
+                        initial_state=np.linspace(-1.0, 1.0, n))
+        trace = simulate(model, cfg, attack=spec, alpha=a)
+        alarm_free = ~trace.alarm[:, 39:].any(axis=1)
+        assert alarm_free.any() and not alarm_free.all()
+        # some trials alarm only at k*, some only at the horizon
+        assert (trace.alarm[:, 39] & ~trace.alarm[:, 40:].any(axis=1)).any()
+        assert (trace.alarm[:, -1] & ~trace.alarm[:, 39:-1].any(axis=1)).any()
+        for source, column in ((SOURCE_ATTACK, trace.x_delta), (SOURCE_NOISE, trace.x_v),
+                               (SOURCE_TOTAL, trace.x)):
+            cloud = empirical_cloud(model, cfg, spec, source=source, burn_in=3, alpha=a)
+            assert np.array_equal(cloud.points, column[:, 42:].reshape(-1, n)), source
+            assert np.array_equal(cloud.trial_alarm_free, alarm_free), source
+
     def test_cloud_mean_near_origin(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=600, attack_start=1, master_seed=22, trials=40)
@@ -147,6 +170,19 @@ class TestHeatmap:
         # 3-cell moving average is non-decreasing in c1 up to sampling noise
         for a, b in zip(smoothed, smoothed[1:]):
             assert b >= a - 0.05 * max(smoothed)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_cell_volume_equals_fit_of_full_trace(self, bench_model, n):
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        c1, w1, seed = 0.6 * a, 0.5 * a, 29
+        spec = AttackSpec(kind=ZERO_ALARM, alpha=a, c1=c1, w1=w1)
+        cfg = SimConfig(horizon=90, attack_start=1, master_seed=seed, trials=6)
+        x_delta = simulate(model, cfg, attack=spec, alpha=a).x_delta
+        expected = fit_ellipsoid_moment(x_delta[:, 20:].reshape(-1, n))[1]
+        got = heatmap_cell_volume(model, a, c1, w1, trials=6, horizon=90, burn_in=20,
+                                  master_seed=seed)
+        assert got == expected > 0.0
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_batched_cells_equal_cells_alone(self, bench_model, n):

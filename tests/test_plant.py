@@ -229,18 +229,25 @@ def reference_trace(model, cfg, spec, alpha):
     return {name: np.array(cols[name]) for name in COLUMNS}
 
 
+REFERENCE_CASES = ((None, None, False), ("ZA.B", 120, False), ("H.B", 1, True))
+
+
 class TestReferenceDynamics:
-    @pytest.mark.parametrize("preset,attack_start,truncate", [
-        (None, None, False), ("ZA.B", 120, False), ("H.B", 1, True),
+    @pytest.mark.parametrize("n,preset,attack_start,truncate", [
+        pytest.param(n, *case, id="-".join(map(str, case)) + ("" if n == 2 else f"-n{n}"))
+        for n in (2, 4) for case in REFERENCE_CASES
     ])
-    def test_every_column_matches_plain_recursion(self, bench_model, alpha, vbar,
-                                                  preset, attack_start, truncate):
+    def test_every_column_matches_plain_recursion(self, bench_model, n, preset, attack_start,
+                                                  truncate):
+        model = bench_model if n == 2 else plant_4d()
+        alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
         spec = named_spec(preset, alpha) if preset else None
+        x0 = np.array([0.5, -1.0] if n == 2 else [0.5, -1.0, 0.25, 0.75])
         cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
-                        master_seed=11, trials=3, initial_state=np.array([0.5, -1.0]),
+                        master_seed=11, trials=3, initial_state=x0,
                         truncate_noise=truncate, vbar=vbar if truncate else None)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        ref = reference_trace(bench_model, cfg, spec, alpha)
+        trace = simulate(model, cfg, attack=spec, alpha=alpha)
+        ref = reference_trace(model, cfg, spec, alpha)
         for name in COLUMNS:
             got = getattr(trace, name)
             if got is None:

@@ -1,6 +1,10 @@
 """The CSV writer behind every tabular output: cloud and heatmap."""
 
+from contextlib import closing
+
 import numpy as np
+
+from .workers import ordered_map
 
 # Rows formatted per write: one block's Python floats are small next to a
 # whole cloud's, so the list never inflates the peak memory of a large cloud.
@@ -14,15 +18,20 @@ def write_csv(path, metadata: dict | None, header: list[str], rows, fmt) -> None
     column, or one for all ("%d" for counters, "%.17g" for floats, which
     round-trips every double).  The bytes are those of np.savetxt with
     delimiter ","; each block of rows is formatted with one % on the row
-    format repeated once per row.
+    format repeated once per row, the blocks spread over the usable CPUs
+    (workers.ordered_map) and written in order as they arrive.
     """
     rows = np.asarray(rows)
     fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
     line = ",".join(fmts) + "\n"
+
+    def format_block(lo):
+        block = rows[lo:lo + BLOCK_ROWS]
+        return line * block.shape[0] % tuple(block.ravel().tolist())
+
     with open(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
-        for lo in range(0, rows.shape[0], BLOCK_ROWS):
-            block = rows[lo:lo + BLOCK_ROWS]
-            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        with closing(ordered_map(format_block, range(0, rows.shape[0], BLOCK_ROWS))) as blocks:
+            fh.writelines(blocks)

@@ -17,6 +17,7 @@ from .detector import distance
 from .plant import PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part
 from .reach_common import ReachBound
 from .seeding import substream_seed
+from .workers import ordered_map
 
 SOURCE_NOISE = "noise"
 SOURCE_ATTACK = "attack"
@@ -195,7 +196,8 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
 
     Each cell draws from its own stream keyed by (master_seed, cell index),
     so results are independent of evaluation order.  Consecutive cells are
-    propagated together up to HEATMAP_BATCH_TRIALS trials; each volume is
+    propagated together up to HEATMAP_BATCH_TRIALS trials, and the batches
+    are spread over the usable CPUs (workers.ordered_map); each volume is
     bitwise what heatmap_cell_volume gives for that cell alone.
     """
     if grid_res < 4:
@@ -203,11 +205,11 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
     cells = [(c1, w1, substream_seed(master_seed, idx))
              for idx, (c1, w1) in enumerate(admissible_cells(alpha, grid_res))]
     per_batch = max(1, HEATMAP_BATCH_TRIALS // trials)
-    grid = []
-    for lo in range(0, len(cells), per_batch):
-        batch = cells[lo:lo + per_batch]
-        volumes = _cell_volumes(model, alpha, batch, trials, horizon, burn_in)
-        grid.extend((c1, w1, vol) for (c1, w1, _), vol in zip(batch, volumes))
+    batches = [cells[lo:lo + per_batch] for lo in range(0, len(cells), per_batch)]
+    volumes = list(ordered_map(
+        lambda batch: _cell_volumes(model, alpha, batch, trials, horizon, burn_in), batches))
+    grid = [(c1, w1, vol) for batch, vols in zip(batches, volumes)
+            for (c1, w1, _), vol in zip(batch, vols)]
     return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res),
                          master_seed=master_seed)
 

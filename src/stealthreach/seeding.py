@@ -4,8 +4,9 @@ Every stochastic routine in the library derives its draws from a
 counter-based Philox stream keyed by a master seed plus an integer path
 (trial index, grid-cell index, ...).  Streams for distinct paths are
 independent, and a stream's output depends only on (master_seed, path),
-never on scheduling or on how many sibling streams exist.  That is what
-makes multi-trial output reproducible bit for bit.
+never on scheduling, on how many sibling streams exist or on which process
+draws them.  That is what makes multi-trial output reproducible bit for
+bit, also when heatmap batches are spread over worker processes.
 """
 
 import numpy as np

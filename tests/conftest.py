@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,32 @@ def alpha():
 @pytest.fixture(scope="session")
 def vbar(alpha):
     return alpha  # n == p == 2 for the benchmark loop
+
+
+def cpu_cases(*values):
+    """Each value with one and with two usable CPUs, for parametrize.
+
+    The one-CPU case keeps the value's own id, the two-CPU case adds
+    "-2cpus"; the test pins the count with the usable_cpus fixture.
+    """
+    return ([pytest.param(v, 1, id=str(v)) for v in values]
+            + [pytest.param(v, 2, id=f"{v}-2cpus") for v in values])
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Call with a count to make os.sched_getaffinity report that many CPUs."""
+    def pin(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return pin
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process behind ({'running' if pid == 0 else f'pid {pid}'})")

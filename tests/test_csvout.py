@@ -3,6 +3,8 @@ import pytest
 
 from stealthreach.csvout import BLOCK_ROWS, write_csv
 
+from conftest import cpu_cases
+
 SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
 
 
@@ -31,8 +33,12 @@ def counter_rows(count, seed=1):
     return np.column_stack([ints, float_rows(count, seed)[:, :2]])
 
 
-@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("count, cpus", cpu_cases(0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3))
 class TestWriteCsvMatchesSavetxt:
+    @pytest.fixture(autouse=True)
+    def _pin_cpus(self, usable_cpus, cpus):
+        usable_cpus(cpus)
+
     def test_single_format(self, tmp_path, count):
         rows = float_rows(count)
         meta = {"seed": 3, "note": "x"}

@@ -26,7 +26,7 @@ from stealthreach.montecarlo import (
 )
 from stealthreach.seeding import substream_seed
 
-from conftest import plant_4d
+from conftest import cpu_cases, plant_4d
 
 
 class TestMomentFit:
@@ -184,8 +184,9 @@ class TestHeatmap:
                                   master_seed=seed)
         assert got == expected > 0.0
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_batched_cells_equal_cells_alone(self, bench_model, n):
+    @pytest.mark.parametrize("n, cpus", cpu_cases(2, 4))
+    def test_batched_cells_equal_cells_alone(self, bench_model, usable_cpus, n, cpus):
+        usable_cpus(cpus)
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         trials, res, seed = 7, 13, 27

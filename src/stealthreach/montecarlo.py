@@ -80,6 +80,7 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
     block = None
     if source != SOURCE_ATTACK:
         block = noise_part(model, vs, etas, kstar, cfg.initial_state)[:, first:, :n]
+    del vs, etas  # not held while the attack part and the alarm flags are computed
     if source != SOURCE_NOISE:
         x_delta = attack_part(model, dbar, attack_start)[:, first:, :n]
         block = x_delta if block is None else block + x_delta

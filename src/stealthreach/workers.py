@@ -7,6 +7,7 @@ the results in flight stay bounded.  Results equal the serial map's.
 
 import os
 import pickle
+import threading
 
 
 def _serve(fn, items, out) -> None:
@@ -25,28 +26,29 @@ def _serve(fn, items, out) -> None:
 def ordered_map(fn, items):
     """Yield fn(item) for each item in order; item i is computed by worker i mod W.
 
-    W is the number of usable CPUs capped at the item count; with W = 1, or
-    without os.fork or os.sched_getaffinity, nothing is forked.  An exception
+    W is the number of usable CPUs capped at the item count.  Nothing is
+    forked with W = 1, without os.fork or os.sched_getaffinity, or while
+    another Python thread runs: the child would hold a copy of any lock that
+    thread held, and nothing would release it.  If a fork fails, the caller
+    computes the items of that worker and of every later one.  An exception
     fn raises in a child is raised here with its type and message.  Children
     are reaped when the generator ends, raises or is closed; a child still
     computing stops at its next write.
     """
     items = list(items)
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and threading.active_count() == 1)
     workers = min(len(os.sched_getaffinity(0)) if forks else 1, len(items))
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    children = []  # (pid, result pipe) of workers 1 .. W-1
+    children = []  # (pid, result pipe) of workers 1 .. len(children)
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # such as EAGAIN at a process limit
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                break
             if pid == 0:  # the child never returns into the caller's code
                 status = 1
                 try:
@@ -61,11 +63,12 @@ def ordered_map(fn, items):
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
         for i, item in enumerate(items):
-            if i % workers == 0:
+            w = i % workers
+            if not 0 < w <= len(children):
                 yield fn(item)
                 continue
             try:
-                ok, value = pickle.load(children[i % workers - 1][1])
+                ok, value = pickle.load(children[w - 1][1])
             except EOFError:
                 raise ChildProcessError(f"worker of item {i} exited without its result") from None
             if not ok:

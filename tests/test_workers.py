@@ -1,4 +1,6 @@
+import errno
 import os
+import threading
 import time
 
 import pytest
@@ -57,16 +59,48 @@ def test_close_after_first_result_reaps_children(usable_cpus):
     assert_no_child()
 
 
-@pytest.mark.parametrize("platform", ["one_cpu", "no_fork"])
+@pytest.mark.parametrize("platform", ["one_cpu", "no_fork", "other_thread"])
 def test_serial_fallback_forks_nothing(monkeypatch, usable_cpus, platform):
     def forbidden_fork():
         raise AssertionError("os.fork called")
 
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
     if platform == "one_cpu":
         usable_cpus(1)
         monkeypatch.setattr(os, "fork", forbidden_fork)
-    else:
+    elif platform == "no_fork":
         usable_cpus(4)
         monkeypatch.delattr(os, "fork")
-    results = list(ordered_map(square_and_pid, range(5)))
+    else:
+        usable_cpus(4)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        thread.start()
+    try:
+        results = list(ordered_map(square_and_pid, range(5)))
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
     assert results == [(i * i, os.getpid()) for i in range(5)]
+
+
+def test_failed_fork_leaves_its_items_to_caller(monkeypatch, usable_cpus):
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    usable_cpus(3)
+    monkeypatch.setattr(os, "fork", fork_once)
+    results = list(ordered_map(square_and_pid, range(7)))
+    assert len(forks) == 2
+    assert [r for r, _ in results] == [i * i for i in range(7)]
+    # worker 1 is a child; the items of worker 2, whose fork failed, stay here
+    pids = [pid for _, pid in results]
+    assert [i for i, pid in enumerate(pids) if pid != os.getpid()] == [1, 4]
+    assert_no_child()

@@ -124,46 +124,81 @@ def named_spec(name: str, alpha: float, rate_above: float = 0.05,
     )
 
 
-def sample_z(spec: AttackSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw size distance-measure targets from the mixture.
+def _uniform_rows(spec: AttackSpec) -> int:
+    """Uniforms per z draw: the segment-1 draw, and for a hidden attack the
+    segment pick and the segment-2 draw."""
+    return 3 if spec.kind == HIDDEN else 1
+
+
+def _mixture_z(spec: AttackSpec, u: np.ndarray) -> np.ndarray:
+    """Distance-measure targets from the raw uniforms u, (_uniform_rows, ...).
 
     Below-threshold draws are capped at alpha*(1 - 1e-12); above-threshold
     draws use a (0, 1] uniform so they stay strictly above the segment's
     left edge.
     """
-    u = rng.random(size)
-    z = (spec.c1 - spec.w1 / 2.0) + spec.w1 * u
+    z = (spec.c1 - spec.w1 / 2.0) + spec.w1 * u[0]
     z = np.minimum(np.maximum(z, 0.0), spec.alpha * (1.0 - BOUNDARY_BACKOFF))
     if spec.kind == HIDDEN:
-        above = rng.random(size) < spec.rate_above
-        u2 = 1.0 - rng.random(size)  # in (0, 1]
-        z2 = (spec.c2 - spec.w2 / 2.0) + spec.w2 * u2
-        z = np.where(above, z2, z)
+        z2 = (spec.c2 - spec.w2 / 2.0) + spec.w2 * (1.0 - u[2])
+        z = np.where(u[1] < spec.rate_above, z2, z)
     return z
 
 
-def _directions(spec: AttackSpec, p: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    if isinstance(spec.direction_mode, tuple):
-        u = np.asarray(spec.direction_mode, dtype=float)
-        if u.shape != (p,):
-            raise DimensionMismatch(f"fixed direction dim {u.shape[0]} vs sensors {p}")
-        return np.tile(u, (count, 1))
-    g = rng.standard_normal((count, p))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    degenerate = norms[:, 0] < 1e-300
-    if degenerate.any():
-        g[degenerate] = 0.0
-        g[degenerate, 0] = 1.0
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-    return g / norms
+class AttackDraws:
+    """Raw draws of attack vectors for a batch of trials, and their transform.
+
+    out is the (trials, count, p) array that receives dbar.  Each trial's
+    stream fills its row in stream order (pull): count segment-1 uniforms,
+    for a hidden attack count segment picks and count segment-2 uniforms,
+    then count x p direction normals, drawn into out (none for a fixed
+    direction).  transform then maps the whole batch in place; every
+    operation is elementwise or per step, so a trial's rows do not depend on
+    the batch they are transformed in.
+    """
+
+    def __init__(self, spec: AttackSpec, out: np.ndarray):
+        trials, count, p = out.shape
+        self.spec, self.out = spec, out
+        self.uniforms = np.empty((trials, _uniform_rows(spec), count))
+        self.fixed = isinstance(spec.direction_mode, tuple)
+        if self.fixed and len(spec.direction_mode) != p:
+            raise DimensionMismatch(f"fixed direction dim {len(spec.direction_mode)} vs sensors {p}")
+
+    def pull(self, i: int, rng: np.random.Generator) -> None:
+        """Fill trial row i from rng."""
+        rng.random(out=self.uniforms[i])
+        if not self.fixed:
+            rng.standard_normal(out=self.out[i])
+
+    def transform(self) -> np.ndarray:
+        """Turn out into dbar = sqrt(z) * u, u the fixed direction or the
+        normalised normals, and return it."""
+        g = self.out
+        scale = np.sqrt(_mixture_z(self.spec, self.uniforms.swapaxes(0, 1)))[..., None]
+        if self.fixed:
+            return np.multiply(scale, np.asarray(self.spec.direction_mode, dtype=float), out=g)
+        norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        degenerate = norms[..., 0] < 1e-300
+        if degenerate.any():
+            g[degenerate] = np.eye(g.shape[-1])[0]
+            norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        g /= norms
+        g *= scale
+        return g
+
+
+def sample_z(spec: AttackSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size distance-measure targets from the mixture."""
+    return _mixture_z(spec, rng.random((_uniform_rows(spec), size)))
 
 
 def sample_delta_bar(spec: AttackSpec, p: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size attack vectors dbar = sqrt(z) * u, shape (size, p), with u
-    per the direction mode.
+    per the direction mode: AttackDraws for one trial.
 
     By construction dbar^T dbar equals the paired z draw to round-off.
     """
-    z = sample_z(spec, rng, size)
-    u = _directions(spec, p, rng, size)
-    return np.sqrt(z)[:, None] * u
+    draws = AttackDraws(spec, np.empty((1, size, p)))
+    draws.pull(0, rng)
+    return draws.transform()[0]

@@ -233,16 +233,15 @@ def cmd_verify(args) -> int:
     steps = 100_000
     trials = max(1, steps // 1000)
     cfg_free = SimConfig(horizon=1000, master_seed=scenario.sim.master_seed, trials=trials)
-    trace = simulate(model, cfg_free, alpha=scenario.alpha)
-    rate = trace.alarm_rate()
+    rate = simulate(model, cfg_free, alpha=scenario.alpha).alarm_rate()
     check("attack-free alarm rate", abs(rate - scenario.target_rate) <= 0.01,
           f"{rate:.4f} vs target {scenario.target_rate}")
 
     if scenario.attack is not None:
         cfg_att = SimConfig(horizon=1000, attack_start=1,
                             master_seed=scenario.sim.master_seed + 1, trials=trials)
-        trace = simulate(model, cfg_att, attack=scenario.attack, alpha=scenario.alpha)
-        att_rate = trace.alarm_rate(attacked_only=True)
+        att_rate = simulate(model, cfg_att, attack=scenario.attack,
+                            alpha=scenario.alpha).alarm_rate(attacked_only=True)
         if scenario.attack.kind == ZERO_ALARM:
             check("zero-alarm stealth", att_rate == 0.0, f"attacked alarm rate {att_rate}")
         else:

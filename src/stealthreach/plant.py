@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import AttackSpec, sample_delta_bar
+from .attacks import AttackDraws, AttackSpec
 from .detector import distance
 from .ellipsoids import sym_sqrt
 from .errors import (
@@ -314,17 +314,22 @@ def _dot(a, M):
     return np.einsum("...i,ij->...j", a, M)
 
 
-def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None):
-    """(vs, etas, dbar), each (trials, horizon, dim): system noise,
-    measurement noise and attack draw (zero before k* and when attack-free).
+def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
+                trials=None):
+    """(vs, etas, dbar), each (len(trials), horizon, dim): system noise,
+    measurement noise and attack draw (zero before k* and when attack-free)
+    of the trial indices trials, by default range(cfg.trials).
 
     Trial t consumes the counter-based stream keyed by (master_seed, t):
     first the system-noise block (with rejection redraw rounds when
     truncated), then the measurement-noise block, then the attack
-    magnitude/direction block from k* on.
+    uniforms and direction normals from k* on.  The loop only pulls the raw
+    attack numbers (AttackDraws); their transform to dbar runs once over the
+    batch, in place.  Each trial's rows are the same in any batch.
     """
     n, p = model.n, model.p
-    T, N = cfg.trials, cfg.horizon
+    trials = range(cfg.trials) if trials is None else trials
+    T, N = len(trials), cfg.horizon
     if attack is not None and cfg.attack_start is None:
         raise DimensionMismatch("attack spec given but cfg.attack_start is None")
     kstar = cfg.attack_start if attack is not None else None
@@ -335,14 +340,17 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     vs = np.zeros((T, N, n))
     etas = np.zeros((T, N, p))
     dbar = np.zeros((T, N, p))
-    for t in range(T):
+    raw_attack = AttackDraws(attack, dbar[:, kstar - 1:]) if kstar is not None else None
+    for i, t in enumerate(trials):
         rng = stream(cfg.master_seed, t)
         if chol_r1 is not None:
-            vs[t] = _draw_system_noise(rng, N, chol_r1, vbar)
+            vs[i] = _draw_system_noise(rng, N, chol_r1, vbar)
         if chol_r2 is not None:
-            etas[t] = rng.standard_normal((N, p)) @ chol_r2.T
-        if kstar is not None:
-            dbar[t, kstar - 1:] = sample_delta_bar(attack, p, rng, size=N - kstar + 1)
+            etas[i] = rng.standard_normal((N, p)) @ chol_r2.T
+        if raw_attack is not None:
+            raw_attack.pull(i, rng)
+    if raw_attack is not None:
+        raw_attack.transform()
     return vs, etas, dbar
 
 

@@ -72,9 +72,9 @@ class SvgCanvas:
 
 
 def _limits(point_sets, pad=0.08):
-    pts = np.vstack([np.asarray(p) for p in point_sets if len(p)])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    sets = [np.asarray(p) for p in point_sets if len(p)]
+    lo = np.min([p.min(axis=0) for p in sets], axis=0)
+    hi = np.max([p.max(axis=0) for p in sets], axis=0)
     span = np.maximum(hi - lo, 1e-12)
     lo -= pad * span
     hi += pad * span

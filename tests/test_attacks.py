@@ -116,6 +116,31 @@ class TestSampleDeltaBar:
         z = sample_z(spec, stream(5, 0), size=5000)
         assert np.max(np.abs(np.sum(dbar**2, axis=1) - z)) <= 1e-12 * max(alpha, 1.0)
 
+    @pytest.mark.parametrize("name,p,direction", [
+        ("ZA.B", 2, "uniform_sphere"), ("H.A", 2, "uniform_sphere"), ("H.B", 3, "uniform_sphere"),
+        ("ZA.A", 2, (0.6, -0.8)), ("H.C", 3, (0.0, 0.6, 0.8)),
+    ])
+    def test_equals_draws_written_out(self, alpha, name, p, direction):
+        # stream order: segment-1 uniforms, for a hidden attack the segment
+        # picks and the segment-2 uniforms, then the direction normals
+        spec = named_spec(name, alpha, direction_mode=direction)
+        rng = stream(10, p)
+        z = (spec.c1 - spec.w1 / 2.0) + spec.w1 * rng.random(700)
+        z = np.minimum(np.maximum(z, 0.0), spec.alpha * (1.0 - BOUNDARY_BACKOFF))
+        if spec.kind == HIDDEN:
+            above = rng.random(700) < spec.rate_above
+            z = np.where(above, (spec.c2 - spec.w2 / 2.0) + spec.w2 * (1.0 - rng.random(700)), z)
+        if isinstance(spec.direction_mode, tuple):
+            u = np.tile(spec.direction_mode, (700, 1))
+        else:
+            g = rng.standard_normal((700, p))
+            u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        want = np.sqrt(z)[:, None] * u
+        got_rng = stream(10, p)
+        assert np.array_equal(sample_delta_bar(spec, p, got_rng, size=700), want)
+        assert got_rng.random() == rng.random()  # both consumed the stream to the same point
+        assert np.array_equal(sample_z(spec, stream(10, p), size=700), z)
+
     def test_zero_alarm_draws_never_exceed_threshold(self, alpha):
         for name in ("ZA.A", "ZA.B", "ZA.C"):
             spec = named_spec(name, alpha)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from stealthreach import (
     volume_heatmap,
 )
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
+from stealthreach import montecarlo
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import (
-    HEATMAP_BATCH_TRIALS,
+    BATCH_TRIALS,
     SOURCE_ATTACK,
     SOURCE_NOISE,
     SOURCE_TOTAL,
@@ -127,6 +129,59 @@ class TestEmpiricalCloud:
         assert np.all(np.abs(cloud.points.mean(axis=0)) <= 12.0 * tol)
 
 
+# (plant, preset, truncated noise) of the cloud-split cases
+SPLIT_CASES = {"ZA.B": (2, "ZA.B", False), "H.A-trunc": (2, "H.A", True),
+               "ZA.C-n4": (4, "ZA.C", False), "H.B-trunc-n4": (4, "H.B", True)}
+
+
+class TestCloudSplit:
+    def cloud(self, bench_model, case, source, trials, horizon=40):
+        n, preset, truncate = SPLIT_CASES[case]
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        cfg = SimConfig(horizon=horizon, attack_start=5, master_seed=31, trials=trials,
+                        initial_state=np.linspace(-1.0, 1.0, n), truncate_noise=truncate,
+                        vbar=chi2_quantile(0.95, n) if truncate else None)
+        return empirical_cloud(model, cfg, named_spec(preset, a), source=source, burn_in=4,
+                               alpha=a)
+
+    def assert_same(self, got, want):
+        for name in ("points", "trial_alarm_free", "trial_index"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and np.array_equal(g, w), name
+        # zero-alarm trials never alarm, and some hidden-attack trials do
+        assert want.trial_alarm_free.all() == (want.spec.kind == ZERO_ALARM)
+
+    @pytest.mark.parametrize("source", [SOURCE_NOISE, SOURCE_ATTACK, SOURCE_TOTAL])
+    @pytest.mark.parametrize("case, cpus", cpu_cases(*SPLIT_CASES))
+    def test_chunks_equal_one_batch(self, bench_model, monkeypatch, usable_cpus, case, cpus,
+                                    source):
+        # 27 trials in one chunk, then in chunks of 8, 8, 8 and a short 3
+        usable_cpus(1)
+        whole = self.cloud(bench_model, case, source, trials=27)
+        monkeypatch.setattr(montecarlo, "BATCH_TRIALS", 8)
+        usable_cpus(cpus)
+        self.assert_same(self.cloud(bench_model, case, source, trials=27), whole)
+
+    @pytest.mark.parametrize("case, cpus", cpu_cases("H.A-trunc"))
+    def test_short_last_chunk_at_batch_size(self, bench_model, monkeypatch, usable_cpus, case,
+                                            cpus):
+        trials = BATCH_TRIALS + 3
+        usable_cpus(cpus)
+        split = self.cloud(bench_model, case, SOURCE_TOTAL, trials, horizon=12)
+        monkeypatch.setattr(montecarlo, "BATCH_TRIALS", trials)
+        usable_cpus(1)
+        self.assert_same(split, self.cloud(bench_model, case, SOURCE_TOTAL, trials, horizon=12))
+
+    @pytest.mark.parametrize("trials", [100, BATCH_TRIALS])
+    def test_one_chunk_forks_nothing(self, bench_model, monkeypatch, usable_cpus, trials):
+        # a fork costs about 5 ms; verify's 100-trial cloud must not pay it
+        usable_cpus(2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-chunk cloud forked"))
+        cloud = self.cloud(bench_model, "H.A-trunc", SOURCE_TOTAL, trials, horizon=12)
+        assert cloud.trials == trials
+
+
 class TestContainmentReport:
     def test_za_cloud_inside_geometric_bound(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
@@ -193,8 +248,8 @@ class TestHeatmap:
         cells = admissible_cells(a, res)
         # 7 trials do not divide the batch budget, and two batch boundaries
         # fall inside the grid
-        assert HEATMAP_BATCH_TRIALS % trials != 0
-        assert len(cells) > 2 * (HEATMAP_BATCH_TRIALS // trials)
+        assert BATCH_TRIALS % trials != 0
+        assert len(cells) > 2 * (BATCH_TRIALS // trials)
         result = volume_heatmap(model, a, grid_res=res, trials=trials, horizon=70,
                                 burn_in=15, master_seed=seed)
         alone = [

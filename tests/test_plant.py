@@ -19,7 +19,7 @@ from stealthreach.errors import (
     UnstableF,
     UnstableFilter,
 )
-from stealthreach.plant import _draw_system_noise
+from stealthreach.plant import _draw_system_noise, draw_inputs
 from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, plant_4d
@@ -304,3 +304,65 @@ class TestTruncatedDraw:
             assert got_rng.standard_normal() == want_rng.standard_normal()
             if vbar == 0.3:
                 assert rounds >= 5
+
+
+def reference_draws(model, cfg, spec):
+    """Plain per-trial loop over the public draws: the v block from the
+    full-recheck truncation oracle, the eta block, then sample_delta_bar."""
+    n, p, N = model.n, model.p, cfg.horizon
+    kstar = cfg.attack_start if spec is not None else None
+    vbar = cfg.vbar if cfg.truncate_noise else np.inf
+    vs, etas, dbar = np.zeros((cfg.trials, N, n)), np.zeros((cfg.trials, N, p)), np.zeros((cfg.trials, N, p))
+    for t in range(cfg.trials):
+        rng = stream(cfg.master_seed, t)
+        if np.any(model.R1):
+            vs[t] = full_recheck_draw(rng, N, np.linalg.cholesky(model.R1), vbar)[0]
+        if np.any(model.R2):
+            etas[t] = rng.standard_normal((N, p)) @ np.linalg.cholesky(model.R2).T
+        if kstar is not None:
+            dbar[t, kstar - 1:] = sample_delta_bar(spec, p, rng, size=N - kstar + 1)
+    return vs, etas, dbar
+
+
+def draw_case(bench_model, plant, preset, direction, truncate):
+    """(model, cfg, spec) of one draw_inputs case."""
+    model = {"n2": lambda: bench_model, "n4": plant_4d,
+             "zero-R1": lambda: build_model(F, G, C, K, np.zeros((2, 2)), R2),
+             "zero-R2": lambda: build_model(F, G, C, K, R1, np.zeros((2, 2)))}[plant]()
+    alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
+    spec = named_spec(preset, alpha, direction_mode=direction) if preset else None
+    cfg = SimConfig(horizon=90, attack_start=None if spec is None else 17, master_seed=13,
+                    trials=9, truncate_noise=truncate, vbar=vbar if truncate else None)
+    return model, cfg, spec
+
+
+DRAW_CASES = [
+    pytest.param("n2", "ZA.B", "uniform_sphere", False, id="ZA.B"),
+    pytest.param("n2", "H.A", "uniform_sphere", True, id="H.A-trunc"),
+    pytest.param("n2", "ZA.B", (0.6, 0.8), True, id="fixed-direction-trunc"),
+    pytest.param("n2", None, None, True, id="attack-free-trunc"),
+    pytest.param("n4", "ZA.A", "uniform_sphere", False, id="ZA.A-n4"),
+    pytest.param("n4", "H.B", "uniform_sphere", True, id="H.B-trunc-n4"),
+    pytest.param("zero-R1", "H.C", "uniform_sphere", False, id="H.C-zero-R1"),
+    pytest.param("zero-R2", "ZA.C", "uniform_sphere", True, id="ZA.C-trunc-zero-R2"),
+]
+
+
+class TestDrawInputs:
+    @pytest.mark.parametrize("plant,preset,direction,truncate", DRAW_CASES)
+    def test_equals_per_trial_public_draws(self, bench_model, plant, preset, direction, truncate):
+        model, cfg, spec = draw_case(bench_model, plant, preset, direction, truncate)
+        got, want = draw_inputs(model, cfg, spec), reference_draws(model, cfg, spec)
+        for name, g, w in zip(("vs", "etas", "dbar"), got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), name
+        if plant.startswith("zero"):  # no Cholesky factor, no draws
+            assert not np.any(got[0] if plant == "zero-R1" else got[1])
+
+    @pytest.mark.parametrize("plant,preset", [("n2", "H.A"), ("n4", "H.B")])
+    def test_trial_range_equals_rows_of_full_draw(self, bench_model, plant, preset):
+        model, cfg, spec = draw_case(bench_model, plant, preset, "uniform_sphere", True)
+        full = draw_inputs(model, cfg, spec)
+        for lo, hi in ((0, 1), (2, 7), (8, 9)):
+            part = draw_inputs(model, cfg, spec, trials=range(lo, hi))
+            for name, g, w in zip(("vs", "etas", "dbar"), part, full):
+                assert np.array_equal(g, w[lo:hi]), (name, lo, hi)

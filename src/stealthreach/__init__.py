@@ -9,7 +9,7 @@ a geometric Minkowski-sum method.
 __version__ = "0.1.0"
 
 from .attacks import AttackSpec, named_spec, sample_delta_bar, sample_z
-from .detector import alarm_stream, chi2_quantile, distance, reg_lower_gamma
+from .detector import chi2_quantile, distance, reg_lower_gamma
 from .ellipsoids import (
     Ellipsoid,
     contains,
@@ -43,10 +43,8 @@ from .reach_geom import (
     attack_state_reach_geom,
     noise_reach_geom,
     reach_bounds_geom,
-    total_state_bound_geom,
 )
 from .reach_lmi import (
-    LmiProblem,
     min_volume_over_a,
     reach_bounds_lmi,
     solve_logdet_sdp,
@@ -55,7 +53,7 @@ from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = [
     "AttackSpec", "named_spec", "sample_delta_bar", "sample_z",
-    "alarm_stream", "chi2_quantile", "distance", "reg_lower_gamma",
+    "chi2_quantile", "distance", "reg_lower_gamma",
     "Ellipsoid", "contains", "linear_image", "minkowski_sum_many", "minkowski_sum_pair",
     "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
@@ -63,7 +61,7 @@ __all__ = [
     "PlantModel", "SimConfig", "SimTrace", "build_model", "simulate", "solve_steady_state_kalman",
     "ReachBound", "total_state_bound",
     "GeomSumConfig", "attack_error_reach_geom", "attack_state_reach_geom",
-    "noise_reach_geom", "reach_bounds_geom", "total_state_bound_geom",
-    "LmiProblem", "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
+    "noise_reach_geom", "reach_bounds_geom",
+    "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
     "Scenario", "load_scenario", "parse_scenario",
 ]

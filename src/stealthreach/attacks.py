@@ -25,7 +25,6 @@ ZERO_ALARM = "zero_alarm"
 HIDDEN = "hidden"
 
 UNIFORM_SPHERE = "uniform_sphere"
-HAAR = "haar"  # identical law to uniform_sphere for a single direction
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class AttackSpec:
             if self.c2 is not None or self.w2 is not None:
                 raise InvalidSpec("zero-alarm attack takes no above-threshold segment")
         if isinstance(self.direction_mode, str):
-            if self.direction_mode not in (UNIFORM_SPHERE, HAAR):
+            if self.direction_mode != UNIFORM_SPHERE:
                 raise InvalidSpec(f"unknown direction mode {self.direction_mode!r}")
         else:
             u = np.asarray(self.direction_mode, dtype=float)
@@ -101,19 +100,22 @@ def _resolve_alpha_token(value, alpha: float) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     expr = str(value).replace(" ", "")
-    if expr == "alpha":
-        return alpha
-    if expr.endswith("*alpha"):
-        return float(expr[: -len("*alpha")]) * alpha
-    if expr.startswith("alpha/"):
-        return alpha / float(expr[len("alpha/"):])
+    try:
+        if expr == "alpha":
+            return alpha
+        if expr.endswith("*alpha"):
+            return float(expr[: -len("*alpha")]) * alpha
+        if expr.startswith("alpha/"):
+            return alpha / float(expr[len("alpha/"):])
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InvalidSpec(f"cannot resolve alpha expression {value!r}")
 
 
 def named_spec(name: str, alpha: float, rate_above: float = 0.05,
                direction_mode=UNIFORM_SPHERE) -> AttackSpec:
     """Build one of the seven named mixtures (ZA.A..ZA.C, H.A..H.D)."""
-    if name not in TABLE_PRESETS:
+    if not isinstance(name, str) or name not in TABLE_PRESETS:
         raise InvalidSpec(f"unknown preset {name!r}; options: {sorted(TABLE_PRESETS)}")
     raw = TABLE_PRESETS[name]
     kwargs = {k: _resolve_alpha_token(v, alpha) for k, v in raw.items() if k != "kind"}

@@ -99,10 +99,8 @@ def _compute_bounds(scenario: Scenario, method: str):
     model = scenario.model
     out = {}
     if method in ("geom", "both"):
-        noise, att_err, att_state, total = reach_bounds_geom(
-            model, scenario.alpha, scenario.vbar, scenario.geom_config
-        )
-        out["geometric"] = [noise, att_err, att_state, total]
+        out["geometric"] = list(reach_bounds_geom(model, scenario.alpha, scenario.vbar,
+                                                  scenario.geom_config))
     if method in ("lmi", "both"):
         out["lmi"] = list(reach_bounds_lmi(model, scenario.alpha, scenario.vbar))
     return out

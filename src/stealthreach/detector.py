@@ -1,4 +1,4 @@
-"""Chi-squared residual detector: distance measure, threshold tuning, alarms.
+"""Chi-squared residual detector: distance measure and threshold tuning.
 
 The threshold for a target false-alarm rate comes from inverting the
 regularized lower incomplete gamma function, since the attack-free
@@ -113,15 +113,3 @@ def distance(r: np.ndarray, sigma_inv: np.ndarray) -> float:
     z = np.einsum("...i,ij,...j->...", r, sigma_inv, r)
     return float(z) if z.ndim == 0 else z
 
-
-def alarm_stream(z, alpha: float):
-    """Apply the threshold rule.  Boundary z == alpha raises no alarm.
-
-    Returns (alarms: bool array, rate: float, alarm_indices: list).
-    """
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    z = np.asarray(z, dtype=float)
-    alarms = z > alpha
-    rate = float(alarms.mean()) if z.size else 0.0
-    return alarms, rate, list(np.flatnonzero(alarms))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BothDegenerate,
     DimensionMismatch,
     EmptyTermList,
     NonSymmetric,
@@ -88,10 +87,6 @@ class Ellipsoid:
     def zero(cls, n: int) -> "Ellipsoid":
         return cls(np.zeros((n, n)))
 
-    @classmethod
-    def ball(cls, radius: float, n: int) -> "Ellipsoid":
-        return cls(radius * radius * np.eye(n))
-
     @property
     def volume(self) -> float:
         return volume(self)
@@ -128,13 +123,6 @@ class Ellipsoid:
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "Q": self.Q.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Ellipsoid":
-        Q = np.asarray(d["Q"], dtype=float)
-        if Q.shape != (d["dim"], d["dim"]):
-            raise DimensionMismatch(f"Q shape {Q.shape} vs declared dim {d['dim']}")
-        return cls(Q)
 
 
 def linear_image(E: Ellipsoid, M: np.ndarray) -> Ellipsoid:
@@ -180,17 +168,24 @@ def stationary_weights(Q: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     return s / s.sum()
 
 
-def minkowski_sum_pair(E1: Ellipsoid, E2: Ellipsoid, strict: bool = False) -> Ellipsoid:
+def stationarity_gap(E: Ellipsoid, terms: list[np.ndarray]) -> float | None:
+    """||Q - sum_i Q_i / w_i|| / ||Q|| with w = stationary_weights(Q, terms).
+
+    Zero at the volume-minimizing weights; None when Q is degenerate.
+    """
+    if E.is_degenerate():
+        return None
+    Qs = np.stack([Q for Q in terms if np.trace(Q) > 0.0])
+    resid = E.Q - weighted_shape(Qs, stationary_weights(E.Q, Qs))
+    return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
+
+
+def minkowski_sum_pair(E1: Ellipsoid, E2: Ellipsoid) -> Ellipsoid:
     """Minimum-volume outer ellipsoid of the Minkowski sum of two ellipsoids.
 
     The two-term case of minkowski_sum_many.  A zero summand acts as the
-    identity.  Both summands zero returns the zero ellipsoid unless
-    strict=True, which raises BothDegenerate.
+    identity, and two zero summands give the zero ellipsoid.
     """
-    if E1.dim != E2.dim:
-        raise DimensionMismatch(f"dims {E1.dim} vs {E2.dim}")
-    if strict and np.trace(E1.Q) <= 0.0 and np.trace(E2.Q) <= 0.0:
-        raise BothDegenerate("both summands are zero ellipsoids")
     return minkowski_sum_many([E1, E2])
 
 

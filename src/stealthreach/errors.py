@@ -21,10 +21,6 @@ class EmptyTermList(StealthreachError):
     """A Minkowski sum was requested over an empty list of ellipsoids."""
 
 
-class BothDegenerate(StealthreachError):
-    """Both summands of a strict pair sum are zero ellipsoids."""
-
-
 class DegenerateCloud(StealthreachError):
     """Point cloud has no full-dimensional spread to fit an ellipsoid to."""
 
@@ -58,11 +54,11 @@ class InvalidSpec(StealthreachError):
 
 
 class Infeasible(StealthreachError):
-    """The semidefinite program admits no strictly feasible point."""
+    """No positive definite Lyapunov solution certifies the bound at this decay scalar."""
 
 
 class AllInfeasible(StealthreachError):
-    """No point of the decay-rate grid was feasible."""
+    """No decay scalar in (rho(A)^2, 1) gives a certified bound."""
 
 
 class MaxTermsExceeded(StealthreachError):

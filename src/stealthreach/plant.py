@@ -136,6 +136,12 @@ class PlantModel:
     def closed_loop(self) -> np.ndarray:
         return self.F + self.G @ self.K
 
+    @property
+    def joint_transition(self) -> np.ndarray:
+        """The [x, e] transition [[F + G K, -G K], [0, F]] of the attacked steps."""
+        GK = self.G @ self.K
+        return np.block([[self.F + GK, -GK], [np.zeros((self.n, self.n)), self.F]])
+
 
 def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
     """Validate matrices, solve the filter Riccati equation, derive Sigma.
@@ -287,10 +293,10 @@ class SimTrace:
 
 
 def _draw_system_noise(rng, count, chol, vbar):
-    """Standard-normal block mapped through chol(R1), rejection-truncated in
-    whitened coordinates where the quadratic form is exactly the squared norm.
-    Each round redraws the rejected rows in ascending order and re-tests
-    only those rows."""
+    """Standard-normal block mapped through a factor of R1, rejection-truncated in
+    whitened coordinates, where the quadratic form v^T R1^+ v is the squared
+    norm (at most it, when R1 is singular).  Each round redraws the rejected
+    rows in ascending order and re-tests only those rows."""
     n = chol.shape[0]
     zed = rng.standard_normal((count, n))
     if vbar is not None:
@@ -302,9 +308,14 @@ def _draw_system_noise(rng, count, chol, vbar):
 
 
 def _chol_or_zero(M):
+    """A factor of the covariance M: Cholesky's if M is positive definite, else
+    the symmetric square root (NotPSD if M is indefinite); None if M is zero."""
     if np.max(np.abs(M)) == 0.0:
         return None
-    return np.linalg.cholesky(M)
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return sym_sqrt(M)
 
 
 def _dot(a, M):
@@ -360,8 +371,7 @@ def _advance(model: PlantModel, S, pre: int, start: int = 0):
     which held the input of step i + 1.  A_i is x' = (F + G K) x - G K e
     with e' = (F - L C) e for i < pre (before k* the noise residual feeds
     back through -L) and e' = F e after (the attacker cancels it)."""
-    n, F, GK = model.n, model.F, model.G @ model.K
-    post_T = np.block([[F + GK, -GK], [np.zeros((n, n)), F]]).T
+    n, post_T = model.n, model.joint_transition.T
     pre_T = post_T.copy()
     pre_T[n:, n:] -= (model.L @ model.C).T
     for i in range(start, S.shape[1] - 1):

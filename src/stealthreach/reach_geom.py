@@ -14,12 +14,12 @@ the fitted weights.
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .ellipsoids import Ellipsoid, minkowski_sum_many, stationary_weights, weighted_shape
+from .ellipsoids import Ellipsoid, minkowski_sum_many, stationarity_gap
 from .errors import MaxTermsExceeded, UnstableClosedLoop, UnstableF
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
@@ -63,26 +63,28 @@ def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
         X = A @ X
 
 
-def _noise_series(model: PlantModel, vbar: float) -> Iterator[np.ndarray]:
-    return series_terms(model.F, np.eye(model.n), vbar * model.R1)
+def noise_inputs(model: PlantModel, vbar: float) -> tuple[np.ndarray, ...]:
+    """(A, B, S) of the noise recursion, which the LMI method reads too."""
+    return model.F, np.eye(model.n), vbar * model.R1
 
 
-def _attack_error_series(model: PlantModel, alpha: float) -> Iterator[np.ndarray]:
-    return series_terms(model.F, model.L, alpha * model.Sigma)
+def attack_error_inputs(model: PlantModel, alpha: float) -> tuple[np.ndarray, ...]:
+    """(A, B, S) of the attack-error recursion, which the LMI method reads too."""
+    return model.F, model.L, alpha * model.Sigma
 
 
 def _attack_state_series(model: PlantModel, alpha: float) -> Iterator[np.ndarray]:
     """The attack-state terms as the output of the cascade (x, e).
 
-    With A = [[F + G K, -G K], [0, F]], input [0; L] and output [I 0], the
-    output map is [I 0] A^k [0; L] = (F^k - (F + G K)^k) L by telescoping
+    With A = model.joint_transition = [[F + G K, -G K], [0, F]], input
+    [0; L] and output [I 0], the output map is
+    [I 0] A^k [0; L] = (F^k - (F + G K)^k) L by telescoping
     (-G K = F - (F + G K)), so the terms are H_k L Sigma L^T H_k^T with
     H_k = (F + G K)^k - F^k.  H_0 = 0, so the series starts at k = 1: its
     input is A [0; L].
     """
     n = model.n
-    GK = model.G @ model.K
-    A = np.block([[model.closed_loop, -GK], [np.zeros((n, n)), model.F]])
+    A = model.joint_transition
     B = A @ np.vstack([np.zeros_like(model.L), model.L])
     C = np.hstack([np.eye(n), np.zeros((n, n))])
     return series_terms(A, B, alpha * model.Sigma, C)
@@ -107,18 +109,6 @@ def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig) -> list[np.ndar
     )
 
 
-def stationarity_gap(E: Ellipsoid, terms: list[np.ndarray]) -> float | None:
-    """||Q - sum_i Q_i / w_i|| / ||Q|| with w = stationary_weights(Q, terms).
-
-    Zero at the volume-minimizing weights; None when Q is degenerate.
-    """
-    if E.is_degenerate():
-        return None
-    Qs = np.stack([Q for Q in terms if np.trace(Q) > 0.0])
-    resid = E.Q - weighted_shape(Qs, stationary_weights(E.Q, Qs))
-    return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
-
-
 def _bound(terms: list[np.ndarray], target: str, diag: dict) -> ReachBound:
     E = minkowski_sum_many([Ellipsoid(Q) for Q in terms])
     return ReachBound(
@@ -136,7 +126,7 @@ def noise_reach_geom(model: PlantModel, vbar: float, cfg: GeomSumConfig | None =
     estimation error, which follow the same recursion from zero)."""
     if spectral_radius(model.F) >= 1.0:
         raise UnstableF("noise reach sum needs rho(F) < 1")
-    terms = _truncated(_noise_series(model, vbar), cfg or GeomSumConfig())
+    terms = _truncated(series_terms(*noise_inputs(model, vbar)), cfg or GeomSumConfig())
     return _bound(terms, TARGET_NOISE, {"vbar": vbar})
 
 
@@ -145,7 +135,7 @@ def attack_error_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig 
     alpha F^k (L Sigma L^T) F^k^T."""
     if spectral_radius(model.F) >= 1.0:
         raise UnstableF("attack error reach sum needs rho(F) < 1")
-    terms = _truncated(_attack_error_series(model, alpha), cfg or GeomSumConfig())
+    terms = _truncated(series_terms(*attack_error_inputs(model, alpha)), cfg or GeomSumConfig())
     return _bound(terms, TARGET_ATTACK_ERROR, {"alpha": alpha})
 
 
@@ -160,17 +150,10 @@ def attack_state_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig 
     return _bound(terms, TARGET_ATTACK_STATE, {"alpha": alpha})
 
 
-def total_state_bound_geom(noise_bound: ReachBound, attack_bound: ReachBound) -> ReachBound:
-    total = total_state_bound(noise_bound, attack_bound, METHOD_GEOMETRIC)
-    gap = stationarity_gap(total.shape, [noise_bound.shape.Q, attack_bound.shape.Q])
-    return replace(total, diagnostics={**total.diagnostics, "stationarity_gap": gap})
-
-
 def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float,
                       cfg: GeomSumConfig | None = None):
     """All three geometric bounds plus the total-state combination."""
     noise = noise_reach_geom(model, vbar, cfg)
     att_err = attack_error_reach_geom(model, alpha, cfg)
     att_state = attack_state_reach_geom(model, alpha, cfg)
-    total = total_state_bound_geom(noise, att_state)
-    return noise, att_err, att_state, total
+    return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_GEOMETRIC)

@@ -9,6 +9,7 @@ false-alarm rate and sensor count.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .attacks import HIDDEN, UNIFORM_SPHERE, ZERO_ALARM, AttackSpec, _resolve_alpha_token, named_spec
 from .detector import chi2_quantile
-from .errors import SchemaError
+from .errors import DimensionMismatch, InvalidSpec, SchemaError
 from .plant import PlantModel, SimConfig, build_model
 from .reach_geom import GeomSumConfig
 
@@ -57,10 +58,29 @@ def _matrix(obj, path):
     return arr
 
 
+def _vector(obj, length, path):
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(path, f"not a numeric vector: {exc}") from None
+    if arr.shape != (length,):
+        raise SchemaError(path, f"expected {length} numbers, got shape {arr.shape}")
+    return arr
+
+
 def _scalar(obj, path, kind=float):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(obj).__name__}")
     return kind(obj)
+
+
+@contextmanager
+def _at(path):
+    """Report a setting that the attack or run checks reject as a SchemaError at path."""
+    try:
+        yield
+    except (InvalidSpec, DimensionMismatch) as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -85,12 +105,14 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_attack(block, alpha, default_rate, path) -> AttackSpec:
+def _parse_attack(block, alpha, default_rate, p, path) -> AttackSpec:
     _check_keys(block, _ATTACK_KEYS, set(), path)
-    rate = block.get("A", default_rate)
+    rate = _scalar(block["A"], f"{path}.A") if "A" in block else default_rate
     direction = block.get("direction_mode", UNIFORM_SPHERE)
     if isinstance(direction, list):
-        direction = tuple(float(v) for v in direction)
+        direction = tuple(_vector(direction, p, f"{path}.direction_mode"))
+    elif not isinstance(direction, str):
+        raise SchemaError(f"{path}.direction_mode", "expected a mode name or a list of numbers")
     if "preset" in block:
         extra = set(block) - {"preset", "A", "direction_mode"}
         if extra:
@@ -135,6 +157,8 @@ def parse_scenario(raw: dict) -> Scenario:
         raise SchemaError("scenario.detector.A", f"must be in (0,1), got {rate}")
     alpha = (_scalar(dblock["alpha"], "scenario.detector.alpha")
              if "alpha" in dblock else chi2_quantile(1.0 - rate, model.p))
+    if not alpha > 0.0:
+        raise SchemaError("scenario.detector.alpha", f"must be positive, got {alpha}")
     vbar = chi2_quantile(1.0 - rate, model.n)
 
     sblock = raw["sim"]
@@ -144,23 +168,22 @@ def parse_scenario(raw: dict) -> Scenario:
         attack_start = _scalar(attack_start, "scenario.sim.attack_start", int)
     initial_state = sblock.get("initial_state")
     if initial_state is not None:
-        initial_state = np.asarray(initial_state, dtype=float)
+        initial_state = _vector(initial_state, model.n, "scenario.sim.initial_state")
     truncate = sblock.get("truncate_noise", False)
     if not isinstance(truncate, bool):
         raise SchemaError("scenario.sim.truncate_noise", "expected true/false")
-    sim = SimConfig(
-        horizon=_scalar(sblock["horizon"], "scenario.sim.horizon", int),
-        attack_start=attack_start,
-        master_seed=_scalar(sblock["master_seed"], "scenario.sim.master_seed", int),
-        trials=_scalar(sblock["trials"], "scenario.sim.trials", int),
-        initial_state=initial_state,
-        truncate_noise=truncate,
-        vbar=vbar if truncate else None,
-    )
+    horizon = _scalar(sblock["horizon"], "scenario.sim.horizon", int)
+    master_seed = _scalar(sblock["master_seed"], "scenario.sim.master_seed", int)
+    trials = _scalar(sblock["trials"], "scenario.sim.trials", int)
+    with _at("scenario.sim"):
+        sim = SimConfig(horizon=horizon, attack_start=attack_start, master_seed=master_seed,
+                        trials=trials, initial_state=initial_state, truncate_noise=truncate,
+                        vbar=vbar if truncate else None)
 
     attack = None
     if "attack" in raw:
-        attack = _parse_attack(raw["attack"], alpha, rate, "scenario.attack")
+        with _at("scenario.attack"):
+            attack = _parse_attack(raw["attack"], alpha, rate, model.p, "scenario.attack")
         if sim.attack_start is None:
             raise SchemaError("scenario.sim.attack_start",
                               "required when an attack block is present")

@@ -163,11 +163,6 @@ class TestSampleDeltaBar:
         chi2_stat = np.sum((counts - expected) ** 2 / expected)
         assert chi2_stat < 66.62  # chi2(35) quantile at 0.999
 
-    def test_haar_alias(self, alpha):
-        spec = named_spec("ZA.C", alpha, direction_mode="haar")
-        dbar = sample_delta_bar(spec, 2, stream(9, 0), size=1000)
-        assert np.allclose(np.sum(dbar**2, axis=1), alpha * (1.0 - BOUNDARY_BACKOFF))
-
 
 class TestPolicy:
     def test_residual_is_shaped_attack(self, bench_model, alpha):

@@ -1,11 +1,14 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from stealthreach import __version__, empirical_cloud, load_scenario, parse_scenario, volume_heatmap
+from stealthreach import (
+    __version__, cli, empirical_cloud, errors, load_scenario, parse_scenario, volume_heatmap,
+)
 from stealthreach.cli import main
-from stealthreach.errors import SchemaError
+from stealthreach.errors import SchemaError, StealthreachError
 
 from conftest import C, F, G, K, R1, R2, plant_4d
 
@@ -136,6 +139,29 @@ class TestCliExitCodes:
         expected = ("scenario.bounds.lmi: unknown key" if block == "lmi"
                     else f"scenario.bounds.{block}.{key}")
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key,value,path", [
+        ("attack", "preset", "ZZ", "scenario.attack: unknown preset"),
+        ("attack", "c1", "2*alpha", "scenario.attack: below-threshold segment"),
+        ("attack", "c1", "alpha*2", "scenario.attack: cannot resolve alpha expression"),
+        ("attack", "direction_mode", "diagonal", "scenario.attack: unknown direction mode"),
+        ("attack", "direction_mode", [1.0, 1.0], "scenario.attack: fixed direction must be a unit"),
+        ("attack", "direction_mode", [1.0, 0.0, 0.0], "scenario.attack.direction_mode"),
+        ("sim", "horizon", 0, "scenario.sim: horizon"),
+        ("sim", "trials", 0, "scenario.sim: trials"),
+        ("sim", "attack_start", 600, "scenario.sim: attack_start"),
+        ("sim", "initial_state", [1.0, 2.0, 3.0], "scenario.sim.initial_state"),
+        ("detector", "alpha", -1, "scenario.detector.alpha"),
+    ])
+    def test_bad_attack_or_run_setting_exit_2(self, tmp_path, capsys, block, key, value, path):
+        raw = base_raw()
+        if key == "c1":
+            raw["attack"] = {"kind": "zero_alarm"}
+        raw[block][key] = value
+        code = main(["bound", "--scenario", write_scenario(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"schema error: {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,value", [
         ("heatmap", "--res", "3"), ("heatmap", "--cell-trials", "0"),
@@ -285,3 +311,57 @@ class TestVerifyCommand:
             assert f"volume ordering ({target})" in checks
         assert "total-state containment (geometric)" in checks
         assert "[FAIL]" not in capsys.readouterr().out
+
+
+# The exit code of every library error, as the README's exit-code paragraph
+# documents it.  A new error class needs an entry here and in the README.
+DOCUMENTED_EXIT_CODES = {
+    "SchemaError": 2, "UsageError": 2,
+    "NoConvergence": 3, "Infeasible": 3, "AllInfeasible": 3, "MaxTermsExceeded": 3,
+    "DomainError": 3,
+    "DimensionMismatch": 4, "NonSymmetric": 4, "NotPSD": 4, "EmptyTermList": 4,
+    "DegenerateCloud": 4, "NotDetectable": 4, "UnstableF": 4, "UnstableClosedLoop": 4,
+    "UnstableFilter": 4, "InvalidSpec": 4,
+}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, StealthreachError) and cls is not StealthreachError]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    assert cls.__name__ in DOCUMENTED_EXIT_CODES, f"{cls.__name__} has no documented exit code"
+    exc = cls("scenario.x", "boom") if cls is SchemaError else cls("boom")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_tune", raise_it)
+    assert main(["tune", "--scenario", "benchmark2d"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
+    assert "boom" in capsys.readouterr().err
+
+
+class TestRankDeficientCovariance:
+    """R1 = diag(0.045, 0): the noise drives one state only, and F couples it
+    into the other, so every bound is bounded."""
+
+    @pytest.fixture(scope="class")
+    def scenario_path(self, tmp_path_factory):
+        raw = json.loads(json.dumps(load_scenario("benchmark2d").raw))
+        raw["model"]["R1"] = [[0.045, 0.0], [0.0, 0.0]]
+        raw["sim"]["trials"] = 20
+        return write_scenario(tmp_path_factory.mktemp("rank_deficient"), raw)
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--method", "lmi"], ["heatmap", "--res", "4", "--cell-trials", "4"], ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_command_exits_0(self, tmp_path, capsys, scenario_path, argv):
+        assert main([argv[0], "--scenario", scenario_path, "--out", str(tmp_path), *argv[1:]]) == 0
+
+    def test_noise_cloud_inside_both_noise_bounds(self, tmp_path, capsys, scenario_path):
+        assert main(["montecarlo", "--scenario", scenario_path, "--out", str(tmp_path),
+                     "--cloud", "noise"]) == 0
+        report = json.loads((tmp_path / "containment.json").read_text())
+        assert sorted(b["method"] for b in report["bounds"]) == ["geometric", "lmi"]
+        for bound in report["bounds"]:
+            assert bound["target"] == "noise"
+            assert bound["max_membership"] <= 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stealthreach import alarm_stream, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
+from stealthreach import chi2_quantile, distance, reg_lower_gamma, sym_sqrt
 from stealthreach.errors import DimensionMismatch, DomainError
 
 SIGMA = np.array([[2.086, 0.134], [0.134, 2.230]])
@@ -73,6 +73,12 @@ class TestChi2Quantile:
             xs = [chi2_quantile(q, p) for p in range(1, 11)]
             assert all(a < b for a, b in zip(xs, xs[1:]))
 
+    def test_monte_carlo_rate(self, alpha):
+        # tuning-rule oracle: raw chi-square(2) draws against the tuned threshold
+        rng = np.random.default_rng(10)
+        z = rng.chisquare(2, size=1_000_000)
+        assert abs(float(np.mean(z > alpha)) - 0.05) <= 0.005
+
     def test_domain(self):
         with pytest.raises(DomainError):
             chi2_quantile(0.0, 2)
@@ -102,25 +108,3 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             distance(np.ones(3), np.eye(2))
-
-
-class TestAlarmStream:
-    def test_boundary_is_silent(self, alpha):
-        alarms, rate, times = alarm_stream([alpha, alpha, alpha], alpha)
-        assert not alarms.any() and rate == 0.0 and times == []
-
-    def test_above_threshold(self, alpha):
-        eps = 1e-9
-        alarms, rate, times = alarm_stream([alpha + eps] * 4, alpha)
-        assert alarms.all() and rate == 1.0 and times == [0, 1, 2, 3]
-
-    def test_monte_carlo_rate(self, alpha):
-        # tuning-rule oracle: raw chi-square(2) draws against the tuned threshold
-        rng = np.random.default_rng(10)
-        z = rng.chisquare(2, size=1_000_000)
-        _, rate, _ = alarm_stream(z, alpha)
-        assert abs(rate - 0.05) <= 0.005
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            alarm_stream([1.0], 0.0)

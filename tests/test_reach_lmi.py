@@ -6,24 +6,27 @@ import pytest
 
 from stealthreach import (
     Ellipsoid,
-    LmiProblem,
     ReachBound,
     min_volume_over_a,
+    reach_bounds_geom,
     reach_bounds_lmi,
+    reach_lmi,
     solve_logdet_sdp,
     sym_sqrt,
     unit_ball_volume,
 )
-from stealthreach.errors import AllInfeasible, Infeasible
-from stealthreach.plant import spectral_radius
+from stealthreach.errors import AllInfeasible, DimensionMismatch, Infeasible
+from stealthreach.plant import build_model, spectral_radius
 from stealthreach.reach_common import METHOD_LMI, total_state_bound
 from stealthreach.reach_lmi import A_BRACKET_TOL, logdet_slope
 from stealthreach.seeding import stream
 
+from conftest import C, F, G, K, R2
 
-def block_matrix(P, prob):
-    """The invariant-ellipsoid block matrix at P, symmetrized."""
-    A, B, R, a = prob.A, prob.B, prob.R, prob.a
+
+def block_matrix(P, A, B, R, a):
+    """The invariant-ellipsoid block matrix at P for the input constraint
+    mu^T R mu <= 1, i.e. the input shape S = R^-1, symmetrized."""
     top = a * P - A.T @ P @ A
     off = -A.T @ P @ B
     bot = (1.0 - a) * R - B.T @ P @ B
@@ -37,16 +40,23 @@ def scalar_family_optimum(sigma, a):
     return (a - sigma * sigma) * (1.0 - a) / a
 
 
+def solve_P(A, B, R, a):
+    """solve_logdet_sdp for the input constraint matrix R (input shape
+    S = R^-1), as (P = Q^-1, diagnostics)."""
+    Q, diag = solve_logdet_sdp(A, B, np.linalg.inv(R), a)
+    return np.linalg.inv(Q), diag
+
+
 class TestSolveLogdetSdp:
     def test_static_system_closed_form(self):
         # A = 0 reduces the LMI to diag(a P, (1-a) I - P): optimum P = (1-a) I
         for a in (0.1, 0.3, 0.7):
-            P, diag = solve_logdet_sdp(LmiProblem(np.zeros((2, 2)), np.eye(2), np.eye(2), a))
+            P, diag = solve_P(np.zeros((2, 2)), np.eye(2), np.eye(2), a)
             assert np.max(np.abs(P - (1.0 - a) * np.eye(2))) <= 1e-6
             assert diag["lmi_min_eig"] >= -1e-7
 
     def test_scaled_identity_closed_form(self):
-        P, _ = solve_logdet_sdp(LmiProblem(0.5 * np.eye(2), np.eye(2), np.eye(2), 0.5))
+        P, _ = solve_P(0.5 * np.eye(2), np.eye(2), np.eye(2), 0.5)
         assert np.max(np.abs(P - scalar_family_optimum(0.5, 0.5) * np.eye(2))) <= 1e-6
 
     def test_brute_force_diagonal_grid_oracle(self):
@@ -55,29 +65,27 @@ class TestSolveLogdetSdp:
         B = np.eye(2)
         R = np.eye(2)
         a = 0.5
-        prob = LmiProblem(A, B, R, a)
         best = None
         for p1 in np.linspace(0.01, 1.0, 100):
             for p2 in np.linspace(0.01, 1.0, 100):
                 P = np.diag([p1, p2])
-                if np.linalg.eigvalsh(block_matrix(P, prob))[0] >= -1e-12:
+                if np.linalg.eigvalsh(block_matrix(P, A, B, R, a))[0] >= -1e-12:
                     d = p1 * p2
                     if best is None or d > best[0]:
                         best = (d, P)
-        P_solver, _ = solve_logdet_sdp(prob)
+        P_solver, _ = solve_P(A, B, R, a)
         assert np.max(np.abs(P_solver - best[1])) <= 1e-2  # grid resolution limit
         assert np.linalg.det(P_solver) >= best[0] - 1e-3
 
     def test_infeasible_below_contraction_rate(self):
         with pytest.raises(Infeasible):
-            solve_logdet_sdp(LmiProblem(0.5 * np.eye(2), np.eye(2), np.eye(2), 0.25))
+            solve_P(0.5 * np.eye(2), np.eye(2), np.eye(2), 0.25)
 
     def test_feasible_just_above_contraction_rate(self, bench_model, alpha):
         rho2 = bench_model.diagnostics["rho_F"] ** 2
-        prob = LmiProblem(bench_model.F, -bench_model.L @ bench_model.SigmaSqrt,
-                          np.eye(2) / alpha, rho2 + 0.05)
-        P, diag = solve_logdet_sdp(prob)
-        assert diag["lmi_min_eig"] >= -1e-7 * (1.0 + np.linalg.norm(prob.R))
+        R = np.eye(2) / alpha
+        P, diag = solve_P(bench_model.F, -bench_model.L @ bench_model.SigmaSqrt, R, rho2 + 0.05)
+        assert diag["lmi_min_eig"] >= -1e-7 * (1.0 + np.linalg.norm(R))
         assert np.linalg.eigvalsh(P)[0] >= 1e-12
 
 
@@ -96,7 +104,7 @@ class TestLyapunovOracle:
             R = S @ S.T + n * np.eye(n)
             rho2 = spectral_radius(A) ** 2
             for a in (rho2 + 0.2 * (1.0 - rho2), rho2 + 0.7 * (1.0 - rho2)):
-                P, diag = solve_logdet_sdp(LmiProblem(A, B, R, a))
+                P, diag = solve_P(A, B, R, a)
                 W = B @ np.linalg.inv(R) @ B.T / (1.0 - a)
                 P_ref = np.linalg.inv(scipy_linalg.solve_discrete_lyapunov(A / math.sqrt(a), W))
                 assert np.linalg.norm(P - P_ref) <= 1e-8 * np.linalg.norm(P_ref)
@@ -105,9 +113,8 @@ class TestLyapunovOracle:
 
 class TestCertificate:
     def test_local_optimality_under_perturbation(self, bench_model, alpha):
-        prob = LmiProblem(bench_model.F, -bench_model.L @ bench_model.SigmaSqrt,
-                          np.eye(2) / alpha, 0.6)
-        P, _ = solve_logdet_sdp(prob)
+        A, B, R, a = bench_model.F, -bench_model.L @ bench_model.SigmaSqrt, np.eye(2) / alpha, 0.6
+        P, _ = solve_P(A, B, R, a)
         base = np.linalg.slogdet(P)[1]
         rng = stream(100)
         improved = 0
@@ -119,7 +126,7 @@ class TestCertificate:
             for sign in (1.0, -1.0):
                 Pp = P + sign * D
                 if (np.linalg.eigvalsh(Pp)[0] > 0.0
-                        and np.linalg.eigvalsh(block_matrix(Pp, prob))[0] >= 0.0):
+                        and np.linalg.eigvalsh(block_matrix(Pp, A, B, R, a))[0] >= 0.0):
                     if np.linalg.slogdet(Pp)[1] > base + 1e-6:
                         improved += 1
         assert improved == 0
@@ -128,21 +135,20 @@ class TestCertificate:
         # drive each certified recursion with worst-case boundary inputs
         noise, att_err, att_state, _ = reach_bounds_lmi(bench_model, alpha, vbar)
         instances = [
-            (bench_model.F, np.eye(2), np.linalg.inv(bench_model.R1) / vbar, noise),
-            (bench_model.F, -bench_model.L @ bench_model.SigmaSqrt, np.eye(2) / alpha, att_err),
-            (bench_model.closed_loop, -bench_model.G @ bench_model.K,
-             att_err.quad_matrix, att_state),
+            (bench_model.F, np.eye(2), vbar * bench_model.R1, noise),
+            (bench_model.F, bench_model.L, alpha * bench_model.Sigma, att_err),
+            (bench_model.closed_loop, -bench_model.G @ bench_model.K, att_err.shape.Q, att_state),
         ]
         rng = stream(101)
-        for A, B, R, bound in instances:
+        for A, B, S, bound in instances:
             P = bound.quad_matrix
-            R_inv_sqrt = sym_sqrt(np.linalg.inv(R))
+            S_sqrt = sym_sqrt(S)
             xi = np.zeros((64, 2))
             worst = 0.0
             for _ in range(157):  # 157 * 64 > 10^4 driven steps
                 g = rng.standard_normal((64, 2))
                 u = g / np.linalg.norm(g, axis=1, keepdims=True)
-                mu = u @ R_inv_sqrt.T  # boundary of mu^T R mu = 1
+                mu = u @ S_sqrt.T  # boundary of the input ellipsoid of shape S
                 xi = xi @ A.T + mu @ B.T
                 worst = max(worst, float(np.max(np.einsum("ij,jk,ik->i", xi, P, xi))))
             assert worst <= 1.0 + 1e-6, f"{bound.target}: worst {worst}"
@@ -182,13 +188,37 @@ class TestMinVolumeOverA:
             min_volume_over_a(np.diag([0.5, 0.3]), np.array([[1.0], [0.0]]), np.array([[1.0]]))
         assert time.perf_counter() - start <= 1.0
 
+    def test_one_lyapunov_pair_per_decay_scalar(self, bench_model, alpha, vbar, monkeypatch):
+        # the solve at a* reuses its own fixed point: one logdet_slope call
+        # per decay scalar, bisection midpoints and a* alike
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return logdet_slope(*args)
+
+        monkeypatch.setattr(reach_lmi, "logdet_slope", counted)
+        for A, B, S in ((bench_model.F, np.eye(2), vbar * bench_model.R1),
+                        (bench_model.F, bench_model.L, alpha * bench_model.Sigma),
+                        (0.5 * np.eye(2), np.eye(2), np.eye(2))):
+            calls.clear()
+            bound = min_volume_over_a(A, B, S)
+            assert len(calls) == bound.diagnostics["a_evaluations"]
+            assert calls[-1] == bound.a_star
+
+    def test_shapes_must_chain(self):
+        with pytest.raises(DimensionMismatch):
+            min_volume_over_a(0.5 * np.eye(2), np.eye(2), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            solve_logdet_sdp(0.5 * np.eye(3), np.eye(2), np.eye(2), 0.5)
+
     def test_monotone_not_worse_than_grid_points(self, bench_model, alpha):
         A = bench_model.F
         B = -bench_model.L @ bench_model.SigmaSqrt
         R = np.eye(2) / alpha
-        bound = min_volume_over_a(A, B, R)
+        bound = min_volume_over_a(A, B, np.linalg.inv(R))
         for a in (0.5, 0.6, 0.7):
-            P, _ = solve_logdet_sdp(LmiProblem(A, B, R, a))
+            P, _ = solve_P(A, B, R, a)
             vol_a = unit_ball_volume(2) * math.exp(-0.5 * np.linalg.slogdet(P)[1])
             assert bound.volume <= vol_a + 1e-9
 
@@ -223,6 +253,21 @@ class TestBenchmarkBounds:
         # noise bound is shared between state and estimation error by symmetry
         assert noise.target == "noise"
         assert total.volume >= max(noise.volume, att_state.volume)
+        # one combiner for both methods: the pair weights are stationary
+        assert total.diagnostics["stationarity_gap"] < 1e-10
+
+    def test_rank_deficient_noise_covariance(self, alpha, vbar):
+        # R1 = diag(0.045, 0) drives one state only; F couples it into the
+        # other, so the noise bound is bounded and certified, and the
+        # geometric bound, a member of the same weighted family, is smaller
+        model = build_model(F, G, C, K, np.diag([0.045, 0.0]), R2)
+        noise, att_err, att_state, total = reach_bounds_lmi(model, alpha, vbar)
+        for bound in (noise, att_err, att_state):
+            assert bound.diagnostics["lmi_min_eig"] >= -1e-7
+            assert np.linalg.eigvalsh(bound.shape.Q)[0] > 0.0
+        geom_noise = reach_bounds_geom(model, alpha, vbar)[0]
+        assert 0.0 < geom_noise.volume <= noise.volume
+        assert total.volume >= noise.volume
 
     def test_solver_evidence(self, bench_model, alpha, vbar):
         for bound in reach_bounds_lmi(bench_model, alpha, vbar)[:3]:
@@ -261,11 +306,12 @@ class TestBisectionOracle:
         # with cond(Q).
         eps = np.finfo(float).eps
         for A, B, R in oracle_instances():
-            W0 = B @ np.linalg.solve(R, B.T)
-            bound = min_volume_over_a(A, B, R)
+            S = np.linalg.inv(R)
+            W0 = B @ S @ B.T
+            bound = min_volume_over_a(A, B, S)
             rho2 = spectral_radius(A) ** 2
             grid = rho2 + (1.0 - rho2) * np.arange(1, 401) / 401
-            # logdet_slope returns the fixed point that solve_logdet_sdp inverts
+            # logdet_slope returns the fixed point that solve_logdet_sdp returns
             on_grid = [logdet_slope(A, W0, a) for a in grid]
             grid_logdet = min(np.linalg.slogdet(Q)[1] for Q, _ in on_grid)
             margin = 1e-12 + 10.0 * len(A) * eps * np.linalg.cond(bound.shape.Q)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stealthreach import chi2_quantile, distance, reg_lower_gamma, sym_sqrt
+from stealthreach import SimConfig, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
 from stealthreach.errors import DimensionMismatch, DomainError
+from stealthreach.plant import draw_inputs, propagate
 
 SIGMA = np.array([[2.086, 0.134], [0.134, 2.230]])
 
@@ -108,3 +109,22 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             distance(np.ones(3), np.eye(2))
+
+
+class TestAlarmStream:
+    # the threshold rule on propagate's alarm column: z == alpha raises no
+    # alarm, any z above it does
+    @pytest.fixture(scope="class")
+    def noise_run(self, bench_model):
+        inputs = draw_inputs(bench_model, SimConfig(horizon=50, master_seed=5, trials=2))
+        return inputs, propagate(bench_model, inputs).z
+
+    def test_boundary_is_silent(self, bench_model, noise_run):
+        inputs, z = noise_run
+        trace = propagate(bench_model, inputs, alpha=float(z.max()))
+        assert not trace.alarm.any() and trace.alarm_rate() == 0.0
+
+    def test_above_threshold(self, bench_model, noise_run):
+        inputs, z = noise_run
+        trace = propagate(bench_model, inputs, alpha=float(np.nextafter(z.min(), 0.0)))
+        assert trace.alarm.all() and trace.alarm_rate() == 1.0

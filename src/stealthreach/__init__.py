@@ -39,10 +39,9 @@ from .plant import (
 from .reach_common import ReachBound, total_state_bound
 from .reach_geom import (
     GeomSumConfig,
-    attack_error_reach_geom,
-    attack_state_reach_geom,
-    noise_reach_geom,
+    geom_bound,
     reach_bounds_geom,
+    reach_targets,
 )
 from .reach_lmi import (
     min_volume_over_a,
@@ -60,8 +59,7 @@ __all__ = [
     "fit_ellipsoid_moment", "volume_heatmap",
     "PlantModel", "SimConfig", "SimTrace", "build_model", "simulate", "solve_steady_state_kalman",
     "ReachBound", "total_state_bound",
-    "GeomSumConfig", "attack_error_reach_geom", "attack_state_reach_geom",
-    "noise_reach_geom", "reach_bounds_geom",
+    "GeomSumConfig", "geom_bound", "reach_bounds_geom", "reach_targets",
     "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
     "Scenario", "load_scenario", "parse_scenario",
 ]

@@ -13,6 +13,7 @@ hair, otherwise round-off in the detector's quadratic form flips the
 strict comparison on roughly half the boundary steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class AttackSpec:
         tol = 1e-9 * max(a, 1.0)
         if a <= 0.0:
             raise InvalidSpec(f"alpha must be positive, got {a}")
+        for name in ("c1", "w1", "c2", "w2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if self.kind not in (ZERO_ALARM, HIDDEN):
             raise InvalidSpec(f"unknown attack kind {self.kind!r}")
         if self.w1 < 0.0:

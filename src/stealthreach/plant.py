@@ -133,10 +133,6 @@ class PlantModel:
         return self.C.shape[0]
 
     @property
-    def closed_loop(self) -> np.ndarray:
-        return self.F + self.G @ self.K
-
-    @property
     def joint_transition(self) -> np.ndarray:
         """The [x, e] transition [[F + G K, -G K], [0, F]] of the attacked steps."""
         GK = self.G @ self.K

@@ -1,14 +1,20 @@
 """Geometric (Minkowski-sum) outer bounds on the attack/noise reachable sets.
 
-Each driven recursion xi' = A xi + B mu, observed as C xi, with an
-ellipsoidally bounded input unrolls into a sum of independent per-step
-ellipsoids E(C A^k B S B^T A^k^T C^T).  One generator, series_terms, yields
-these terms for all three targets: noise (F, I, vbar R1), attack error
-(F, L, alpha Sigma) and attack state (the cascade of state and estimation
-error, from k = 1).  The limit set is outer-approximated by truncating the
-series once the terms' determinant and trace mass have both decayed below a
-relative tolerance and fitting one ellipsoid around the finite Minkowski
-sum with minkowski_sum_many.  Each bound reports the stationarity gap of
+Every reach target is a driven recursion xi' = A xi + B mu, observed as
+y = C xi (C = None observes all of xi), whose input lies in the ellipsoid
+of shape S.  reach_targets is the one table of (A, B, S, C) that both bound
+methods read:
+
+    noise         (F, I, vbar R1, None)
+    attack error  (F, L, alpha Sigma, None)
+    attack state  ([[F + G K, -G K], [0, F]], [0; L], alpha Sigma, [I 0])
+
+The attack state is the x block of the joint [x, e] recursion.  From zero
+the recursion unrolls into a sum of independent per-step ellipsoids
+E(C A^k B S B^T A^k^T C^T), which series_terms yields.  geom_bound
+truncates the series once the terms' determinant and trace mass have both
+decayed below a relative tolerance, fits one ellipsoid around the finite
+Minkowski sum with minkowski_sum_many and reports the stationarity gap of
 the fitted weights.
 """
 
@@ -20,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .ellipsoids import Ellipsoid, minkowski_sum_many, stationarity_gap
-from .errors import MaxTermsExceeded, UnstableClosedLoop, UnstableF
+from .errors import MaxTermsExceeded, UnstableF
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
     METHOD_GEOMETRIC,
@@ -52,6 +58,17 @@ class GeomSumConfig:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
+def reach_targets(model: PlantModel, alpha: float, vbar: float) -> dict[str, tuple]:
+    """{target: (A, B, S, C)} of the three reach targets."""
+    n = model.n
+    return {
+        TARGET_NOISE: (model.F, np.eye(n), vbar * model.R1, None),
+        TARGET_ATTACK_ERROR: (model.F, model.L, alpha * model.Sigma, None),
+        TARGET_ATTACK_STATE: (model.joint_transition, np.vstack([np.zeros_like(model.L), model.L]),
+                              alpha * model.Sigma, np.hstack([np.eye(n), np.zeros((n, n))])),
+    }
+
+
 def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
                  C: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield C A^k B S B^T A^k^T C^T for k = 0, 1, ... (C = I if None)."""
@@ -63,36 +80,16 @@ def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
         X = A @ X
 
 
-def noise_inputs(model: PlantModel, vbar: float) -> tuple[np.ndarray, ...]:
-    """(A, B, S) of the noise recursion, which the LMI method reads too."""
-    return model.F, np.eye(model.n), vbar * model.R1
-
-
-def attack_error_inputs(model: PlantModel, alpha: float) -> tuple[np.ndarray, ...]:
-    """(A, B, S) of the attack-error recursion, which the LMI method reads too."""
-    return model.F, model.L, alpha * model.Sigma
-
-
-def _attack_state_series(model: PlantModel, alpha: float) -> Iterator[np.ndarray]:
-    """The attack-state terms as the output of the cascade (x, e).
-
-    With A = model.joint_transition = [[F + G K, -G K], [0, F]], input
-    [0; L] and output [I 0], the output map is
-    [I 0] A^k [0; L] = (F^k - (F + G K)^k) L by telescoping
-    (-G K = F - (F + G K)), so the terms are H_k L Sigma L^T H_k^T with
-    H_k = (F + G K)^k - F^k.  H_0 = 0, so the series starts at k = 1: its
-    input is A [0; L].
-    """
-    n = model.n
-    A = model.joint_transition
-    B = A @ np.vstack([np.zeros_like(model.L), model.L])
-    C = np.hstack([np.eye(n), np.zeros((n, n))])
-    return series_terms(A, B, alpha * model.Sigma, C)
-
-
 def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig) -> list[np.ndarray]:
-    """Take terms from the series until the decay rule fires."""
+    """Take terms from the series until the decay rule fires.
+
+    An exactly zero first term (C B = 0, as for the attack state, whose
+    input reaches x one step late) is dropped, and the decay is measured
+    against the next term.
+    """
     first = next(series)
+    if not first.any():
+        first = next(series)
     d_ref = float(np.linalg.det(first))
     t_ref = float(np.trace(first))
     if t_ref <= 0.0:
@@ -109,51 +106,26 @@ def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig) -> list[np.ndar
     )
 
 
-def _bound(terms: list[np.ndarray], target: str, diag: dict) -> ReachBound:
+def geom_bound(A, B, S, C=None, target: str = "bound",
+               cfg: GeomSumConfig | None = None) -> ReachBound:
+    """Outer bound of the truncated Minkowski sum of the series C A^k B S B^T A^k^T C^T."""
+    rho = spectral_radius(A)
+    if rho >= 1.0:
+        raise UnstableF(f"reach series needs rho(A) < 1, got {rho:.4f}")
+    terms = _truncated(series_terms(A, B, S, C), cfg or GeomSumConfig())
     E = minkowski_sum_many([Ellipsoid(Q) for Q in terms])
-    return ReachBound(
-        shape=E,
-        method=METHOD_GEOMETRIC,
-        target=target,
-        volume=E.volume,
-        terms_used=len(terms),
-        diagnostics={**diag, "stationarity_gap": stationarity_gap(E, terms)},
-    )
-
-
-def noise_reach_geom(model: PlantModel, vbar: float, cfg: GeomSumConfig | None = None) -> ReachBound:
-    """Outer bound of the truncated-noise reachable set (shared by state and
-    estimation error, which follow the same recursion from zero)."""
-    if spectral_radius(model.F) >= 1.0:
-        raise UnstableF("noise reach sum needs rho(F) < 1")
-    terms = _truncated(series_terms(*noise_inputs(model, vbar)), cfg or GeomSumConfig())
-    return _bound(terms, TARGET_NOISE, {"vbar": vbar})
-
-
-def attack_error_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig | None = None) -> ReachBound:
-    """Outer bound of the attack-driven estimation error: terms
-    alpha F^k (L Sigma L^T) F^k^T."""
-    if spectral_radius(model.F) >= 1.0:
-        raise UnstableF("attack error reach sum needs rho(F) < 1")
-    terms = _truncated(series_terms(*attack_error_inputs(model, alpha)), cfg or GeomSumConfig())
-    return _bound(terms, TARGET_ATTACK_ERROR, {"alpha": alpha})
-
-
-def attack_state_reach_geom(model: PlantModel, alpha: float, cfg: GeomSumConfig | None = None) -> ReachBound:
-    """Outer bound of the attack-driven state: terms alpha H_k L Sigma L^T H_k^T
-    with H_k = (F + G K)^k - F^k, starting at k = 1 where H_1 = G K."""
-    if spectral_radius(model.F) >= 1.0:
-        raise UnstableF("attack state reach sum needs rho(F) < 1")
-    if spectral_radius(model.closed_loop) >= 1.0:
-        raise UnstableClosedLoop("attack state reach sum needs rho(F + G K) < 1")
-    terms = _truncated(_attack_state_series(model, alpha), cfg or GeomSumConfig())
-    return _bound(terms, TARGET_ATTACK_STATE, {"alpha": alpha})
+    return ReachBound(shape=E, method=METHOD_GEOMETRIC, target=target, volume=E.volume,
+                      terms_used=len(terms),
+                      diagnostics={"stationarity_gap": stationarity_gap(E, terms)})
 
 
 def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float,
                       cfg: GeomSumConfig | None = None):
-    """All three geometric bounds plus the total-state combination."""
-    noise = noise_reach_geom(model, vbar, cfg)
-    att_err = attack_error_reach_geom(model, alpha, cfg)
-    att_state = attack_state_reach_geom(model, alpha, cfg)
+    """All three geometric bounds plus the total-state combination.  Each
+    bound's diagnostics carry the input scale, vbar or alpha."""
+    noise, att_err, att_state = (
+        geom_bound(*inputs, target=target, cfg=cfg)
+        for target, inputs in reach_targets(model, alpha, vbar).items())
+    noise.diagnostics["vbar"] = vbar
+    att_err.diagnostics["alpha"] = att_state.diagnostics["alpha"] = alpha
     return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_GEOMETRIC)

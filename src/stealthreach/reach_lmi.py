@@ -1,34 +1,37 @@
 """Convex-optimization outer bounds from the invariant-ellipsoid LMI.
 
-The input of a stable recursion xi' = A xi + B mu lies in an ellipsoid of
-shape S, mu = S^1/2 nu with |nu| <= 1: the (A, B, S) whose per-step terms
-A^k B S B^T A^k^T the geometric method sums.  For a decay scalar a in
-(0,1), any P > 0 with
+Each reach target is a stable recursion xi' = A xi + B mu, observed as
+y = C xi, whose input lies in an ellipsoid of shape S, mu = S^1/2 nu with
+|nu| <= 1: the (A, B, S, C) of reach_geom.reach_targets, whose per-step
+terms C A^k B S B^T A^k^T C^T the geometric method sums.  For a decay
+scalar a in (0,1), any P > 0 with
 
     [[ a P - A^T P A          ,  -A^T P B S^1/2                 ]
      [ -S^1/2 B^T P A         ,  (1-a) I - S^1/2 B^T P B S^1/2 ]]  >= 0
 
-certifies the invariant ellipsoid { xi : xi^T P xi <= 1 }.  S may be
+certifies the invariant ellipsoid { xi : xi^T P xi <= 1 }, and its image
+under C, of shape C P^-1 C^T, holds every reachable y.  S may be
 singular, as long as the input reaches every state direction through A.
 
 At fixed a a Schur complement turns the inequality into
 Q >= A Q A^T / a + W0 / (1-a) with Q = P^-1 and W0 = B S B^T.  For
 a > rho(A)^2 the discrete Lyapunov equation with equality has a unique
 solution, which every feasible Q dominates in the Loewner order, so it
-has the smallest log det Q (Boyd, El Ghaoui, Feron and Balakrishnan, LMIs
-in System and Control Theory, SIAM 1994): one linear solve in vec Q.
+has the smallest log det C Q C^T (Boyd, El Ghaoui, Feron and Balakrishnan,
+LMIs in System and Control Theory, SIAM 1994): one linear solve in vec Q.
 
-The solution is sum_k T_k a^-k / (1-a) with T_k = A^k W0 A^k^T, the
-member of the geometric method's weighted Minkowski family with weights
-(1-a) a^k.  Its log-convex weights and det(sum_k x_k T_k), a polynomial
-with nonnegative coefficients (mixed discriminants), make log det Q(a)
-convex on (rho(A)^2, 1), so a* is found by bisecting the sign of the
-slope tr(Q^-1 Q'), to the bisection width; comparing values of log det Q
-would resolve it only to the square root of machine epsilon.
+The projection is C Q(a) C^T = sum_k C T_k C^T a^-k / (1-a) with
+T_k = A^k W0 A^k^T, the member of the geometric method's weighted
+Minkowski family with weights (1-a) a^k.  Its log-convex weights and
+det(sum_k x_k C T_k C^T), a polynomial with nonnegative coefficients
+(mixed discriminants), make log det C Q(a) C^T convex on (rho(A)^2, 1),
+so a* is found by bisecting the sign of the slope tr(Q_y^-1 Q_y') with
+Q_y = C Q C^T, to the bisection width; comparing values of log det would
+resolve it only to the square root of machine epsilon.
 
 Every solution carries its certificate: the minimum eigenvalue of the
-block matrix after the congruence diag(Q^1/2, I), which does not change
-with the units of the state or the input.
+block matrix at the full P = Q^-1 after the congruence diag(Q^1/2, I),
+which does not change with the units of the state or the input.
 """
 
 import numpy as np
@@ -38,13 +41,10 @@ from .errors import AllInfeasible, DimensionMismatch, Infeasible
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
     METHOD_LMI,
-    TARGET_ATTACK_ERROR,
-    TARGET_ATTACK_STATE,
-    TARGET_NOISE,
     ReachBound,
     total_state_bound,
 )
-from .reach_geom import attack_error_inputs, noise_inputs
+from .reach_geom import reach_targets
 
 # A certificate whose unit-free block matrix has a smaller minimum
 # eigenvalue than -LMI_CERT_TOL is rejected.
@@ -56,11 +56,13 @@ _Q_PD_RTOL = 1e-12
 A_BRACKET_TOL = 1e-12
 
 
-def _checked(A, B, S) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, S, W0 = B S B^T) as float arrays, with their shapes checked."""
+def _checked(A, B, S, C=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, S, W0 = B S B^T) as float arrays, with their shapes and C's checked."""
     A, B, S = (np.asarray(M, dtype=float) for M in (A, B, S))
-    if B.ndim != 2 or A.shape != (B.shape[0],) * 2 or S.shape != (B.shape[1],) * 2:
-        raise DimensionMismatch(f"A {A.shape}, B {B.shape} and S {S.shape} do not chain")
+    if (B.ndim != 2 or A.shape != (B.shape[0],) * 2 or S.shape != (B.shape[1],) * 2
+            or (C is not None and (np.ndim(C) != 2 or np.shape(C)[1] != A.shape[0]))):
+        raise DimensionMismatch(f"A {A.shape}, B {B.shape}, S {S.shape} and C "
+                                f"{None if C is None else np.shape(C)} do not chain")
     W0 = B @ S @ B.T
     return A, B, S, (W0 + W0.T) / 2.0
 
@@ -70,11 +72,16 @@ def _solve_sym(lhs: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
-def logdet_slope(A: np.ndarray, W0: np.ndarray, a: float) -> tuple[np.ndarray, float]:
-    """The Lyapunov fixed point Q(a) and d log det Q / da = tr(Q^-1 Q').
+def _project(C, Q: np.ndarray) -> np.ndarray:
+    return Q if C is None else C @ Q @ C.T
+
+
+def logdet_slope(A: np.ndarray, W0: np.ndarray, a: float, C=None) -> tuple[np.ndarray, float]:
+    """The Lyapunov fixed point Q(a) and d log det C Q C^T / da.
 
     Q' solves Q' = A Q' A^T / a + W0 / (1-a)^2 - A Q A^T / a^2, with the
-    same matrix I - A (x) A / a acting on vec Q'.  Raises Infeasible unless
+    same matrix I - A (x) A / a acting on vec Q', and the slope is
+    tr((C Q C^T)^-1 C Q' C^T) (C = I if None).  Raises Infeasible unless
     Q is positive definite.
     """
     n = A.shape[0]
@@ -83,7 +90,7 @@ def logdet_slope(A: np.ndarray, W0: np.ndarray, a: float) -> tuple[np.ndarray, f
     if np.linalg.eigvalsh(Q)[0] <= _Q_PD_RTOL * np.linalg.norm(Q):
         raise Infeasible(f"Lyapunov solution is not positive definite at a={a:.4f}")
     dQ = _solve_sym(lhs, W0 / (1.0 - a) ** 2 - A @ Q @ A.T / (a * a))
-    return Q, float(np.trace(np.linalg.solve(Q, dQ)))
+    return Q, float(np.trace(np.linalg.solve(_project(C, Q), _project(C, dQ))))
 
 
 def _certificate_min_eig(Q: np.ndarray, A: np.ndarray, BS_half: np.ndarray, a: float) -> float:
@@ -103,42 +110,43 @@ def _certificate_min_eig(Q: np.ndarray, A: np.ndarray, BS_half: np.ndarray, a: f
     return float(np.linalg.eigvalsh((block + block.T) / 2.0)[0])
 
 
-def solve_logdet_sdp(A, B, S, a: float) -> tuple[np.ndarray, dict]:
+def solve_logdet_sdp(A, B, S, a: float, C=None) -> tuple[np.ndarray, dict]:
     """Minimize -log det P over the block-LMI cone at fixed a.
 
-    Returns (Q, diagnostics) with Q = P^-1 the Lyapunov fixed point;
-    diagnostics carry the unit-free certificate lmi_min_eig, the relative
-    Lyapunov residual ||Q - A Q A^T/a - W0/(1-a)|| / ||Q||, the slope
-    d log det Q / da and a.  Raises Infeasible when a is not in
+    Returns (C Q C^T, diagnostics) with Q = P^-1 the Lyapunov fixed point
+    (C = I if None); diagnostics carry the unit-free certificate
+    lmi_min_eig of P, the relative Lyapunov residual
+    ||Q - A Q A^T/a - W0/(1-a)|| / ||Q||, the slope d log det C Q C^T / da
+    and a.  Raises Infeasible when a is not in
     (rho(A)^2, 1) (no P > 0 can satisfy the top-left block, and the vec Q
     system is singular at a = rho(A)^2), when Q is not positive definite
     (the input cannot reach every direction, so no bounded P exists) or
     when the certificate misses LMI_CERT_TOL.
     """
-    A, B, S, W0 = _checked(A, B, S)
+    A, B, S, W0 = _checked(A, B, S, C)
     rho2 = spectral_radius(A) ** 2
     if not rho2 + 1e-12 < a < 1.0:
         raise Infeasible(f"a={a:.4f} outside (rho(A)^2, 1) = ({rho2:.4f}, 1)")
-    Q, slope = logdet_slope(A, W0, a)
+    Q, slope = logdet_slope(A, W0, a, C)
     min_eig = _certificate_min_eig(Q, A, B @ sym_sqrt(S), a)
     if min_eig < -LMI_CERT_TOL:
         raise Infeasible(f"certificate min eig {min_eig:.2e} < -{LMI_CERT_TOL:g} at a={a:.4f}")
     residual = float(np.linalg.norm(Q - A @ Q @ A.T / a - W0 / (1.0 - a)) / np.linalg.norm(Q))
-    return Q, {"lmi_min_eig": min_eig, "lyapunov_residual": residual,
-               "logdet_slope": slope, "a": a}
+    return _project(C, Q), {"lmi_min_eig": min_eig, "lyapunov_residual": residual,
+                            "logdet_slope": slope, "a": a}
 
 
-def min_volume_over_a(A, B, S, target: str = "bound") -> ReachBound:
-    """The minimum-volume certificate over the decay scalar a.
+def min_volume_over_a(A, B, S, C=None, target: str = "bound") -> ReachBound:
+    """The minimum-volume certificate of C xi over the decay scalar a.
 
-    Bisects the sign of d log det Q / da on (rho(A)^2, 1) down to
+    Bisects the sign of d log det C Q C^T / da on (rho(A)^2, 1) down to
     A_BRACKET_TOL, then solves once at the bracket midpoint a*, so each
     decay scalar costs one Lyapunov pair.  Raises AllInfeasible when
     rho(A) >= 1 or when the input does not reach every direction.  The
     bound's diagnostics are those of the solve at a* plus a_evaluations,
     the number of decay scalars solved.
     """
-    A, B, S, W0 = _checked(A, B, S)
+    A, B, S, W0 = _checked(A, B, S, C)
     lo, hi = spectral_radius(A) ** 2 + 1e-12, 1.0
     if lo >= hi:
         raise AllInfeasible(f"rho(A)^2={lo:.6f} leaves no decay scalar in (0,1)")
@@ -147,13 +155,13 @@ def min_volume_over_a(A, B, S, target: str = "bound") -> ReachBound:
         mid = (lo + hi) / 2.0
         evaluations += 1
         try:
-            rising = logdet_slope(A, W0, mid)[1] > 0.0
+            rising = logdet_slope(A, W0, mid, C)[1] > 0.0
         except Infeasible:  # round-off near rho(A)^2, where Q(a) blows up
             rising = False
         lo, hi = (lo, mid) if rising else (mid, hi)
     a_star = (lo + hi) / 2.0
     try:
-        Q, diag = solve_logdet_sdp(A, B, S, a_star)
+        Q, diag = solve_logdet_sdp(A, B, S, a_star, C)
     except Infeasible as exc:
         raise AllInfeasible(f"no feasible decay scalar: {exc}") from None
     E = Ellipsoid(Q)
@@ -164,15 +172,12 @@ def min_volume_over_a(A, B, S, target: str = "bound") -> ReachBound:
 def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float):
     """The three invariant-ellipsoid bounds plus the total-state combination.
 
-    Noise and attack error read the geometric method's (A, B, S), so the
-    geometric volume is at most the LMI volume by construction.  The
-    attack state is a cascade (F + G K, -G K, Q_e) through the
-    attack-error ellipsoid of shape Q_e, not a weighting of the
-    attack-state terms, so its ordering against the geometric bound is not
-    structural.
+    Each target reads the geometric method's (A, B, S, C), so each LMI
+    shape weights the terms C T_k C^T that the geometric method truncates
+    and fits with minimum-volume weights, and the geometric volume is at
+    most the LMI volume by construction.
     """
-    noise = min_volume_over_a(*noise_inputs(model, vbar), target=TARGET_NOISE)
-    att_err = min_volume_over_a(*attack_error_inputs(model, alpha), target=TARGET_ATTACK_ERROR)
-    att_state = min_volume_over_a(model.closed_loop, -model.G @ model.K, att_err.shape.Q,
-                                  target=TARGET_ATTACK_STATE)
+    noise, att_err, att_state = (
+        min_volume_over_a(*inputs, target=target)
+        for target, inputs in reach_targets(model, alpha, vbar).items())
     return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_LMI)

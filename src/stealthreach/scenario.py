@@ -9,6 +9,7 @@ false-alarm rate and sensor count.
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -55,7 +56,7 @@ def _matrix(obj, path):
         raise SchemaError(path, f"not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise SchemaError(path, f"expected a nested array (matrix), got ndim={arr.ndim}")
-    return arr
+    return _finite(arr, path)
 
 
 def _vector(obj, length, path):
@@ -65,12 +66,22 @@ def _vector(obj, length, path):
         raise SchemaError(path, f"not a numeric vector: {exc}") from None
     if arr.shape != (length,):
         raise SchemaError(path, f"expected {length} numbers, got shape {arr.shape}")
+    return _finite(arr, path)
+
+
+def _finite(arr, path):
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(path, "expected finite numbers, got NaN or infinity")
     return arr
 
 
 def _scalar(obj, path, kind=float):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(obj).__name__}")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise SchemaError(path, f"expected a finite number, got {obj}")
+    if kind is int and isinstance(obj, float) and not obj.is_integer():
+        raise SchemaError(path, f"expected an integer, got {obj}")
     return kind(obj)
 
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,8 +106,8 @@ class TestCliExitCodes:
         assert "unknown_block" in capsys.readouterr().err
 
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
-        # K = 0 makes the attack-state input -G K zero, so the attack-state
-        # LMI has no bounded solution at any decay scalar
+        # K = 0 leaves x undriven in the joint [x, e] recursion, so the
+        # attack-state LMI has no bounded solution at any decay scalar
         raw = base_raw()
         raw["model"]["F"] = (0.999 * np.eye(2)).tolist()
         raw["model"]["K"] = np.zeros((2, 2)).tolist()
@@ -162,6 +163,31 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"schema error: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,value,message", [
+        (("model", "F", 0, 0), math.nan, "scenario.model.F: expected finite numbers"),
+        (("model", "R1", 1, 1), math.inf, "scenario.model.R1: expected finite numbers"),
+        (("sim", "horizon"), math.nan, "scenario.sim.horizon: expected a finite number"),
+        (("sim", "trials"), math.inf, "scenario.sim.trials: expected a finite number"),
+        (("sim", "horizon"), 550.7, "scenario.sim.horizon: expected an integer"),
+        (("sim", "initial_state"), [math.nan, 0.0], "scenario.sim.initial_state: expected finite"),
+        (("attack",), {"kind": "zero_alarm", "c1": "nan*alpha"},
+         "scenario.attack: c1 must be finite"),
+        (("attack",), {"kind": "hidden", "c1": "alpha", "c2": "inf*alpha", "w2": 0},
+         "scenario.attack: c2 must be finite"),
+    ])
+    def test_non_finite_or_non_integral_number_exit_2(self, tmp_path, capsys, where, value,
+                                                      message):
+        raw = base_raw()
+        *parents, last = where
+        block = raw
+        for key in parents:
+            block = block[key]
+        block[last] = value
+        code = main(["montecarlo", "--scenario", write_scenario(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"schema error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,value", [
         ("heatmap", "--res", "3"), ("heatmap", "--cell-trials", "0"),

@@ -6,12 +6,12 @@ import pytest
 
 from stealthreach import (
     SimConfig,
-    attack_state_reach_geom,
     chi2_quantile,
     containment_report,
     empirical_cloud,
     fit_ellipsoid_moment,
     named_spec,
+    reach_bounds_geom,
     simulate,
     volume_heatmap,
 )
@@ -183,11 +183,11 @@ class TestCloudSplit:
 
 
 class TestContainmentReport:
-    def test_za_cloud_inside_geometric_bound(self, bench_model, alpha):
+    def test_za_cloud_inside_geometric_bound(self, bench_model, alpha, vbar):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=250, attack_start=1, master_seed=23, trials=40)
         cloud = empirical_cloud(bench_model, cfg, spec, source=SOURCE_ATTACK, burn_in=50)
-        bound = attack_state_reach_geom(bench_model, alpha)
+        bound = reach_bounds_geom(bench_model, alpha, vbar)[2]
         report = containment_report(cloud, [bound])
         entry = report["bounds"][0]
         assert entry["contained_fraction"]["0.0"] == 1.0

@@ -7,31 +7,37 @@ import pytest
 from stealthreach import (
     GeomSumConfig,
     Ellipsoid,
-    attack_error_reach_geom,
-    attack_state_reach_geom,
     build_model,
     chi2_quantile,
+    geom_bound,
     minkowski_sum_many,
-    noise_reach_geom,
     reach_bounds_geom,
     reach_bounds_lmi,
+    reach_targets,
     total_state_bound,
 )
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
-from stealthreach.reach_geom import _attack_state_series, series_terms
+from stealthreach.reach_geom import series_terms
 from stealthreach.reach_lmi import LMI_CERT_TOL
 from stealthreach.seeding import stream
 
 from conftest import plant_4d
 
 
+def geom(model, target, scale, cfg=None):
+    """The geometric bound of one reach target at input scale vbar (noise)
+    or alpha (attack error and state)."""
+    return geom_bound(*reach_targets(model, scale, scale)[target], target=target, cfg=cfg)
+
+
 def noise_terms(model, vbar, count):
-    return list(islice(series_terms(model.F, np.eye(model.n), vbar * model.R1), count))
+    return list(islice(series_terms(*reach_targets(model, vbar, vbar)["noise"]), count))
 
 
 def attack_state_terms(model, alpha, count):
-    return list(islice(_attack_state_series(model, alpha), count))
+    """The first count attack-state terms, from k = 0."""
+    return list(islice(series_terms(*reach_targets(model, alpha, alpha)["attack_state"]), count))
 
 
 def diag_model(f_scale, r1=None, k=None, g=None):
@@ -49,14 +55,14 @@ def diag_model(f_scale, r1=None, k=None, g=None):
 class TestNoiseReach:
     def test_nilpotent_single_term(self, vbar):
         model = diag_model(0.0)
-        bound = noise_reach_geom(model, vbar)
+        bound = geom(model, "noise", vbar)
         assert bound.terms_used == 1
         assert np.max(np.abs(bound.shape.Q - vbar * model.R1)) <= 1e-12
 
     def test_concentric_ball_series(self):
         # F = 0.5 I, R1 = I, vbar = 1: ball radii (0.5)^k sum to 2, shape 4 I
         model = diag_model(0.5)
-        bound = noise_reach_geom(model, 1.0, GeomSumConfig(tail_tol=1e-14))
+        bound = geom(model, "noise", 1.0, GeomSumConfig(tail_tol=1e-14))
         assert np.max(np.abs(bound.shape.Q - 4.0 * np.eye(2))) <= 1e-6
 
     def test_determinant_decay_law(self, bench_model, vbar):
@@ -70,41 +76,49 @@ class TestNoiseReach:
 
     def test_max_terms_exceeded(self, bench_model, vbar):
         with pytest.raises(MaxTermsExceeded):
-            noise_reach_geom(bench_model, vbar, GeomSumConfig(tail_tol=1e-12, max_terms=5))
+            geom(bench_model, "noise", vbar, GeomSumConfig(tail_tol=1e-12, max_terms=5))
 
 
 class TestAttackStateReach:
     def test_zero_feedback_degenerate(self, alpha):
         model = diag_model(0.5, k=np.zeros((2, 2)))
-        bound = attack_state_reach_geom(model, alpha)
+        bound = geom(model, "attack_state", alpha)
         assert bound.volume == 0.0
         assert bound.shape.is_degenerate()
 
     def test_zero_input_matrix_degenerate(self, alpha):
         model = build_model(0.5 * np.eye(2), np.zeros((2, 2)), np.eye(2),
                             np.zeros((2, 2)), np.eye(2), np.eye(2))
-        bound = attack_state_reach_geom(model, alpha)
+        bound = geom(model, "attack_state", alpha)
         assert bound.volume == 0.0
 
     def test_cascade_matches_power_difference(self, bench_model, alpha):
-        # reference: H_k = (F + G K)^k - F^k formed from explicit powers
+        # reference: H_k = (F + G K)^k - F^k formed from explicit powers;
+        # [I 0] A^k [0; L] = -H_k L for the joint transition A
         core = bench_model.L @ bench_model.Sigma @ bench_model.L.T
-        for k, T in enumerate(attack_state_terms(bench_model, alpha, 40), start=1):
-            H = (np.linalg.matrix_power(bench_model.closed_loop, k)
+        for k, T in enumerate(attack_state_terms(bench_model, alpha, 41)):
+            H = (np.linalg.matrix_power(bench_model.F + bench_model.G @ bench_model.K, k)
                  - np.linalg.matrix_power(bench_model.F, k))
             ref = alpha * H @ core @ H.T
             assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(core))
 
     def test_first_term_is_gk_image(self, bench_model, alpha):
+        # the attack reaches x one step late: the k = 0 term is exactly zero,
+        # the bound starts at k = 1 and k = 1 is the G K image
         terms = attack_state_terms(bench_model, alpha, 3)
         GK = bench_model.G @ bench_model.K
         core = bench_model.L @ bench_model.Sigma @ bench_model.L.T
-        assert np.max(np.abs(terms[0] - alpha * GK @ core @ GK.T)) <= 1e-12
+        assert not terms[0].any()
+        assert np.max(np.abs(terms[1] - alpha * GK @ core @ GK.T)) <= 1e-12
+        bound = geom(bench_model, "attack_state", alpha)
+        assert np.array_equal(minkowski_sum_many(
+            [Ellipsoid(Q) for Q in attack_state_terms(bench_model, alpha, bound.terms_used + 1)[1:]]
+        ).Q, bound.shape.Q)
 
     def test_containment_of_simulated_error_and_state(self, bench_model, alpha):
         # simulation oracle: boundary-magnitude attack draws stay inside
-        err_bound = attack_error_reach_geom(bench_model, alpha)
-        state_bound = attack_state_reach_geom(bench_model, alpha)
+        err_bound = geom(bench_model, "attack_error", alpha)
+        state_bound = geom(bench_model, "attack_state", alpha)
         rng = stream(200)
         LS = bench_model.L @ bench_model.SigmaSqrt
         GK = bench_model.G @ bench_model.K
@@ -116,7 +130,7 @@ class TestAttackStateReach:
             u = g / np.linalg.norm(g, axis=1, keepdims=True)
             db = np.sqrt(alpha) * u
             ed_next = ed @ bench_model.F.T - db @ LS.T
-            xd_next = xd @ bench_model.closed_loop.T - ed @ GK.T
+            xd_next = xd @ (bench_model.F + GK).T - ed @ GK.T
             ed, xd = ed_next, xd_next
             worst_e = max(worst_e, float(np.max(np.atleast_1d(err_bound.shape.membership(ed)))))
             worst_x = max(worst_x, float(np.max(np.atleast_1d(state_bound.shape.membership(xd)))))
@@ -129,7 +143,7 @@ class TestTruncationAndScaling:
         # trace is quadratic in the semiaxes, so the tail mass discarded by a
         # trace-ratio rule at tail_tol scales as sqrt(tail_tol)
         cfg = GeomSumConfig(tail_tol=1e-12)
-        bound = noise_reach_geom(bench_model, vbar, cfg)
+        bound = geom(bench_model, "noise", vbar, cfg)
         doubled = minkowski_sum_many(
             [Ellipsoid((Q + Q.T) / 2) for Q in noise_terms(bench_model, vbar, 2 * bound.terms_used)]
         )
@@ -138,23 +152,23 @@ class TestTruncationAndScaling:
         assert abs(doubled.volume - bound.volume) <= 10.0 * math.sqrt(cfg.tail_tol) * bound.volume
 
     def test_alpha_scaling_linearity(self, bench_model, alpha):
-        b1 = attack_state_reach_geom(bench_model, alpha)
-        b4 = attack_state_reach_geom(bench_model, 4.0 * alpha)
+        b1 = geom(bench_model, "attack_state", alpha)
+        b4 = geom(bench_model, "attack_state", 4.0 * alpha)
         scale = np.max(np.abs(b1.shape.Q))
         assert np.max(np.abs(b4.shape.Q - 4.0 * b1.shape.Q)) <= 1e-12 * max(scale, 1.0)
         assert b4.volume == pytest.approx(4.0 * b1.volume, rel=1e-10)
 
     def test_distinct_time_indices(self, bench_model, alpha):
         # each term is a distinct power image: strictly decreasing trace here
-        terms = attack_state_terms(bench_model, alpha, 10)
+        terms = attack_state_terms(bench_model, alpha, 11)[1:]
         traces = [float(np.trace(Q)) for Q in terms]
         assert len(set(traces)) == len(traces)
 
 
 class TestTotalBound:
     def test_degenerate_attack_returns_noise_bound(self, bench_model, alpha, vbar):
-        noise = noise_reach_geom(bench_model, vbar)
-        degen = attack_state_reach_geom(diag_model(0.5, k=np.zeros((2, 2))), alpha)
+        noise = geom(bench_model, "noise", vbar)
+        degen = geom(diag_model(0.5, k=np.zeros((2, 2))), "attack_state", alpha)
         total = total_state_bound(noise, degen, "geometric")
         assert np.array_equal(total.shape.Q, noise.shape.Q)
 
@@ -168,7 +182,7 @@ class TestTotalBound:
         assert np.max(np.abs(total.shape.Q - 9.0 * np.eye(2))) <= 1e-8
 
     def test_bound_json_round_trip(self, bench_model, alpha):
-        bound = attack_state_reach_geom(bench_model, alpha)
+        bound = geom(bench_model, "attack_state", alpha)
         d = bound.to_dict()
         assert d["method"] == "geometric"
         assert d["terms_used"] == bound.terms_used
@@ -177,15 +191,11 @@ class TestTotalBound:
         assert back.volume == bound.volume
 
 
-def noise_and_attack_error(model, alpha, vbar):
-    """(series, geometric bound, LMI bound) for the noise and attack-error targets."""
-    lmi_noise, lmi_err = reach_bounds_lmi(model, alpha, vbar)[:2]
-    return [
-        (series_terms(model.F, np.eye(model.n), vbar * model.R1),
-         noise_reach_geom(model, vbar), lmi_noise),
-        (series_terms(model.F, model.L, alpha * model.Sigma),
-         attack_error_reach_geom(model, alpha), lmi_err),
-    ]
+def series_and_bounds(model, alpha, vbar):
+    """(series from k = 0, geometric bound, LMI bound) for each reach target."""
+    targets = reach_targets(model, alpha, vbar)
+    return [(series_terms(*targets[g.target]), g, lmi) for g, lmi in
+            zip(reach_bounds_geom(model, alpha, vbar)[:3], reach_bounds_lmi(model, alpha, vbar)[:3])]
 
 
 def scaled_model(m, scale):
@@ -229,8 +239,9 @@ class TestUnitChange:
 
 class TestWeightedSeries:
     def test_lmi_shape_is_series_with_geometric_weights(self, bench_model, alpha, vbar):
-        # the Lyapunov fixed point at a* is sum_k T_k / ((1 - a*) a*^k)
-        for series, _, lmi in noise_and_attack_error(bench_model, alpha, vbar):
+        # the Lyapunov fixed point at a* is sum_k T_k / ((1 - a*) a*^k), and
+        # the attack state's projection C Q C^T is sum_k C T_k C^T / ((1 - a*) a*^k)
+        for series, _, lmi in series_and_bounds(bench_model, alpha, vbar):
             a = lmi.a_star
             terms = [next(series) for _ in range(400)]
             Q = sum(T / ((1.0 - a) * a**k) for k, T in enumerate(terms))
@@ -243,13 +254,13 @@ class TestWeightedSeries:
         else:
             model = plant_4d()
             a, v = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
-        for _, geom, lmi in noise_and_attack_error(model, a, v):
-            assert geom.volume <= lmi.volume
+        for _, g, lmi in series_and_bounds(model, a, v):
+            assert g.volume <= lmi.volume, g.target
 
     def test_stationarity_gap_on_bundled_bounds(self, bench_model, alpha, vbar):
         for bound in reach_bounds_geom(bench_model, alpha, vbar):
             assert bound.diagnostics["stationarity_gap"] < 1e-10
 
     def test_stationarity_gap_none_when_degenerate(self, alpha):
-        bound = attack_state_reach_geom(diag_model(0.5, k=np.zeros((2, 2))), alpha)
+        bound = geom(diag_model(0.5, k=np.zeros((2, 2))), "attack_state", alpha)
         assert bound.diagnostics["stationarity_gap"] is None

@@ -7,10 +7,15 @@ import pytest
 from stealthreach import (
     Ellipsoid,
     ReachBound,
+    SimConfig,
+    chi2_quantile,
+    empirical_cloud,
     min_volume_over_a,
+    named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
     reach_lmi,
+    reach_targets,
     solve_logdet_sdp,
     sym_sqrt,
     unit_ball_volume,
@@ -21,7 +26,7 @@ from stealthreach.reach_common import METHOD_LMI, total_state_bound
 from stealthreach.reach_lmi import A_BRACKET_TOL, logdet_slope
 from stealthreach.seeding import stream
 
-from conftest import C, F, G, K, R2
+from conftest import C, F, G, K, R1, R2, plant_4d
 
 
 def block_matrix(P, A, B, R, a):
@@ -132,26 +137,32 @@ class TestCertificate:
         assert improved == 0
 
     def test_invariance_under_boundary_inputs(self, bench_model, alpha, vbar):
-        # drive each certified recursion with worst-case boundary inputs
-        noise, att_err, att_state, _ = reach_bounds_lmi(bench_model, alpha, vbar)
-        instances = [
-            (bench_model.F, np.eye(2), vbar * bench_model.R1, noise),
-            (bench_model.F, bench_model.L, alpha * bench_model.Sigma, att_err),
-            (bench_model.closed_loop, -bench_model.G @ bench_model.K, att_err.shape.Q, att_state),
-        ]
+        # drive each certified recursion with worst-case boundary inputs; the
+        # attack state is the x block of the joint [x, e] recursion
+        bounds = reach_bounds_lmi(bench_model, alpha, vbar)
         rng = stream(101)
-        for A, B, S, bound in instances:
+        for (A, B, S, C_out), bound in zip(reach_targets(bench_model, alpha, vbar).values(), bounds):
             P = bound.quad_matrix
             S_sqrt = sym_sqrt(S)
-            xi = np.zeros((64, 2))
+            xi = np.zeros((64, len(A)))
             worst = 0.0
             for _ in range(157):  # 157 * 64 > 10^4 driven steps
                 g = rng.standard_normal((64, 2))
                 u = g / np.linalg.norm(g, axis=1, keepdims=True)
                 mu = u @ S_sqrt.T  # boundary of the input ellipsoid of shape S
                 xi = xi @ A.T + mu @ B.T
-                worst = max(worst, float(np.max(np.einsum("ij,jk,ik->i", xi, P, xi))))
+                y = xi if C_out is None else xi @ C_out.T
+                worst = max(worst, float(np.max(np.einsum("ij,jk,ik->i", y, P, y))))
             assert worst <= 1.0 + 1e-6, f"{bound.target}: worst {worst}"
+
+    def test_plant_4d_attack_cloud_inside_attack_state_bound(self):
+        model = plant_4d()
+        alpha = chi2_quantile(0.95, model.p)
+        bound = reach_bounds_lmi(model, alpha, chi2_quantile(0.95, model.n))[2]
+        cfg = SimConfig(horizon=550, attack_start=1, master_seed=25, trials=200)
+        cloud = empirical_cloud(model, cfg, named_spec("ZA.C", alpha), source="attack",
+                                burn_in=50)
+        assert float(np.max(bound.membership(cloud.points))) <= 1.0 + 1e-6
 
 
 class TestMinVolumeOverA:
@@ -198,11 +209,10 @@ class TestMinVolumeOverA:
             return logdet_slope(*args)
 
         monkeypatch.setattr(reach_lmi, "logdet_slope", counted)
-        for A, B, S in ((bench_model.F, np.eye(2), vbar * bench_model.R1),
-                        (bench_model.F, bench_model.L, alpha * bench_model.Sigma),
-                        (0.5 * np.eye(2), np.eye(2), np.eye(2))):
+        for A, B, S, C_out in (*reach_targets(bench_model, alpha, vbar).values(),
+                               (0.5 * np.eye(2), np.eye(2), np.eye(2), None)):
             calls.clear()
-            bound = min_volume_over_a(A, B, S)
+            bound = min_volume_over_a(A, B, S, C_out)
             assert len(calls) == bound.diagnostics["a_evaluations"]
             assert calls[-1] == bound.a_star
 
@@ -211,6 +221,8 @@ class TestMinVolumeOverA:
             min_volume_over_a(0.5 * np.eye(2), np.eye(2), np.eye(3))
         with pytest.raises(DimensionMismatch):
             solve_logdet_sdp(0.5 * np.eye(3), np.eye(2), np.eye(2), 0.5)
+        with pytest.raises(DimensionMismatch):
+            min_volume_over_a(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(3))
 
     def test_monotone_not_worse_than_grid_points(self, bench_model, alpha):
         A = bench_model.F
@@ -281,9 +293,10 @@ class TestBenchmarkBounds:
 
 
 def oracle_instances(count=50):
-    """Seeded (A, B, R): n = 2-5, B of rank below n in 40% of them, input
+    """Seeded (A, B, R, C): n = 2-5, B of rank below n in 40% of them, input
     scales 1e-3 to 1e3; then a rank-1 input that reaches two of three
-    states only through 1e-3 couplings, where cond(Q) is about 2e11."""
+    states only through 1e-3 couplings, where cond(Q) is about 2e11; then
+    the projected attack-state recursions of the n = 2 and n = 4 plants."""
     rng = stream(300)
     for _ in range(count):
         n = int(rng.integers(2, 6))
@@ -292,9 +305,12 @@ def oracle_instances(count=50):
         q = int(rng.integers(1, n)) if rng.random() < 0.4 else n
         B = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((n, q))
         S = rng.standard_normal((q, q))
-        yield A, B, S @ S.T + q * np.eye(q)
+        yield A, B, S @ S.T + q * np.eye(q), None
     A = np.array([[0.5, 0.0, 0.0], [1e-3, 0.9, 0.0], [0.0, 1e-3, 0.3]])
-    yield A, np.array([[1.0], [0.0], [0.0]]), np.eye(1)
+    yield A, np.array([[1.0], [0.0], [0.0]]), np.eye(1), None
+    for model in (build_model(F, G, C, K, R1, R2), plant_4d()):
+        A, B, S, C_out = reach_targets(model, chi2_quantile(0.95, model.p), 1.0)["attack_state"]
+        yield A, B, np.linalg.inv(S), C_out
 
 
 class TestBisectionOracle:
@@ -303,17 +319,18 @@ class TestBisectionOracle:
         # at or below the fixed point at every point of a 400-point grid, and
         # the slope changes sign at most once along it.  log det Q carries
         # round-off of about eps * cond(Q) per dimension, so the margin scales
-        # with cond(Q).
+        # with cond(Q).  With an output map C the same holds for C Q C^T.
         eps = np.finfo(float).eps
-        for A, B, R in oracle_instances():
+        for A, B, R, C_out in oracle_instances():
             S = np.linalg.inv(R)
             W0 = B @ S @ B.T
-            bound = min_volume_over_a(A, B, S)
+            bound = min_volume_over_a(A, B, S, C_out)
             rho2 = spectral_radius(A) ** 2
             grid = rho2 + (1.0 - rho2) * np.arange(1, 401) / 401
             # logdet_slope returns the fixed point that solve_logdet_sdp returns
-            on_grid = [logdet_slope(A, W0, a) for a in grid]
-            grid_logdet = min(np.linalg.slogdet(Q)[1] for Q, _ in on_grid)
+            on_grid = [logdet_slope(A, W0, a, C_out) for a in grid]
+            project = (lambda Q: Q) if C_out is None else (lambda Q: C_out @ Q @ C_out.T)
+            grid_logdet = min(np.linalg.slogdet(project(Q))[1] for Q, _ in on_grid)
             margin = 1e-12 + 10.0 * len(A) * eps * np.linalg.cond(bound.shape.Q)
             assert np.linalg.slogdet(bound.shape.Q)[1] <= grid_logdet + margin
             signs = np.sign([slope for _, slope in on_grid])

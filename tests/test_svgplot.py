@@ -1,6 +1,6 @@
 import numpy as np
 
-from stealthreach import attack_state_reach_geom, noise_reach_geom, svgplot
+from stealthreach import reach_bounds_geom, svgplot
 
 
 def stacked_limits(point_sets, pad=0.08):
@@ -23,7 +23,8 @@ def test_limits_equal_stacked_limits():
 
 
 def test_bounds_svg_bytes_unchanged(bench_model, alpha, vbar, monkeypatch):
-    bounds = [attack_state_reach_geom(bench_model, alpha), noise_reach_geom(bench_model, vbar)]
+    noise, _, att_state, _ = reach_bounds_geom(bench_model, alpha, vbar)
+    bounds = [att_state, noise]
     cloud = np.random.default_rng(13).standard_normal((20_000, 2)) * 0.3
     got = svgplot.render_bounds_svg(bounds, cloud)
     monkeypatch.setattr(svgplot, "_limits", stacked_limits)

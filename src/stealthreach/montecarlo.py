@@ -14,7 +14,8 @@ from .attacks import ZERO_ALARM, AttackSpec
 from .ellipsoids import Ellipsoid
 from .errors import DegenerateCloud, DimensionMismatch
 from .detector import distance
-from .plant import PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part
+from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part,
+                    noise_residual)
 from .reach_common import ReachBound
 from .seeding import substream_seed
 from .workers import ordered_map
@@ -24,8 +25,9 @@ SOURCE_ATTACK = "attack"
 SOURCE_TOTAL = "total"
 
 # Trials are drawn and propagated in batches of at most this many: a cloud's
-# trials in consecutive chunks, and the heatmap's cells stacked along the
-# trial axis.  Batches are spread over the usable CPUs (workers.ordered_map).
+# or alarm count's trials in consecutive chunks, and the heatmap's cells
+# stacked along the trial axis.  Batches are spread over the usable CPUs
+# (workers.ordered_map).
 # Per trial-step the attack part costs 0.14 us at 160 trials and 0.13 at 256
 # (horizon 550).  On 2 CPUs, 128 against 256 gave the heatmap within 2 %,
 # faster clouds (a 200-trial cloud splits in two) and a lower peak RSS.
@@ -96,11 +98,11 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
             block = x_delta if block is None else block + x_delta
         flags = np.ones(len(trials), dtype=bool)
         if spec is not None:
-            z = distance(attack_residual(model, dbar, attack_start), model.SigmaInv)
-            flags = ~(z > (spec.alpha if alpha is None else alpha)).any(axis=1)
+            flags = ~_attack_alarms(model, dbar, attack_start,
+                                    spec.alpha if alpha is None else alpha).any(axis=1)
         return block.reshape(-1, n), flags
 
-    chunks = [range(lo, min(lo + BATCH_TRIALS, T)) for lo in range(0, T, BATCH_TRIALS)]
+    chunks = _chunks(T)
     points = np.empty((T * steps, n))
     alarm_free = np.empty(T, dtype=bool)
     for trials, (block, flags) in zip(chunks, ordered_map(chunk, chunks)):
@@ -114,6 +116,41 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
         trial_alarm_free=alarm_free,
         trial_index=np.repeat(np.arange(T), steps),
     )
+
+
+def _chunks(trials: int) -> list[range]:
+    """Consecutive trial ranges of at most BATCH_TRIALS trials."""
+    return [range(lo, min(lo + BATCH_TRIALS, trials)) for lo in range(0, trials, BATCH_TRIALS)]
+
+
+def _attack_alarms(model: PlantModel, dbar, kstar: int, alpha: float) -> np.ndarray:
+    """Alarm flags (trials, horizon - k* + 1) of the attacked steps, r = SigmaSqrt dbar."""
+    return distance(attack_residual(model, dbar, kstar), model.SigmaInv) > alpha
+
+
+def alarm_counts(model: PlantModel, runs, alpha: float) -> list[tuple[int, int]]:
+    """(alarms, steps) of each (cfg, spec) run at threshold alpha, without a trace.
+
+    Steps 1 .. horizon of an attack-free run (spec None) count, and k* ..
+    horizon of an attacked one: alarms / steps is bitwise simulate's
+    alarm_rate() (attacked_only=True when attacked).  All runs' chunks go
+    through one workers.ordered_map, and a chunk propagates only what its
+    residual reads: the noise part, or nothing when r = SigmaSqrt dbar.
+    """
+    def count(item):
+        (cfg, spec), trials = runs[item[0]], item[1]
+        vs, etas, dbar = draw_inputs(model, cfg, spec, trials)
+        if spec is not None:
+            return int(_attack_alarms(model, dbar, cfg.attack_start, alpha).sum())
+        e_v = noise_part(model, vs, etas, None, cfg.initial_state)[..., model.n:]
+        return int((distance(noise_residual(model, e_v, etas), model.SigmaInv) > alpha).sum())
+
+    items = [(i, trials) for i, (cfg, _) in enumerate(runs) for trials in _chunks(cfg.trials)]
+    alarms = [0] * len(runs)
+    for (i, _), chunk_alarms in zip(items, ordered_map(count, items)):
+        alarms[i] += chunk_alarms
+    return [(a, cfg.trials * (cfg.horizon - (cfg.attack_start - 1 if spec is not None else 0)))
+            for a, (cfg, spec) in zip(alarms, runs)]
 
 
 def fit_ellipsoid_moment(cloud, quantile: float = 1.0) -> tuple[Ellipsoid, float]:

@@ -405,6 +405,11 @@ def attack_part(model: PlantModel, dbar, kstar: int | None) -> np.ndarray:
     return S
 
 
+def noise_residual(model: PlantModel, e_v, etas) -> np.ndarray:
+    """Residual r = C e_v + eta of the steps before k* (every step when attack-free)."""
+    return _dot(e_v, model.C.T) + etas
+
+
 def attack_residual(model: PlantModel, dbar, kstar: int) -> np.ndarray:
     """Residual r = SigmaSqrt dbar of the attacked steps k* .. horizon."""
     return _dot(dbar, model.SigmaSqrt.T)[:, kstar - 1:]
@@ -427,7 +432,7 @@ def propagate(model: PlantModel, inputs, kstar: int | None = None,
     noise = noise_part(model, vs, etas, kstar, initial_state)
     attack = attack_part(model, dbar, kstar)
     e_v, e_delta = noise[..., n:], attack[..., n:]
-    r = _dot(e_v, model.C.T) + etas
+    r = noise_residual(model, e_v, etas)
     delta = np.zeros_like(etas)
     if kstar is not None:
         att = slice(kstar - 1, None)

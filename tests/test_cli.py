@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stealthreach import (
-    __version__, cli, empirical_cloud, errors, load_scenario, parse_scenario, volume_heatmap,
+    SimConfig, __version__, cli, empirical_cloud, errors, load_scenario, parse_scenario, simulate,
+    volume_heatmap,
 )
 from stealthreach.cli import main
 from stealthreach.errors import SchemaError, StealthreachError
@@ -337,6 +338,33 @@ class TestVerifyCommand:
             assert f"volume ordering ({target})" in checks
         assert "total-state containment (geometric)" in checks
         assert "[FAIL]" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", [None, "H.B"])
+    def test_verify_reports_simulated_alarm_rates(self, tmp_path, capsys, preset):
+        # the rate checks give simulate's rates, with the alarm counts behind them
+        path, scenario = "benchmark2d", load_scenario("benchmark2d")
+        if preset is not None:  # a hidden attack on the same loop
+            raw = json.loads(json.dumps(scenario.raw))
+            raw["attack"] = {"preset": preset}
+            path, scenario = write_scenario(tmp_path, raw), parse_scenario(raw)
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", path, "--out", str(out)]) == 0
+        details = {c["name"]: c["detail"]
+                   for c in json.loads((out / "verify.json").read_text())["checks"]}
+        seed, target = scenario.sim.master_seed, scenario.target_rate
+        free = simulate(scenario.model, SimConfig(horizon=1000, master_seed=seed, trials=100),
+                        alpha=scenario.alpha)
+        assert details["attack-free alarm rate"] == (
+            f"{free.alarm_rate():.4f} vs target {target} ({free.alarm.sum()} alarms in 100000 steps)")
+        attacked = simulate(scenario.model, SimConfig(horizon=1000, attack_start=1,
+                                                      master_seed=seed + 1, trials=100),
+                            attack=scenario.attack, alpha=scenario.alpha)
+        rate, alarms = attacked.alarm_rate(attacked_only=True), attacked.alarm.sum()
+        counts = f"({alarms} alarms in 100000 steps)"
+        if preset is None:  # benchmark2d's zero-alarm attack
+            assert details["zero-alarm stealth"] == f"attacked alarm rate {rate} {counts}"
+        else:
+            assert details["hidden-attack rate match"] == f"{rate:.4f} vs target {target} {counts}"
 
 
 # The exit code of every library error, as the README's exit-code paragraph

@@ -24,6 +24,7 @@ from stealthreach.montecarlo import (
     SOURCE_NOISE,
     SOURCE_TOTAL,
     admissible_cells,
+    alarm_counts,
     heatmap_cell_volume,
 )
 from stealthreach.seeding import substream_seed
@@ -180,6 +181,56 @@ class TestCloudSplit:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a one-chunk cloud forked"))
         cloud = self.cloud(bench_model, "H.A-trunc", SOURCE_TOTAL, trials, horizon=12)
         assert cloud.trials == trials
+
+
+# (plant dimension, preset, attack start) of the alarm-count cases; each run
+# truncates the noise and starts from a nonzero initial state
+ALARM_CASES = {"free": (2, None, None), "free-n4": (4, None, None),
+               "ZA.C": (2, "ZA.C", 1), "ZA.C-n4": (4, "ZA.C", 1),
+               "H.B-k9": (2, "H.B", 9), "H.B-k9-n4": (4, "H.B", 9)}
+
+
+class TestAlarmCounts:
+    def run(self, bench_model, case, seed=33):
+        """(model, alpha, cfg, spec) of a case, in two chunks of trials."""
+        n, preset, kstar = ALARM_CASES[case]
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        cfg = SimConfig(horizon=30, attack_start=kstar, master_seed=seed,
+                        trials=BATCH_TRIALS + 3, initial_state=np.linspace(-1.0, 1.0, n),
+                        truncate_noise=True, vbar=chi2_quantile(0.95, n))
+        return model, a, cfg, preset and named_spec(preset, a)
+
+    def simulated(self, model, a, cfg, spec):
+        """(alarms, steps) and the rate simulate's trace gives for the same run."""
+        trace = simulate(model, cfg, attack=spec, alpha=a)
+        counted = trace.alarm[:, trace.attacked_slice()] if spec else trace.alarm
+        return (int(counted.sum()), counted.size), trace.alarm_rate(attacked_only=bool(spec))
+
+    @pytest.mark.parametrize("case, cpus", cpu_cases(*ALARM_CASES))
+    def test_counts_equal_simulate(self, bench_model, usable_cpus, case, cpus):
+        model, a, cfg, spec = self.run(bench_model, case)
+        counts, rate = self.simulated(model, a, cfg, spec)
+        usable_cpus(cpus)
+        [(alarms, steps)] = alarm_counts(model, [(cfg, spec)], a)
+        assert (alarms, steps) == counts and alarms / steps == rate
+        if spec is None:
+            assert alarms > 0 and steps == cfg.trials * cfg.horizon
+        elif spec.kind == ZERO_ALARM:
+            assert alarms == 0 and steps == cfg.trials * cfg.horizon
+        else:
+            # steps before k* alarm too, and are not counted
+            trace = simulate(model, cfg, attack=spec, alpha=a)
+            assert alarms > 0 and trace.alarm[:, :cfg.attack_start - 1].any()
+            assert steps == cfg.trials * (cfg.horizon - cfg.attack_start + 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_two_runs_in_one_call(self, bench_model, usable_cpus, cpus):
+        free, attacked = self.run(bench_model, "free-n4"), self.run(bench_model, "H.B-k9-n4", 34)
+        model, a = free[:2]
+        usable_cpus(cpus)
+        got = alarm_counts(model, [free[2:], attacked[2:]], a)
+        assert got == [self.simulated(*free)[0], self.simulated(*attacked)[0]]
 
 
 class TestContainmentReport:

@@ -31,6 +31,7 @@ from .montecarlo import (
     SOURCE_ATTACK,
     SOURCE_NOISE,
     SOURCE_TOTAL,
+    CloudRows,
     alarm_counts,
     containment_report,
     empirical_cloud,
@@ -176,12 +177,8 @@ def cmd_montecarlo(args) -> int:
 
     if "csv" in scenario.output_formats:
         csv_path = out_dir / f"cloud_{source}.csv"
-        steps = len(cloud) // cloud.trials
-        first_k = kstar + cloud.burn_in
-        rows = np.column_stack([cloud.trial_index, first_k + np.arange(len(cloud)) % steps,
-                                cloud.points])
         write_csv(csv_path, _meta(scenario), ["trial", "k"] + [f"x{i+1}" for i in range(cloud.dim)],
-                  rows, ["%d", "%d"] + ["%.17g"] * cloud.dim)
+                  CloudRows(cloud, kstar + cloud.burn_in), ["%d", "%d"] + ["%.17g"] * cloud.dim)
         print(f"wrote {csv_path}")
 
     if "svg" in scenario.output_formats:

@@ -14,20 +14,20 @@ BLOCK_ROWS = 4096
 def write_csv(path, metadata: dict | None, header: list[str], rows, fmt) -> None:
     """Write '# key=value' metadata lines, the header, then one line per row.
 
-    rows is 2-D with one column per header name; fmt is one %-format per
-    column, or one for all ("%d" for counters, "%.17g" for floats, which
-    round-trips every double).  The bytes are those of np.savetxt with
-    delimiter ","; each block of rows is formatted with one % on the row
-    format repeated once per row, the blocks spread over the usable CPUs
-    (workers.ordered_map) and written in order as they arrive.
+    rows is 2-D with one column per header name: an array, or a view with
+    .shape whose row slices are arrays, sliced per block and never whole.
+    fmt is one %-format per column, or one for all ("%d" for counters,
+    "%.17g" for floats, which round-trips every double).  The bytes are those
+    of np.savetxt with delimiter ","; each block is formatted with one % on
+    the row format repeated once per row, the blocks spread over the usable
+    CPUs (workers.ordered_map) and written in order as they arrive.
     """
-    rows = np.asarray(rows)
     fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
     line = ",".join(fmts) + "\n"
     counters = [j for j, f in enumerate(fmts) if f == "%d"]
 
     def format_block(lo):
-        block = rows[lo:lo + BLOCK_ROWS]
+        block = np.asarray(rows[lo:lo + BLOCK_ROWS])
         values = block.ravel().tolist()
         for j in counters:  # '%d' % v formats int(v), twice as fast from an int
             if np.all(np.abs(block[:, j]) < 2.0 ** 63):

@@ -36,7 +36,7 @@ BATCH_TRIALS = 128
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Sampled states with collection provenance."""
+    """Sampled states with provenance, trial by trial; trial_index is derived, not stored."""
 
     points: np.ndarray
     source: str
@@ -46,7 +46,6 @@ class PointCloud:
     master_seed: int
     burn_in: int
     trial_alarm_free: np.ndarray | None = None
-    trial_index: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -54,6 +53,22 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def trial_index(self) -> np.ndarray:
+        return np.arange(len(self)) // (len(self) // self.trials)
+
+
+class CloudRows:
+    """A cloud's CSV rows [trial, k, x], each slice built on demand for write_csv."""
+
+    def __init__(self, cloud: PointCloud, first_k: int):
+        self.cloud, self.first_k, self.shape = cloud, first_k, (len(cloud), 2 + cloud.dim)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        i, steps = np.arange(lo, hi), self.shape[0] // self.cloud.trials
+        return np.column_stack([i // steps, self.first_k + i % steps, self.cloud.points[lo:hi]])
 
 
 def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
@@ -114,7 +129,6 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
         points=points, source=source, spec=spec, trials=T,
         horizon=cfg.horizon, master_seed=cfg.master_seed, burn_in=burn_in,
         trial_alarm_free=alarm_free,
-        trial_index=np.repeat(np.arange(T), steps),
     )
 
 
@@ -290,9 +304,8 @@ def containment_report(cloud: PointCloud, bounds: list[ReachBound],
             raise DimensionMismatch(
                 f"bound dim {bound.shape.dim} vs cloud dim {cloud.dim}"
             )
-        memberships = bound.shape.membership(X)
-        memberships = np.atleast_1d(memberships)
-        entry = {
+        memberships = np.atleast_1d(bound.shape.membership(X))
+        report["bounds"].append({
             "method": bound.method,
             "target": bound.target,
             "volume": bound.volume,
@@ -301,7 +314,7 @@ def containment_report(cloud: PointCloud, bounds: list[ReachBound],
             "contained_fraction": {
                 str(s): float(np.mean(memberships <= 1.0 + s)) for s in slacks
             },
-        }
-        report["bounds"].append(entry)
+        })
+        del memberships  # one cloud-length array at a time
     return report
 

@@ -10,9 +10,10 @@ from stealthreach import (
     volume_heatmap,
 )
 from stealthreach.cli import main
+from stealthreach.csvout import BLOCK_ROWS
 from stealthreach.errors import SchemaError, StealthreachError
 
-from conftest import C, F, G, K, R1, R2, plant_4d
+from conftest import C, F, G, K, R1, R2, cpu_cases, plant_4d
 
 
 def base_raw(**overrides):
@@ -201,6 +202,22 @@ class TestCliExitCodes:
         assert flag in capsys.readouterr().err
 
 
+def csv_meta(scn):
+    return [f"# scenario_hash={scn.hash}", f"# master_seed={scn.sim.master_seed}",
+            f"# version={__version__}"]
+
+
+def cloud_csv_oracle(scn, burn_in):
+    """The attack cloud's CSV bytes, formatted row by row as '%d,%d,%.17g,%.17g'."""
+    cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack", burn_in=burn_in,
+                            alpha=scn.alpha)
+    steps = len(cloud) // cloud.trials
+    lines = csv_meta(scn) + ["trial,k,x1,x2"]
+    lines += ["%d,%d,%.17g,%.17g" % (idx // steps, scn.sim.attack_start + burn_in + idx % steps,
+                                     *pt) for idx, pt in enumerate(cloud.points)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestCliOutputs:
     def test_bound_writes_eight_files(self, tmp_path, capsys):
         raw = base_raw()
@@ -242,23 +259,26 @@ class TestCliOutputs:
         assert main(["heatmap", "--scenario", path, "--out", str(out),
                      "--res", "5", "--cell-trials", "2"]) == 0
         scn = load_scenario(path)
-        meta = [f"# scenario_hash={scn.hash}", f"# master_seed={scn.sim.master_seed}",
-                f"# version={__version__}"]
-
-        cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack",
-                                burn_in=10, alpha=scn.alpha)
-        steps = len(cloud) // cloud.trials
-        lines = meta + ["trial,k,x1,x2"]
-        for idx, pt in enumerate(cloud.points):
-            k = scn.sim.attack_start + cloud.burn_in + idx % steps
-            lines.append(f"{cloud.trial_index[idx]},{k}," + ",".join(f"{v:.17g}" for v in pt))
-        assert (out / "cloud_attack.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (out / "cloud_attack.csv").read_bytes() == cloud_csv_oracle(scn, burn_in=10)
 
         result = volume_heatmap(scn.model, scn.alpha, grid_res=5, trials=2,
                                 master_seed=scn.sim.master_seed)
-        lines = meta + ["c1,w1,volume"]
+        lines = csv_meta(scn) + ["c1,w1,volume"]
         lines += [f"{c1:.17g},{w1:.17g},{vol:.17g}" for c1, w1, vol in result.grid]
         assert (out / "heatmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("trials, cpus", cpu_cases(130))
+    def test_cloud_csv_over_block_boundaries(self, tmp_path, capsys, usable_cpus, trials, cpus):
+        # 130 trials of 70 kept steps: 9100 rows, and both block boundaries fall inside a trial
+        usable_cpus(cpus)
+        raw = base_raw()
+        raw["sim"]["trials"] = trials
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", path, "--out", str(out),
+                     "--cloud", "attack", "--burn-in", "10"]) == 0
+        assert 70 * trials > 2 * BLOCK_ROWS and BLOCK_ROWS % 70 and 2 * BLOCK_ROWS % 70
+        assert (out / "cloud_attack.csv").read_bytes() == cloud_csv_oracle(load_scenario(path), 10)
 
     def test_heatmap_outputs(self, tmp_path, capsys):
         raw = base_raw()

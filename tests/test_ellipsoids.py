@@ -18,6 +18,7 @@ from stealthreach import (
     unit_ball_volume,
     volume,
 )
+from stealthreach.ellipsoids import BLOCK_ROWS
 from stealthreach.errors import (
     DimensionMismatch,
     EmptyTermList,
@@ -140,6 +141,35 @@ class TestLinearImage:
         inside = boundary_samples(E, rng, 200) * rng.random((200, 1))
         mapped = inside @ M.T
         assert np.max(np.atleast_1d(img.membership(mapped))) <= 1.0 + 1e-9
+
+
+class TestMembershipBlocks:
+    """membership scores BLOCK_ROWS rows at a time, each as it scores alone."""
+
+    @pytest.mark.parametrize("n, rank", [(2, 2), (4, 4), (2, 1), (4, 2)])
+    def test_blocks_equal_one_point_at_a_time(self, n, rank):
+        rng = np.random.default_rng(10 * n + rank)
+        R = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        E = Ellipsoid((R * np.r_[rng.uniform(0.5, 5.0, rank), np.zeros(n - rank)]) @ R.T)
+        count = 2 * BLOCK_ROWS + 5
+        y = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+        y[::2, rank:] = 0.0  # every other point in range(Q), the rest off it when rank < n
+        x = y @ R.T
+        m = E.membership(x)
+        assert m.shape == (count,)
+        # each block's first and last rows, and a stride through all of them
+        near = {b + d for b in range(0, count, BLOCK_ROWS) for d in range(-3, 4)}
+        rows = sorted((near | set(range(0, count, 53))) & set(range(count)))
+        one = [E.membership(x[i]) for i in rows]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(one, m[rows])
+        # a batch that starts inside the first block and crosses the second boundary
+        assert np.array_equal(E.membership(x[BLOCK_ROWS - 7:]), m[BLOCK_ROWS - 7:])
+        off = np.zeros(count, dtype=bool)
+        off[1::2] = rank < n
+        assert np.all(np.isinf(m[off])) and np.all(np.isfinite(m[~off]))
+        want = np.einsum("ij,jk,ik->i", x[~off], np.linalg.pinv(E.Q), x[~off])
+        np.testing.assert_allclose(m[~off], want, rtol=1e-9)
 
 
 class TestContains:

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from stealthreach import (
 )
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
 from stealthreach import montecarlo
+from stealthreach.csvout import write_csv
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import (
     BATCH_TRIALS,
     SOURCE_ATTACK,
     SOURCE_NOISE,
     SOURCE_TOTAL,
+    CloudRows,
     admissible_cells,
     alarm_counts,
     heatmap_cell_volume,
@@ -245,6 +248,35 @@ class TestContainmentReport:
         assert entry["contained_fraction"]["1e-06"] == 1.0
         assert entry["max_membership"] <= 1.0
         assert entry["volume_ratio_vs_fit"] >= 1.0
+
+    def test_caller_holds_only_the_cloud(self, tmp_path, usable_cpus):
+        # 400 trials x 500 kept steps of the n = 4 plant: 200k points, 6.4 MB.  Scoring
+        # four bounds and writing the cloud CSV in this process may add a cloud-length
+        # membership column and O(block) temporaries, and no full-size copy of the cloud.
+        usable_cpus(1)
+        model = plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        cfg = SimConfig(horizon=550, attack_start=1, master_seed=5, trials=400)
+        cloud = empirical_cloud(model, cfg, named_spec("ZA.C", a), burn_in=50, alpha=a)
+        bounds = reach_bounds_geom(model, a, chi2_quantile(0.95, model.n))
+        assert len(cloud) == 200_000 and len(bounds) == 4
+        path = tmp_path / "cloud.csv"
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            report = containment_report(cloud, bounds)
+            write_csv(path, None, ["trial", "k", "x1", "x2", "x3", "x4"], CloudRows(cloud, 51),
+                      ["%d", "%d"] + ["%.17g"] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < cloud.points.nbytes / 2
+        assert len(report["bounds"]) == 4
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1 + len(cloud)
+        assert lines[-1].startswith("399,550,") and lines[1].startswith("0,51,")
+        assert np.array_equal(cloud.trial_index, np.repeat(np.arange(400), 500))
 
 
 class TestHeatmap:

@@ -148,12 +148,9 @@ def cmd_montecarlo(args) -> int:
     if spec is None and source in (SOURCE_ATTACK, SOURCE_TOTAL):
         raise SchemaError("scenario.attack", f"cloud source '{source}' needs an attack block")
     cfg = scenario.sim
-    if spec is not None and cfg.attack_start is None:
-        cfg = dataclasses.replace(cfg, attack_start=1)
     kstar = cfg.attack_start or 1
     _check_arg("--burn-in", args.burn_in, 0, cfg.horizon - kstar)
-    cloud = empirical_cloud(scenario.model, cfg, spec, source=source,
-                            burn_in=args.burn_in, alpha=scenario.alpha)
+    cloud = empirical_cloud(scenario.model, cfg, spec, source=source, burn_in=args.burn_in)
 
     out_dir = Path(scenario.output_dir)
     bounds = []
@@ -255,9 +252,8 @@ def cmd_verify(args) -> int:
     if spec is not None and spec.kind == ZERO_ALARM:
         cfg_cloud = SimConfig(horizon=150, attack_start=1,
                               master_seed=scenario.sim.master_seed + 2,
-                              trials=100, truncate_noise=True, vbar=scenario.vbar)
-        cloud = empirical_cloud(model, cfg_cloud, spec, source=SOURCE_TOTAL,
-                                burn_in=50, alpha=scenario.alpha)
+                              trials=100, vbar=scenario.vbar)
+        cloud = empirical_cloud(model, cfg_cloud, spec, source=SOURCE_TOTAL, burn_in=50)
         total_geom = bounds["geometric"][3]
         memb = np.atleast_1d(total_geom.shape.membership(cloud.points))
         check("total-state containment (geometric)", float(memb.max()) <= 1.0 + 1e-6,

@@ -43,7 +43,6 @@ class PointCloud:
     spec: AttackSpec | None
     trials: int
     horizon: int
-    master_seed: int
     burn_in: int
     trial_alarm_free: np.ndarray | None = None
 
@@ -72,18 +71,17 @@ class CloudRows:
 
 
 def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
-                    source: str = SOURCE_ATTACK, burn_in: int = 50,
-                    alpha: float | None = None) -> PointCloud:
+                    source: str = SOURCE_ATTACK, burn_in: int = 50) -> PointCloud:
     """Simulate cfg.trials trajectories and collect post-burn-in states.
 
     source picks the column: noise-driven split, attack-driven split, or the
     full state; only the parts it reads are propagated.  Steps k >= k* +
     burn_in are kept (k >= 1 + burn_in for attack-free runs).  Alarm-free
     flags per trial are recorded so callers can split clouds by whether the
-    whole attack history stayed below the threshold.  The trials run in
-    chunks of BATCH_TRIALS spread over the usable CPUs (workers.ordered_map);
-    each trial's rows are bitwise what it gives alone, and a cloud of one
-    chunk forks nothing.
+    whole attack history stayed below the threshold spec.alpha.  The trials
+    run in chunks of BATCH_TRIALS spread over the usable CPUs
+    (workers.ordered_map); each trial's rows are bitwise what it gives
+    alone, and a cloud of one chunk forks nothing.
     """
     if source not in (SOURCE_NOISE, SOURCE_ATTACK, SOURCE_TOTAL):
         raise DimensionMismatch(f"unknown cloud source {source!r}")
@@ -113,8 +111,7 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
             block = x_delta if block is None else block + x_delta
         flags = np.ones(len(trials), dtype=bool)
         if spec is not None:
-            flags = ~_attack_alarms(model, dbar, attack_start,
-                                    spec.alpha if alpha is None else alpha).any(axis=1)
+            flags = ~_attack_alarms(model, dbar, attack_start, spec.alpha).any(axis=1)
         return block.reshape(-1, n), flags
 
     chunks = _chunks(T)
@@ -127,8 +124,7 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
         raise DegenerateCloud("cloud contains non-finite states")
     return PointCloud(
         points=points, source=source, spec=spec, trials=T,
-        horizon=cfg.horizon, master_seed=cfg.master_seed, burn_in=burn_in,
-        trial_alarm_free=alarm_free,
+        horizon=cfg.horizon, burn_in=burn_in, trial_alarm_free=alarm_free,
     )
 
 
@@ -167,26 +163,19 @@ def alarm_counts(model: PlantModel, runs, alpha: float) -> list[tuple[int, int]]
             for a, (cfg, spec) in zip(alarms, runs)]
 
 
-def fit_ellipsoid_moment(cloud, quantile: float = 1.0) -> tuple[Ellipsoid, float]:
-    """Second-moment ellipsoid scaled so the given quantile of points is inside.
+def fit_ellipsoid_moment(cloud) -> tuple[Ellipsoid, float]:
+    """Second-moment ellipsoid scaled to contain every point, and its volume.
 
-    Q = s * M with M the raw second moment and s the quantile of the
-    memberships x^T M^-1 x (s = max for quantile 1.0, full containment).
+    Q = s * M with M the raw second moment and s the largest membership
+    x^T M^-1 x, scored by Ellipsoid.membership like containment.
     """
     X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1] + 1:
         raise DegenerateCloud(f"need at least dim+1 points, got shape {X.shape}")
-    n = X.shape[1]
-    M = X.T @ X / X.shape[0]
-    M = (M + M.T) / 2.0
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[-1] <= 0.0:
+    M = Ellipsoid(X.T @ X / X.shape[0])
+    if M.is_degenerate():
         raise DegenerateCloud("cloud has no spread in some direction")
-    memberships = np.einsum("ij,jk,ik->i", X, np.linalg.inv(M), X)
-    s = float(np.max(memberships)) if quantile >= 1.0 else float(np.quantile(memberships, quantile))
-    if s <= 0.0:
-        raise DegenerateCloud("all points at the origin")
-    E = Ellipsoid(s * M)
+    E = Ellipsoid(float(np.max(M.membership(X))) * M.Q)
     return E, E.volume
 
 
@@ -197,7 +186,6 @@ class HeatmapResult:
     grid: list = field(default_factory=list)  # (c1, w1, volume) triples
     alpha: float = 0.0
     resolution: tuple = (0, 0)
-    master_seed: int = 0
 
     def argmax_cell(self) -> tuple[float, float, float]:
         return max(self.grid, key=lambda row: row[2])
@@ -216,70 +204,52 @@ def admissible_cells(alpha: float, res: int) -> list[tuple[float, float]]:
     ]
 
 
-def _cell_volumes(model: PlantModel, alpha: float, cells, trials: int, horizon: int,
-                  burn_in: int, direction_mode="uniform_sphere") -> list[float]:
-    """Fitted attack-cloud volume per (c1, w1, seed) cell, in one propagation.
-
-    Each cell draws its trials from its own seed, the cells' attack draws are
-    stacked along the trial axis and their attack part propagated once, and
-    each cell is fitted from its own slice of x_delta after burn-in.  The
-    recursion is per-row, so every volume is bitwise what the cell gives
-    propagated alone.
-    """
-    if not 0 <= burn_in <= horizon - 1:
-        raise DimensionMismatch(
-            f"burn_in {burn_in} must be in [0, {horizon - 1}] (attack_start 1, horizon {horizon})"
-        )
-    dbars = []
-    for c1, w1, seed in cells:
-        spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1,
-                          direction_mode=direction_mode)
-        cfg = SimConfig(horizon=horizon, attack_start=1, master_seed=seed, trials=trials)
-        dbars.append(draw_inputs(model, cfg, spec)[2])
-    x_delta = attack_part(model, np.concatenate(dbars), kstar=1)[..., :model.n]
-    volumes = []
-    for i in range(len(cells)):
-        points = x_delta[i * trials:(i + 1) * trials, burn_in:, :].reshape(-1, model.n)
-        if not np.all(np.isfinite(points)):
-            raise DegenerateCloud("cloud contains non-finite states")
-        try:
-            volumes.append(fit_ellipsoid_moment(points)[1])
-        except DegenerateCloud:
-            volumes.append(0.0)  # zero-magnitude mixtures reach nothing
-    return volumes
-
-
-def heatmap_cell_volume(model: PlantModel, alpha: float, c1: float, w1: float,
-                        trials: int, horizon: int, burn_in: int,
-                        master_seed: int, direction_mode="uniform_sphere") -> float:
-    """Fitted attack-cloud volume for one (c1, w1) mixture."""
-    return _cell_volumes(model, alpha, [(c1, w1, master_seed)], trials, horizon, burn_in,
-                         direction_mode)[0]
-
-
 def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
                    trials: int = 20, horizon: int = 550, burn_in: int = 50,
                    master_seed: int = 0) -> HeatmapResult:
     """Sweep the admissible (c1, w1) triangle and record fitted volumes.
 
-    Each cell draws from its own stream keyed by (master_seed, cell index),
-    so results are independent of evaluation order.  Consecutive cells are
-    propagated together up to BATCH_TRIALS trials, and the batches
-    are spread over the usable CPUs (workers.ordered_map); each volume is
-    bitwise what heatmap_cell_volume gives for that cell alone.
+    Cell idx is the zero-alarm mixture (c1, w1) attacking from step 1, its
+    trials drawn from the stream keyed by substream_seed(master_seed, idx),
+    so results are independent of evaluation order.  Its volume is, bit for
+    bit, fit_ellipsoid_moment of that cell's own empirical_cloud (0.0 when
+    the fit is degenerate: zero-magnitude mixtures reach nothing).  The
+    cells' attack draws are stacked along the trial axis up to BATCH_TRIALS
+    trials, each batch's attack part is propagated once (the recursion is
+    per row) and fitted in its worker, and the batches are spread over the
+    usable CPUs (workers.ordered_map).
     """
     if grid_res < 4:
         raise DimensionMismatch(f"grid resolution must be >= 4, got {grid_res}")
+    if not 0 <= burn_in <= horizon - 1:
+        raise DimensionMismatch(
+            f"burn_in {burn_in} must be in [0, {horizon - 1}] (attack_start 1, horizon {horizon})"
+        )
     cells = [(c1, w1, substream_seed(master_seed, idx))
              for idx, (c1, w1) in enumerate(admissible_cells(alpha, grid_res))]
     per_batch = max(1, BATCH_TRIALS // trials)
     batches = [cells[lo:lo + per_batch] for lo in range(0, len(cells), per_batch)]
-    volumes = list(ordered_map(
-        lambda batch: _cell_volumes(model, alpha, batch, trials, horizon, burn_in), batches))
-    grid = [(c1, w1, vol) for batch, vols in zip(batches, volumes)
+
+    def batch_volumes(batch):
+        dbars = [draw_inputs(model, SimConfig(horizon=horizon, attack_start=1, master_seed=seed,
+                                              trials=trials),
+                             AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1))[2]
+                 for c1, w1, seed in batch]
+        x_delta = attack_part(model, np.concatenate(dbars), kstar=1)[:, burn_in:, :model.n]
+        volumes = []
+        for cell in np.split(x_delta, len(batch)):
+            points = cell.reshape(-1, model.n)
+            if not np.all(np.isfinite(points)):
+                raise DegenerateCloud("cloud contains non-finite states")
+            try:
+                volumes.append(fit_ellipsoid_moment(points)[1])
+            except DegenerateCloud:
+                volumes.append(0.0)
+        return volumes
+
+    grid = [(c1, w1, vol) for batch, vols in zip(batches, ordered_map(batch_volumes, batches))
             for (c1, w1, _), vol in zip(batch, vols)]
-    return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res),
-                         master_seed=master_seed)
+    return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res))
 
 
 def containment_report(cloud: PointCloud, bounds: list[ReachBound],

@@ -205,8 +205,9 @@ def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
 class SimConfig:
     """Simulation run shape: horizon steps 1..N, attack from step k*.
 
-    attack_start=None means attack-free.  With truncate_noise=True the
-    system-noise draws are rejection-sampled to v^T R1^-1 v <= vbar.
+    attack_start=None means attack-free.  With a vbar the system-noise
+    draws are rejection-sampled to v^T R1^-1 v <= vbar; vbar=None leaves
+    them untruncated.
     """
 
     horizon: int
@@ -214,7 +215,6 @@ class SimConfig:
     master_seed: int = 0
     trials: int = 1
     initial_state: np.ndarray | None = None
-    truncate_noise: bool = False
     vbar: float | None = None
 
     def __post_init__(self):
@@ -226,8 +226,8 @@ class SimConfig:
             raise DimensionMismatch(
                 f"attack_start must be in [1, {self.horizon}] or None, got {self.attack_start}"
             )
-        if self.truncate_noise and (self.vbar is None or self.vbar <= 0.0):
-            raise DimensionMismatch("truncate_noise=True requires a positive vbar")
+        if self.vbar is not None and not self.vbar > 0.0:
+            raise DimensionMismatch(f"vbar must be positive or None, got {self.vbar}")
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,6 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     kstar = cfg.attack_start if attack is not None else None
     chol_r1 = _chol_or_zero(model.R1)
     chol_r2 = _chol_or_zero(model.R2)
-    vbar = cfg.vbar if cfg.truncate_noise else None
 
     vs = np.zeros((T, N, n))
     etas = np.zeros((T, N, p))
@@ -351,7 +350,7 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     for i, t in enumerate(trials):
         rng = stream(cfg.master_seed, t)
         if chol_r1 is not None:
-            vs[i] = _draw_system_noise(rng, N, chol_r1, vbar)
+            vs[i] = _draw_system_noise(rng, N, chol_r1, cfg.vbar)
         if chol_r2 is not None:
             etas[i] = rng.standard_normal((N, p)) @ chol_r2.T
         if raw_attack is not None:

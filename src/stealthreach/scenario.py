@@ -188,7 +188,7 @@ def parse_scenario(raw: dict) -> Scenario:
     trials = _scalar(sblock["trials"], "scenario.sim.trials", int)
     with _at("scenario.sim"):
         sim = SimConfig(horizon=horizon, attack_start=attack_start, master_seed=master_seed,
-                        trials=trials, initial_state=initial_state, truncate_noise=truncate,
+                        trials=trials, initial_state=initial_state,
                         vbar=vbar if truncate else None)
 
     attack = None

@@ -3,8 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from stealthreach import build_model, chi2_quantile
+from stealthreach import (SimConfig, build_model, chi2_quantile, empirical_cloud,
+                          fit_ellipsoid_moment)
+from stealthreach.attacks import ZERO_ALARM, AttackSpec
+from stealthreach.errors import DegenerateCloud
+from stealthreach.montecarlo import SOURCE_ATTACK
 from stealthreach.plant import spectral_radius
+from stealthreach.seeding import substream_seed
 
 # 2-D benchmark loop used throughout: open-loop stable plant, two sensors,
 # static estimate feedback, detector tuned to a 5% false-alarm rate.
@@ -31,6 +36,18 @@ def plant_4d(seed=4):
     N = rng.standard_normal((3, 3))
     return build_model(F4, G4, rng.standard_normal((3, 4)), -0.1 * np.linalg.pinv(G4) @ F4,
                        0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
+
+
+def cell_cloud_volume(model, alpha, c1, w1, seed, idx, trials, horizon, burn_in):
+    """Volume of heatmap cell idx through the cloud path: the moment fit of the
+    cell's own attack cloud, 0.0 when the fit is degenerate."""
+    cfg = SimConfig(horizon, attack_start=1, master_seed=substream_seed(seed, idx), trials=trials)
+    cloud = empirical_cloud(model, cfg, AttackSpec(ZERO_ALARM, alpha, c1, w1), SOURCE_ATTACK,
+                            burn_in)
+    try:
+        return fit_ellipsoid_moment(cloud)[1]
+    except DegenerateCloud:
+        return 0.0
 
 
 @pytest.fixture(scope="session")

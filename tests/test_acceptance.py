@@ -31,12 +31,11 @@ from stealthreach.montecarlo import (
     SOURCE_ATTACK,
     SOURCE_NOISE,
     SOURCE_TOTAL,
-    heatmap_cell_volume,
     volume_heatmap,
 )
 from stealthreach.seeding import stream, substream_seed
 
-from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED
+from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, cell_cloud_volume
 
 SEED = 20260808
 
@@ -78,16 +77,13 @@ def clouds(model, tuned):
     for i, name in enumerate(("ZA.A", "ZA.B", "ZA.C")):
         spec = named_spec(name, alpha)
         cfg = SimConfig(horizon=550, attack_start=1, master_seed=substream_seed(SEED, 60 + i),
-                        trials=200, truncate_noise=True, vbar=vbar)
-        out[name] = empirical_cloud(model, cfg, spec, source=SOURCE_ATTACK,
-                                    burn_in=50, alpha=alpha)
+                        trials=200, vbar=vbar)
+        out[name] = empirical_cloud(model, cfg, spec, source=SOURCE_ATTACK, burn_in=50)
     cfg = SimConfig(horizon=550, attack_start=1, master_seed=substream_seed(SEED, 63),
-                    trials=200, truncate_noise=True, vbar=vbar)
+                    trials=200, vbar=vbar)
     spec = named_spec("ZA.C", alpha)
-    out["noise"] = empirical_cloud(model, cfg, spec, source=SOURCE_NOISE,
-                                   burn_in=50, alpha=alpha)
-    out["total"] = empirical_cloud(model, cfg, spec, source=SOURCE_TOTAL,
-                                   burn_in=50, alpha=alpha)
+    out["noise"] = empirical_cloud(model, cfg, spec, source=SOURCE_NOISE, burn_in=50)
+    out["total"] = empirical_cloud(model, cfg, spec, source=SOURCE_TOTAL, burn_in=50)
     return out
 
 
@@ -215,10 +211,8 @@ def test_criterion_08_heatmap_property(model, tuned):
     result = volume_heatmap(model, alpha, grid_res=16, trials=20, horizon=550,
                             burn_in=50, master_seed=substream_seed(SEED, 8))
     c1_max, w1_max, vol_max = result.argmax_cell()
-    reference = heatmap_cell_volume(
-        model, alpha, alpha / 8.0, alpha / 10.0, trials=20, horizon=550,
-        burn_in=50, master_seed=substream_seed(SEED, 9),
-    )
+    reference = cell_cloud_volume(model, alpha, alpha / 8.0, alpha / 10.0, SEED, 9,
+                                  trials=20, horizon=550, burn_in=50)
     elapsed = time.time() - t0
     at_corner = c1_max == pytest.approx(alpha, rel=1e-12) and w1_max == 0.0
     margin = vol_max / reference - 1.0
@@ -233,8 +227,8 @@ def test_criterion_09_hidden_unboundedness(model, tuned, geom_bounds):
     total = geom_bounds[3]
     spec = named_spec("H.D", alpha)
     cfg = SimConfig(horizon=60, attack_start=1, master_seed=substream_seed(SEED, 10),
-                    trials=3000, truncate_noise=True, vbar=vbar)
-    cloud = empirical_cloud(model, cfg, spec, source=SOURCE_TOTAL, burn_in=0, alpha=alpha)
+                    trials=3000, vbar=vbar)
+    cloud = empirical_cloud(model, cfg, spec, source=SOURCE_TOTAL, burn_in=0)
     memberships = np.atleast_1d(total.shape.membership(cloud.points))
     escapes = int(np.sum(memberships > 1.0 + 1e-6))
     clean_mask = cloud.trial_alarm_free[cloud.trial_index]

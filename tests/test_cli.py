@@ -209,8 +209,7 @@ def csv_meta(scn):
 
 def cloud_csv_oracle(scn, burn_in):
     """The attack cloud's CSV bytes, formatted row by row as '%d,%d,%.17g,%.17g'."""
-    cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack", burn_in=burn_in,
-                            alpha=scn.alpha)
+    cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack", burn_in=burn_in)
     steps = len(cloud) // cloud.trials
     lines = csv_meta(scn) + ["trial,k,x1,x2"]
     lines += ["%d,%d,%.17g,%.17g" % (idx // steps, scn.sim.attack_start + burn_in + idx % steps,

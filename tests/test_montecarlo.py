@@ -28,11 +28,10 @@ from stealthreach.montecarlo import (
     CloudRows,
     admissible_cells,
     alarm_counts,
-    heatmap_cell_volume,
 )
 from stealthreach.seeding import substream_seed
 
-from conftest import cpu_cases, plant_4d
+from conftest import cell_cloud_volume, cpu_cases, plant_4d
 
 
 class TestMomentFit:
@@ -49,14 +48,17 @@ class TestMomentFit:
         with pytest.raises(DegenerateCloud):
             fit_ellipsoid_moment(pts)
 
-    def test_quantile_scaling(self):
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((2000, 2))
-        E_all, vol_all = fit_ellipsoid_moment(pts, quantile=1.0)
-        E_q, vol_q = fit_ellipsoid_moment(pts, quantile=0.9)
-        assert vol_q < vol_all
-        memberships = np.atleast_1d(E_q.membership(pts))
-        assert abs(np.mean(memberships <= 1.0 + 1e-12) - 0.9) <= 0.02
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_anisotropic_cloud_touches_the_fit(self, n):
+        # axis scales 0.1 .. 10 in a random basis (cond(Q) about 1e4); the fit is
+        # the second moment scaled by the largest membership, so every point is
+        # inside and the farthest lies on the boundary
+        rng = np.random.default_rng(n)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        pts = rng.standard_normal((3000, n)) * np.logspace(-1, 1, n) @ basis.T
+        E, vol = fit_ellipsoid_moment(pts)
+        assert abs(np.max(E.membership(pts)) - 1.0) <= 1e-12
+        assert vol == E.volume > 0.0
 
 
 class TestEmpiricalCloud:
@@ -79,8 +81,7 @@ class TestEmpiricalCloud:
 
     def test_noise_cloud_matches_error_split(self, bench_model, alpha, vbar):
         spec = named_spec("ZA.C", alpha)
-        cfg = SimConfig(horizon=120, attack_start=1, master_seed=21, trials=3,
-                        truncate_noise=True, vbar=vbar)
+        cfg = SimConfig(horizon=120, attack_start=1, master_seed=21, trials=3, vbar=vbar)
         cloud = empirical_cloud(bench_model, cfg, spec, source=SOURCE_NOISE, burn_in=20)
         # x_v equals e_v pointwise; the noise stream is attack-independent
         trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
@@ -90,15 +91,11 @@ class TestEmpiricalCloud:
 
     def test_noise_cloud_without_attack_spec(self, bench_model, alpha, vbar):
         # no attack block: the noise split still means the eta-free recursion
-        cfg = SimConfig(horizon=120, master_seed=26, trials=3,
-                        truncate_noise=True, vbar=vbar)
-        cloud = empirical_cloud(bench_model, cfg, None, source=SOURCE_NOISE,
-                                burn_in=20, alpha=alpha)
+        cfg = SimConfig(horizon=120, master_seed=26, trials=3, vbar=vbar)
+        cloud = empirical_cloud(bench_model, cfg, None, source=SOURCE_NOISE, burn_in=20)
         spec = named_spec("ZA.C", alpha)
-        cfg_att = SimConfig(horizon=120, attack_start=1, master_seed=26, trials=3,
-                            truncate_noise=True, vbar=vbar)
-        attacked = empirical_cloud(bench_model, cfg_att, spec, source=SOURCE_NOISE,
-                                   burn_in=20, alpha=alpha)
+        cfg_att = SimConfig(horizon=120, attack_start=1, master_seed=26, trials=3, vbar=vbar)
+        attacked = empirical_cloud(bench_model, cfg_att, spec, source=SOURCE_NOISE, burn_in=20)
         # the noise-driven component is attack-independent
         assert np.array_equal(cloud.points, attacked.points)
 
@@ -119,7 +116,7 @@ class TestEmpiricalCloud:
         assert (trace.alarm[:, -1] & ~trace.alarm[:, 39:-1].any(axis=1)).any()
         for source, column in ((SOURCE_ATTACK, trace.x_delta), (SOURCE_NOISE, trace.x_v),
                                (SOURCE_TOTAL, trace.x)):
-            cloud = empirical_cloud(model, cfg, spec, source=source, burn_in=3, alpha=a)
+            cloud = empirical_cloud(model, cfg, spec, source=source, burn_in=3)
             assert np.array_equal(cloud.points, column[:, 42:].reshape(-1, n)), source
             assert np.array_equal(cloud.trial_alarm_free, alarm_free), source
 
@@ -144,10 +141,9 @@ class TestCloudSplit:
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         cfg = SimConfig(horizon=horizon, attack_start=5, master_seed=31, trials=trials,
-                        initial_state=np.linspace(-1.0, 1.0, n), truncate_noise=truncate,
+                        initial_state=np.linspace(-1.0, 1.0, n),
                         vbar=chi2_quantile(0.95, n) if truncate else None)
-        return empirical_cloud(model, cfg, named_spec(preset, a), source=source, burn_in=4,
-                               alpha=a)
+        return empirical_cloud(model, cfg, named_spec(preset, a), source=source, burn_in=4)
 
     def assert_same(self, got, want):
         for name in ("points", "trial_alarm_free", "trial_index"):
@@ -201,7 +197,7 @@ class TestAlarmCounts:
         a = chi2_quantile(0.95, model.p)
         cfg = SimConfig(horizon=30, attack_start=kstar, master_seed=seed,
                         trials=BATCH_TRIALS + 3, initial_state=np.linspace(-1.0, 1.0, n),
-                        truncate_noise=True, vbar=chi2_quantile(0.95, n))
+                        vbar=chi2_quantile(0.95, n))
         return model, a, cfg, preset and named_spec(preset, a)
 
     def simulated(self, model, a, cfg, spec):
@@ -257,7 +253,7 @@ class TestContainmentReport:
         model = plant_4d()
         a = chi2_quantile(0.95, model.p)
         cfg = SimConfig(horizon=550, attack_start=1, master_seed=5, trials=400)
-        cloud = empirical_cloud(model, cfg, named_spec("ZA.C", a), burn_in=50, alpha=a)
+        cloud = empirical_cloud(model, cfg, named_spec("ZA.C", a), burn_in=50)
         bounds = reach_bounds_geom(model, a, chi2_quantile(0.95, model.n))
         assert len(cloud) == 200_000 and len(bounds) == 4
         path = tmp_path / "cloud.csv"
@@ -313,14 +309,19 @@ class TestHeatmap:
     def test_cell_volume_equals_fit_of_full_trace(self, bench_model, n):
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
-        c1, w1, seed = 0.6 * a, 0.5 * a, 29
+        # cell 2 is (a/3, a/3), one of the res-4 grid's 8 cells stacked in one batch
+        seed, idx = 29, 2
+        result = volume_heatmap(model, a, grid_res=4, trials=6, horizon=90, burn_in=20,
+                                master_seed=seed)
+        c1, w1, got = result.grid[idx]
         spec = AttackSpec(kind=ZERO_ALARM, alpha=a, c1=c1, w1=w1)
-        cfg = SimConfig(horizon=90, attack_start=1, master_seed=seed, trials=6)
+        cfg = SimConfig(horizon=90, attack_start=1, master_seed=substream_seed(seed, idx),
+                        trials=6)
         x_delta = simulate(model, cfg, attack=spec, alpha=a).x_delta
         expected = fit_ellipsoid_moment(x_delta[:, 20:].reshape(-1, n))[1]
-        got = heatmap_cell_volume(model, a, c1, w1, trials=6, horizon=90, burn_in=20,
-                                  master_seed=seed)
-        assert got == expected > 0.0
+        assert w1 > 0.0 and got == expected > 0.0
+        assert got == cell_cloud_volume(model, a, c1, w1, seed, idx, trials=6, horizon=90,
+                                        burn_in=20)
 
     @pytest.mark.parametrize("n, cpus", cpu_cases(2, 4))
     def test_batched_cells_equal_cells_alone(self, bench_model, usable_cpus, n, cpus):
@@ -336,8 +337,8 @@ class TestHeatmap:
         result = volume_heatmap(model, a, grid_res=res, trials=trials, horizon=70,
                                 burn_in=15, master_seed=seed)
         alone = [
-            (c1, w1, heatmap_cell_volume(model, a, c1, w1, trials=trials, horizon=70,
-                                         burn_in=15, master_seed=substream_seed(seed, idx)))
+            (c1, w1, cell_cloud_volume(model, a, c1, w1, seed, idx, trials=trials, horizon=70,
+                                       burn_in=15))
             for idx, (c1, w1) in enumerate(cells)
         ]
         assert result.grid == alone

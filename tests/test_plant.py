@@ -155,7 +155,7 @@ class TestSimulate:
         assert np.array_equal(t1.x[:2], t3.x)
 
     def test_truncated_noise_respects_level(self, bench_model, vbar):
-        cfg = SimConfig(horizon=400, master_seed=6, trials=5, truncate_noise=True, vbar=vbar)
+        cfg = SimConfig(horizon=400, master_seed=6, trials=5, vbar=vbar)
         trace = simulate(bench_model, cfg)
         # recover v_k = x_{k+1} - F x_k - G K xhat_k and test the quadratic form
         u = trace.xhat @ bench_model.K.T
@@ -170,7 +170,7 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch):
             SimConfig(horizon=10, master_seed=0, trials=0)
         with pytest.raises(DimensionMismatch):
-            SimConfig(horizon=10, master_seed=0, trials=1, truncate_noise=True)
+            SimConfig(horizon=10, master_seed=0, trials=1, vbar=0.0)
 
 
 COLUMNS = ("x", "xhat", "e", "r", "z", "alarm", "delta", "delta_bar",
@@ -194,7 +194,7 @@ def reference_trace(model, cfg, spec, alpha):
     for t in range(cfg.trials):
         rng = stream(cfg.master_seed, t)
         w = rng.standard_normal((N, n))
-        while cfg.truncate_noise and (np.sum(w * w, axis=1) > cfg.vbar).any():
+        while cfg.vbar is not None and (np.sum(w * w, axis=1) > cfg.vbar).any():
             bad = np.sum(w * w, axis=1) > cfg.vbar
             w[bad] = rng.standard_normal((int(bad.sum()), n))
         v = w @ chol_r1.T
@@ -245,7 +245,7 @@ class TestReferenceDynamics:
         x0 = np.array([0.5, -1.0] if n == 2 else [0.5, -1.0, 0.25, 0.75])
         cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
                         master_seed=11, trials=3, initial_state=x0,
-                        truncate_noise=truncate, vbar=vbar if truncate else None)
+                        vbar=vbar if truncate else None)
         trace = simulate(model, cfg, attack=spec, alpha=alpha)
         ref = reference_trace(model, cfg, spec, alpha)
         for name in COLUMNS:
@@ -311,7 +311,7 @@ def reference_draws(model, cfg, spec):
     full-recheck truncation oracle, the eta block, then sample_delta_bar."""
     n, p, N = model.n, model.p, cfg.horizon
     kstar = cfg.attack_start if spec is not None else None
-    vbar = cfg.vbar if cfg.truncate_noise else np.inf
+    vbar = np.inf if cfg.vbar is None else cfg.vbar
     vs, etas, dbar = np.zeros((cfg.trials, N, n)), np.zeros((cfg.trials, N, p)), np.zeros((cfg.trials, N, p))
     for t in range(cfg.trials):
         rng = stream(cfg.master_seed, t)
@@ -332,7 +332,7 @@ def draw_case(bench_model, plant, preset, direction, truncate):
     alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
     spec = named_spec(preset, alpha, direction_mode=direction) if preset else None
     cfg = SimConfig(horizon=90, attack_start=None if spec is None else 17, master_seed=13,
-                    trials=9, truncate_noise=truncate, vbar=vbar if truncate else None)
+                    trials=9, vbar=vbar if truncate else None)
     return model, cfg, spec
 
 

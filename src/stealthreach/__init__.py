@@ -8,12 +8,10 @@ a geometric Minkowski-sum method.
 
 __version__ = "0.1.0"
 
-from .attacks import AttackSpec, named_spec, sample_delta_bar, sample_z
+from .attacks import AttackSpec, named_spec
 from .detector import chi2_quantile, distance, reg_lower_gamma
 from .ellipsoids import (
     Ellipsoid,
-    contains,
-    linear_image,
     minkowski_sum_many,
     minkowski_sum_pair,
     sym_sqrt,
@@ -31,9 +29,7 @@ from .montecarlo import (
 from .plant import (
     PlantModel,
     SimConfig,
-    SimTrace,
     build_model,
-    simulate,
     solve_steady_state_kalman,
 )
 from .reach_common import ReachBound, total_state_bound
@@ -51,13 +47,13 @@ from .reach_lmi import (
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = [
-    "AttackSpec", "named_spec", "sample_delta_bar", "sample_z",
+    "AttackSpec", "named_spec",
     "chi2_quantile", "distance", "reg_lower_gamma",
-    "Ellipsoid", "contains", "linear_image", "minkowski_sum_many", "minkowski_sum_pair",
+    "Ellipsoid", "minkowski_sum_many", "minkowski_sum_pair",
     "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
     "fit_ellipsoid_moment", "volume_heatmap",
-    "PlantModel", "SimConfig", "SimTrace", "build_model", "simulate", "solve_steady_state_kalman",
+    "PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman",
     "ReachBound", "total_state_bound",
     "GeomSumConfig", "geom_bound", "reach_bounds_geom", "reach_targets",
     "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",

@@ -194,18 +194,3 @@ class AttackDraws:
         g *= scale
         return g
 
-
-def sample_z(spec: AttackSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw size distance-measure targets from the mixture."""
-    return _mixture_z(spec, rng.random((_uniform_rows(spec), size)))
-
-
-def sample_delta_bar(spec: AttackSpec, p: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw size attack vectors dbar = sqrt(z) * u, shape (size, p), with u
-    per the direction mode: AttackDraws for one trial.
-
-    By construction dbar^T dbar equals the paired z draw to round-off.
-    """
-    draws = AttackDraws(spec, np.empty((1, size, p)))
-    draws.pull(0, rng)
-    return draws.transform()[0]

@@ -97,7 +97,8 @@ class Ellipsoid:
         return w[0] <= rel * max(w[-1], 0.0)
 
     def membership(self, x: np.ndarray) -> float:
-        """Quadratic membership value x^T Q^+ x; inf when x leaves range(Q).
+        """Quadratic membership value x^T Q^+ x; inf when x leaves range(Q),
+        that is when its part off the range exceeds RANGE_TOL * ||x||.
 
         Rows go BLOCK_ROWS at a time through one buffer: the temporaries stay
         O(block), and as numpy and BLAS pick kernels (and rounding) by shape,
@@ -119,7 +120,7 @@ class Ellipsoid:
             mb = np.sum(proj[:, live] ** 2 / w[live], axis=1)
             if not live.all():
                 resid = np.sqrt(np.sum(proj[:, ~live] ** 2, axis=1))
-                mb[resid > RANGE_TOL * (1.0 + np.linalg.norm(block, axis=1))] = np.inf
+                mb[resid > RANGE_TOL * np.linalg.norm(block, axis=1)] = np.inf
             m[lo:lo + rows] = mb[:rows]
         return m if m.shape[0] > 1 else float(m[0])
 
@@ -135,29 +136,12 @@ class Ellipsoid:
         return {"dim": self.dim, "Q": self.Q.tolist()}
 
 
-def linear_image(E: Ellipsoid, M: np.ndarray) -> Ellipsoid:
-    """Image of E under x -> M x, an ellipsoid with shape M Q M^T."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] != E.dim:
-        raise DimensionMismatch(f"map shape {M.shape} vs ellipsoid dim {E.dim}")
-    Q = M @ E.Q @ M.T
-    return Ellipsoid((Q + Q.T) / 2.0)
-
-
 def volume(E: Ellipsoid) -> float:
     """unit-ball-volume(n) * sqrt(det Q); zero for singular Q."""
     sign, logdet = np.linalg.slogdet(E.Q)
     if sign <= 0:
         return 0.0
     return unit_ball_volume(E.dim) * math.exp(0.5 * logdet)
-
-
-def contains(E: Ellipsoid, x: np.ndarray, slack: float = 0.0) -> bool:
-    """Membership test x^T Q^+ x <= 1 + slack, with range check for singular Q."""
-    m = E.membership(np.asarray(x, dtype=float))
-    if np.ndim(m) > 0:
-        raise DimensionMismatch("contains expects a single point; use membership for batches")
-    return bool(m <= 1.0 + slack)
 
 
 def weighted_shape(Qs: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -139,11 +139,11 @@ def _attack_alarms(model: PlantModel, dbar, kstar: int, alpha: float) -> np.ndar
 
 
 def alarm_counts(model: PlantModel, runs, alpha: float) -> list[tuple[int, int]]:
-    """(alarms, steps) of each (cfg, spec) run at threshold alpha, without a trace.
+    """(alarms, steps) of each (cfg, spec) run at threshold alpha: z > alpha.
 
     Steps 1 .. horizon of an attack-free run (spec None) count, and k* ..
-    horizon of an attacked one: alarms / steps is bitwise simulate's
-    alarm_rate() (attacked_only=True when attacked).  All runs' chunks go
+    horizon of an attacked one; the counts are bitwise those of the run's
+    residual computed on the whole batch at once.  All runs' chunks go
     through one workers.ordered_map, and a chunk propagates only what its
     residual reads: the noise part, or nothing when r = SigmaSqrt dbar.
     """

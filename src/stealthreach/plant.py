@@ -2,9 +2,12 @@
 
 The model is x' = F x + G u + v, y = C x + eta, with static estimate
 feedback u = K xhat and a steady-state filter xhat' = F xhat + G u + L r.
-Sensor attacks enter additively on the measurement; the simulator
-propagates the noise/attack superposition split of the state and the
-estimation error as two linear recursions and derives the totals from it.
+A sensor attack adds delta = -C e - eta + SigmaSqrt dbar to the
+measurement from step k* on, so the residual there is r = SigmaSqrt dbar.
+A run is simulated in parts: draw_inputs draws each trial's inputs, and
+noise_part and attack_part propagate the superposition split [x_v, e_v] +
+[x_delta, e_delta] of the state and the estimation error as two linear
+recursions; noise_residual and attack_residual give r.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackDraws, AttackSpec
-from .detector import distance
 from .ellipsoids import sym_sqrt
 from .errors import (
     DimensionMismatch,
@@ -230,64 +232,6 @@ class SimConfig:
             raise DimensionMismatch(f"vbar must be positive or None, got {self.vbar}")
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    """Per-step record of one batch of simulated trials.
-
-    Arrays are (trials, horizon, dim) for vectors and (trials, horizon) for
-    scalars; step index k runs 1..horizon.  The state and the estimation
-    error are stored as their superposition split: x_v, e_v are driven by
-    the initial state and the noise, x_delta, e_delta by the attack alone
-    (exactly zero before k* and in attack-free runs).  The totals x = x_v +
-    x_delta, e = e_v + e_delta and the estimate xhat = x - e are derived on
-    access.  delta is zero before k*; delta_bar is the attack draw, zero
-    before k*, or None when attack-free.
-    """
-
-    x_v: np.ndarray
-    e_v: np.ndarray
-    x_delta: np.ndarray
-    e_delta: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    alarm: np.ndarray
-    delta: np.ndarray
-    delta_bar: np.ndarray | None
-    attack_start: int | None
-    alpha: float | None
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_v + self.x_delta
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.e_v + self.e_delta
-
-    @property
-    def xhat(self) -> np.ndarray:
-        return self.x - self.e
-
-    @property
-    def trials(self) -> int:
-        return self.x_v.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.x_v.shape[1]
-
-    def attacked_slice(self) -> slice:
-        """Column slice of the attacked steps (empty when attack-free)."""
-        if self.attack_start is None:
-            return slice(self.horizon, self.horizon)
-        return slice(self.attack_start - 1, self.horizon)
-
-    def alarm_rate(self, attacked_only: bool = False) -> float:
-        cols = self.attacked_slice() if attacked_only else slice(None)
-        block = self.alarm[:, cols]
-        return float(block.mean()) if block.size else 0.0
-
-
 def _draw_system_noise(rng, count, chol, vbar):
     """Standard-normal block mapped through a factor of R1, rejection-truncated in
     whitened coordinates, where the quadratic form v^T R1^+ v is the squared
@@ -412,52 +356,3 @@ def noise_residual(model: PlantModel, e_v, etas) -> np.ndarray:
 def attack_residual(model: PlantModel, dbar, kstar: int) -> np.ndarray:
     """Residual r = SigmaSqrt dbar of the attacked steps k* .. horizon."""
     return _dot(dbar, model.SigmaSqrt.T)[:, kstar - 1:]
-
-
-def propagate(model: PlantModel, inputs, kstar: int | None = None,
-              alpha: float | None = None, initial_state=None) -> SimTrace:
-    """Run the closed-loop recursion on draw_inputs' arrays, attack from k*.
-
-    kstar=None means attack-free.  Trials may be stacked from several
-    draws; every product is a per-row contraction, so each trial's trace is
-    bit-identical whatever the other trials in the batch.
-
-    The noise part (noise_part) and the attack part (attack_part) are two
-    linear recursions over [x, e]; r = C e_v + eta before k* and r =
-    SigmaSqrt dbar from k*.
-    """
-    n = model.n
-    vs, etas, dbar = inputs
-    noise = noise_part(model, vs, etas, kstar, initial_state)
-    attack = attack_part(model, dbar, kstar)
-    e_v, e_delta = noise[..., n:], attack[..., n:]
-    r = noise_residual(model, e_v, etas)
-    delta = np.zeros_like(etas)
-    if kstar is not None:
-        att = slice(kstar - 1, None)
-        r[:, att] = attack_residual(model, dbar, kstar)
-        delta[:, att] = r[:, att] - _dot(e_v[:, att] + e_delta[:, att], model.C.T) - etas[:, att]
-    z = distance(r, model.SigmaInv)
-    return SimTrace(
-        x_v=noise[..., :n], e_v=e_v, x_delta=attack[..., :n], e_delta=e_delta,
-        r=r, z=z, alarm=z > alpha if alpha is not None else np.zeros(z.shape, dtype=bool),
-        delta=delta, delta_bar=dbar if kstar is not None else None,
-        attack_start=kstar, alpha=alpha,
-    )
-
-
-def simulate(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
-             alpha: float | None = None) -> SimTrace:
-    """Run cfg.trials closed-loop trajectories, attack injected from k*.
-
-    Each trial draws from its own counter-based stream keyed by
-    (master_seed, trial) (draw_inputs), and the recursion is per row
-    (propagate), so output is bit-identical for a given (model, cfg, attack)
-    regardless of how many trials share a batch.
-
-    When an attack spec is given, the injected sensor attack is
-    delta = -C e - eta + SigmaSqrt @ dbar with dbar drawn by
-    sample_delta_bar, so from k* on the residual is r = SigmaSqrt @ dbar.
-    """
-    kstar = cfg.attack_start if attack is not None else None
-    return propagate(model, draw_inputs(model, cfg, attack), kstar, alpha, cfg.initial_state)

@@ -80,16 +80,19 @@ def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
         X = A @ X
 
 
-def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig) -> list[np.ndarray]:
+def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig, lead: int) -> list[np.ndarray]:
     """Take terms from the series until the decay rule fires.
 
-    An exactly zero first term (C B = 0, as for the attack state, whose
-    input reaches x one step late) is dropped, and the decay is measured
-    against the next term.
+    Exactly zero leading terms (C A^k B = 0, as for the attack state, whose
+    input reaches x one step late or later) are dropped, up to lead of
+    them, and the decay is measured against the first nonzero term.  With
+    lead = dim(A), a series whose first lead terms are zero is zero
+    throughout (Cayley-Hamilton), and the zero term is returned.
     """
-    first = next(series)
-    if not first.any():
+    for _ in range(lead):
         first = next(series)
+        if first.any():
+            break
     d_ref = float(np.linalg.det(first))
     t_ref = float(np.trace(first))
     if t_ref <= 0.0:
@@ -112,7 +115,7 @@ def geom_bound(A, B, S, C=None, target: str = "bound",
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise UnstableF(f"reach series needs rho(A) < 1, got {rho:.4f}")
-    terms = _truncated(series_terms(A, B, S, C), cfg or GeomSumConfig())
+    terms = _truncated(series_terms(A, B, S, C), cfg or GeomSumConfig(), len(A))
     E = minkowski_sum_many([Ellipsoid(Q) for Q in terms])
     return ReachBound(shape=E, method=METHOD_GEOMETRIC, target=target, volume=E.volume,
                       terms_used=len(terms),

@@ -8,7 +8,8 @@ from stealthreach import (SimConfig, build_model, chi2_quantile, empirical_cloud
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
 from stealthreach.errors import DegenerateCloud
 from stealthreach.montecarlo import SOURCE_ATTACK
-from stealthreach.plant import spectral_radius
+from stealthreach.plant import (attack_part, attack_residual, draw_inputs, noise_part,
+                                noise_residual, spectral_radius)
 from stealthreach.seeding import substream_seed
 
 # 2-D benchmark loop used throughout: open-loop stable plant, two sensors,
@@ -36,6 +37,20 @@ def plant_4d(seed=4):
     N = rng.standard_normal((3, 3))
     return build_model(F4, G4, rng.standard_normal((3, 4)), -0.1 * np.linalg.pinv(G4) @ F4,
                        0.05 * (M @ M.T + np.eye(4)), N @ N.T + np.eye(3))
+
+
+def batch_parts(model, cfg, spec=None):
+    """(noise, attack, r) of a run, its parts on the whole batch in one call:
+    [x_v, e_v] from noise_part, [x_delta, e_delta] from attack_part, each
+    (trials, horizon, 2n), and the residual r, noise_residual before k* and
+    attack_residual from k*."""
+    vs, etas, dbar = draw_inputs(model, cfg, spec)
+    kstar = cfg.attack_start if spec is not None else None
+    noise = noise_part(model, vs, etas, kstar, cfg.initial_state)
+    r = noise_residual(model, noise[..., model.n:], etas)
+    if kstar is not None:
+        r[:, kstar - 1:] = attack_residual(model, dbar, kstar)
+    return noise, attack_part(model, dbar, kstar), r
 
 
 def cell_cloud_volume(model, alpha, c1, w1, seed, idx, trials, horizon, burn_in):

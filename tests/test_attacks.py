@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from stealthreach import SimConfig, named_spec, sample_delta_bar, sample_z, simulate
+from stealthreach import SimConfig, distance, named_spec
 from stealthreach.attacks import (
     BOUNDARY_BACKOFF,
     HIDDEN,
     TABLE_PRESETS,
     ZERO_ALARM,
+    AttackDraws,
     AttackSpec,
+    _mixture_z,
+    _uniform_rows,
 )
 from stealthreach.errors import InvalidSpec
+from stealthreach.montecarlo import alarm_counts
+from stealthreach.plant import attack_residual, draw_inputs
 from stealthreach.seeding import stream
 
 
@@ -71,25 +76,25 @@ class TestSpecValidation:
 class TestSampleZ:
     def test_point_mass_at_threshold(self, alpha):
         spec = named_spec("ZA.C", alpha)
-        z = sample_z(spec, stream(0, 0), size=1000)
+        z = _mixture_z(spec, stream(0, 0).random((_uniform_rows(spec), 1000)))
         assert np.all(z == alpha * (1.0 - BOUNDARY_BACKOFF))
         assert np.max(np.abs(z - alpha)) <= 1e-9 * alpha
 
     def test_za_a_support(self, alpha):
         spec = named_spec("ZA.A", alpha)
-        z = sample_z(spec, stream(1, 0), size=100_000)
+        z = _mixture_z(spec, stream(1, 0).random((_uniform_rows(spec), 100_000)))
         assert np.all(z >= alpha / 8 - alpha / 20 - 1e-12)
         assert np.all(z <= alpha / 8 + alpha / 20 + 1e-12)
 
     def test_hidden_mixture_mean(self, alpha):
         # H.B: mass 0.95 at alpha, mass 0.05 at 2 alpha, mean 1.05 alpha
         spec = named_spec("H.B", alpha)
-        z = sample_z(spec, stream(2, 0), size=1_000_000)
+        z = _mixture_z(spec, stream(2, 0).random((_uniform_rows(spec), 1_000_000)))
         assert abs(z.mean() - 1.05 * alpha) <= 0.005 * 1.05 * alpha
 
     def test_mass_above_threshold(self, alpha):
         spec = named_spec("H.C", alpha)
-        z = sample_z(spec, stream(3, 0), size=1_000_000)
+        z = _mixture_z(spec, stream(3, 0).random((_uniform_rows(spec), 1_000_000)))
         frac = np.mean(z > alpha)
         assert abs(frac - 0.05) <= 0.001
 
@@ -97,7 +102,8 @@ class TestSampleZ:
         # sup |ECDF - CDF| with jump-aware left limits (mixtures have atoms)
         for name in ("ZA.A", "ZA.B", "ZA.C", "H.A", "H.B"):
             spec = named_spec(name, alpha)
-            z = sample_z(spec, stream(4, hash(name) % 2**32), size=1_000_000)
+            u = stream(4, hash(name) % 2**32).random((_uniform_rows(spec), 1_000_000))
+            z = _mixture_z(spec, u)
             count = len(z)
             values, counts = np.unique(z, return_counts=True)
             ecdf_hi = np.cumsum(counts) / count
@@ -109,11 +115,15 @@ class TestSampleZ:
 
 
 class TestSampleDeltaBar:
+    """One trial's attack vectors dbar = sqrt(z) * u, drawn by AttackDraws."""
+
     def test_pairing_identity(self, alpha):
         # same stream: the dbar block consumes the same z draws
         spec = named_spec("H.A", alpha)
-        dbar = sample_delta_bar(spec, 2, stream(5, 0), size=5000)
-        z = sample_z(spec, stream(5, 0), size=5000)
+        draws = AttackDraws(spec, np.empty((1, 5000, 2)))
+        draws.pull(0, stream(5, 0))
+        dbar = draws.transform()[0]
+        z = _mixture_z(spec, stream(5, 0).random((_uniform_rows(spec), 5000)))
         assert np.max(np.abs(np.sum(dbar**2, axis=1) - z)) <= 1e-12 * max(alpha, 1.0)
 
     @pytest.mark.parametrize("name,p,direction", [
@@ -136,27 +146,34 @@ class TestSampleDeltaBar:
             g = rng.standard_normal((700, p))
             u = g / np.linalg.norm(g, axis=1, keepdims=True)
         want = np.sqrt(z)[:, None] * u
-        got_rng = stream(10, p)
-        assert np.array_equal(sample_delta_bar(spec, p, got_rng, size=700), want)
+        got_rng, draws = stream(10, p), AttackDraws(spec, np.empty((1, 700, p)))
+        draws.pull(0, got_rng)
+        assert np.array_equal(draws.transform()[0], want)
         assert got_rng.random() == rng.random()  # both consumed the stream to the same point
-        assert np.array_equal(sample_z(spec, stream(10, p), size=700), z)
+        assert np.array_equal(_mixture_z(spec, stream(10, p).random((_uniform_rows(spec), 700))), z)
 
     def test_zero_alarm_draws_never_exceed_threshold(self, alpha):
         for name in ("ZA.A", "ZA.B", "ZA.C"):
             spec = named_spec(name, alpha)
-            dbar = sample_delta_bar(spec, 2, stream(6, hash(name) % 2**32), size=100_000)
+            draws = AttackDraws(spec, np.empty((1, 100_000, 2)))
+            draws.pull(0, stream(6, hash(name) % 2**32))
+            dbar = draws.transform()[0]
             assert np.sum(np.sum(dbar**2, axis=1) > alpha) == 0
 
     def test_fixed_direction(self, alpha):
         spec = named_spec("ZA.C", alpha, direction_mode=(1.0, 0.0))
-        dbar = sample_delta_bar(spec, 2, stream(7, 0), size=100)
+        draws = AttackDraws(spec, np.empty((1, 100, 2)))
+        draws.pull(0, stream(7, 0))
+        dbar = draws.transform()[0]
         assert np.allclose(dbar[:, 1], 0.0)
         assert np.allclose(dbar[:, 0], math.sqrt(alpha * (1.0 - BOUNDARY_BACKOFF)))
 
     def test_direction_isotropy(self, alpha):
         # chi-square goodness of fit over 36 angle bins at the 0.001 level
         spec = named_spec("ZA.C", alpha)
-        dbar = sample_delta_bar(spec, 2, stream(8, 0), size=1_000_000)
+        draws = AttackDraws(spec, np.empty((1, 1_000_000, 2)))
+        draws.pull(0, stream(8, 0))
+        dbar = draws.transform()[0]
         angles = np.arctan2(dbar[:, 1], dbar[:, 0]) + math.pi
         counts, _ = np.histogram(angles, bins=36, range=(0.0, 2.0 * math.pi))
         expected = len(dbar) / 36
@@ -166,20 +183,21 @@ class TestSampleDeltaBar:
 
 class TestPolicy:
     def test_residual_is_shaped_attack(self, bench_model, alpha):
+        # the detector reads the attacked residual SigmaSqrt dbar at the
+        # distance the attacker drew, dbar^T dbar
         spec = named_spec("ZA.B", alpha)
         cfg = SimConfig(horizon=300, attack_start=1, master_seed=10, trials=4)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        shaped = trace.delta_bar @ bench_model.SigmaSqrt.T
-        assert np.max(np.abs(trace.r - shaped)) <= 1e-9
+        dbar = draw_inputs(bench_model, cfg, spec)[2]
+        z = distance(attack_residual(bench_model, dbar, 1), bench_model.SigmaInv)
+        assert np.max(np.abs(z - np.sum(dbar**2, axis=-1))) <= 1e-9 * alpha
 
     def test_zero_alarm_simulation_is_silent(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=2000, attack_start=1, master_seed=11, trials=10)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert trace.alarm_rate(attacked_only=True) == 0.0
+        assert alarm_counts(bench_model, [(cfg, spec)], alpha)[0][0] == 0
 
     def test_hidden_simulation_matches_rate(self, bench_model, alpha):
         spec = named_spec("H.C", alpha)
         cfg = SimConfig(horizon=2000, attack_start=1, master_seed=12, trials=50)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert abs(trace.alarm_rate(attacked_only=True) - 0.05) <= 0.005
+        [(alarms, steps)] = alarm_counts(bench_model, [(cfg, spec)], alpha)
+        assert abs(alarms / steps - 0.05) <= 0.005

@@ -6,7 +6,9 @@ from scipy import integrate, special
 
 from stealthreach import SimConfig, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
 from stealthreach.errors import DimensionMismatch, DomainError
-from stealthreach.plant import draw_inputs, propagate
+from stealthreach.montecarlo import alarm_counts
+
+from conftest import batch_parts
 
 SIGMA = np.array([[2.086, 0.134], [0.134, 2.230]])
 
@@ -112,19 +114,17 @@ class TestDistance:
 
 
 class TestAlarmStream:
-    # the threshold rule on propagate's alarm column: z == alpha raises no
-    # alarm, any z above it does
+    # the threshold rule of alarm_counts: z == alpha raises no alarm, any z
+    # above it does, with z from the parts run on the whole batch
+    CFG = SimConfig(horizon=50, master_seed=5, trials=2)
+
     @pytest.fixture(scope="class")
-    def noise_run(self, bench_model):
-        inputs = draw_inputs(bench_model, SimConfig(horizon=50, master_seed=5, trials=2))
-        return inputs, propagate(bench_model, inputs).z
+    def z(self, bench_model):
+        return distance(batch_parts(bench_model, self.CFG)[2], bench_model.SigmaInv)
 
-    def test_boundary_is_silent(self, bench_model, noise_run):
-        inputs, z = noise_run
-        trace = propagate(bench_model, inputs, alpha=float(z.max()))
-        assert not trace.alarm.any() and trace.alarm_rate() == 0.0
+    def test_boundary_is_silent(self, bench_model, z):
+        assert alarm_counts(bench_model, [(self.CFG, None)], float(z.max())) == [(0, 100)]
 
-    def test_above_threshold(self, bench_model, noise_run):
-        inputs, z = noise_run
-        trace = propagate(bench_model, inputs, alpha=float(np.nextafter(z.min(), 0.0)))
-        assert trace.alarm.all() and trace.alarm_rate() == 1.0
+    def test_above_threshold(self, bench_model, z):
+        alpha = float(np.nextafter(z.min(), 0.0))
+        assert alarm_counts(bench_model, [(self.CFG, None)], alpha) == [(100, 100)]

@@ -4,14 +4,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from stealthreach import (
     Ellipsoid,
-    contains,
-    linear_image,
     minkowski_sum_many,
     minkowski_sum_pair,
     sym_sqrt,
@@ -115,29 +113,15 @@ class TestEllipsoid:
 
 
 class TestLinearImage:
-    def test_scaling(self):
-        E = linear_image(Ellipsoid(np.eye(2)), 2.0 * np.eye(2))
-        assert np.allclose(E.Q, 4.0 * np.eye(2), atol=1e-14)
-
-    def test_zero_map(self):
-        E = linear_image(Ellipsoid(np.eye(2)), np.zeros((2, 2)))
-        assert np.array_equal(E.Q, np.zeros((2, 2)))
-
-    def test_permutation(self):
-        M = np.array([[0.0, 1.0], [1.0, 0.0]])
-        E = linear_image(Ellipsoid(np.diag([1.0, 4.0])), M)
-        assert np.allclose(E.Q, np.diag([4.0, 1.0]), atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linear_image(Ellipsoid(np.eye(2)), np.eye(3))
+    """The image of E under x -> M x is the ellipsoid of shape M Q M^T."""
 
     def test_soundness_under_sampling(self):
         rng = np.random.default_rng(2)
         Q = random_spd(rng, 2)
         E = Ellipsoid(Q)
         M = rng.standard_normal((2, 2))
-        img = linear_image(E, M)
+        MQM = M @ E.Q @ M.T
+        img = Ellipsoid((MQM + MQM.T) / 2.0)
         inside = boundary_samples(E, rng, 200) * rng.random((200, 1))
         mapped = inside @ M.T
         assert np.max(np.atleast_1d(img.membership(mapped))) <= 1.0 + 1e-9
@@ -173,20 +157,30 @@ class TestMembershipBlocks:
 
 
 class TestContains:
+    """A point is contained when its membership is at most 1 + slack."""
+
     def test_boundary_inclusive(self):
-        assert contains(Ellipsoid(np.eye(2)), np.array([1.0, 0.0]), slack=0.0)
+        assert Ellipsoid(np.eye(2)).membership(np.array([1.0, 0.0])) <= 1.0
 
     def test_outside(self):
-        assert not contains(Ellipsoid(np.eye(2)), np.array([1.1, 0.0]), slack=0.0)
+        assert Ellipsoid(np.eye(2)).membership(np.array([1.1, 0.0])) > 1.0
 
     def test_degenerate_range(self):
         E = Ellipsoid(np.diag([1.0, 0.0]))
-        assert contains(E, np.array([0.5, 1e-12]), slack=0.0)
-        assert not contains(E, np.array([0.5, 1e-3]), slack=0.0)
+        assert E.membership(np.array([0.5, 1e-12])) <= 1.0
+        assert E.membership(np.array([0.5, 1e-3])) == math.inf
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-9])
+    def test_degenerate_range_is_scale_free(self, s):
+        # the range test is relative to |x|, so the units of the state do
+        # not decide whether a point off the range counts as inside
+        E = Ellipsoid(np.diag([s**2, 0.0]))
+        assert E.membership(np.array([s / 2, s / 2])) == math.inf
+        assert E.membership(np.array([s / 2, 1e-12 * s])) == pytest.approx(0.25, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            contains(Ellipsoid(np.eye(2)), np.array([1.0, 0.0, 0.0]))
+            Ellipsoid(np.eye(2)).membership(np.array([1.0, 0.0, 0.0]))
 
 
 class TestVolume:
@@ -314,8 +308,16 @@ def rank_mixed_terms(rng, n, count):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+# Forming T Q_i T^T rounds the mapped volume by about eps cond(Q), Q the fitted
+# sum.  Over 48,000 draws (n = 2-5, count 1/2/4/8, seeds 0-2999) the largest
+# error / (eps cond(Q)) was 11.3, so COND_FACTOR = 32 leaves a 2.8x margin; the
+# five draws whose error passed 1e-9 reached at most 0.77.
+COND_FACTOR = 32
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), count=st.integers(1, 8))
+@example(seed=108, n=4, count=1)  # error 4.06e-9 at cond(Q) = 2.4e7
 def test_affine_equivariance(seed, n, count):
     # weights depend only on tr(Q^-1 Q_i), which x -> T x leaves unchanged
     rng = np.random.default_rng(seed)
@@ -323,6 +325,8 @@ def test_affine_equivariance(seed, n, count):
     U, _ = np.linalg.qr(rng.standard_normal((n, n)))
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
     T = U @ np.diag(np.exp(rng.uniform(-1.0, 1.0, n))) @ V
-    base = volume(minkowski_sum_many(terms))
-    mapped = volume(minkowski_sum_many([linear_image(E, T) for E in terms]))
-    assert mapped == pytest.approx(abs(np.linalg.det(T)) * base, rel=1e-9)
+    base = minkowski_sum_many(terms)
+    mapped = volume(minkowski_sum_many(
+        [Ellipsoid((Y + Y.T) / 2.0) for Y in (T @ E.Q @ T.T for E in terms)]))
+    rel = max(1e-9, COND_FACTOR * np.finfo(float).eps * np.linalg.cond(base.Q))
+    assert mapped == pytest.approx(abs(np.linalg.det(T)) * volume(base), rel=rel)

@@ -12,8 +12,8 @@ from stealthreach import (
     empirical_cloud,
     fit_ellipsoid_moment,
     named_spec,
+    distance,
     reach_bounds_geom,
-    simulate,
     volume_heatmap,
 )
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
@@ -31,7 +31,7 @@ from stealthreach.montecarlo import (
 )
 from stealthreach.seeding import substream_seed
 
-from conftest import cell_cloud_volume, cpu_cases, plant_4d
+from conftest import batch_parts, cell_cloud_volume, cpu_cases, plant_4d
 
 
 class TestMomentFit:
@@ -84,10 +84,9 @@ class TestEmpiricalCloud:
         cfg = SimConfig(horizon=120, attack_start=1, master_seed=21, trials=3, vbar=vbar)
         cloud = empirical_cloud(bench_model, cfg, spec, source=SOURCE_NOISE, burn_in=20)
         # x_v equals e_v pointwise; the noise stream is attack-independent
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert np.max(np.abs(trace.x_v - trace.e_v)) <= 1e-12
-        expected = trace.x_v[:, 20:, :].reshape(-1, 2)
-        assert np.array_equal(cloud.points, expected)
+        noise = batch_parts(bench_model, cfg, spec)[0]
+        assert np.max(np.abs(noise[..., :2] - noise[..., 2:])) <= 1e-12
+        assert np.array_equal(cloud.points, noise[:, 20:, :2].reshape(-1, 2))
 
     def test_noise_cloud_without_attack_spec(self, bench_model, alpha, vbar):
         # no attack block: the noise split still means the eta-free recursion
@@ -101,21 +100,23 @@ class TestEmpiricalCloud:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_clouds_equal_full_trace(self, bench_model, n):
-        # each source propagates only the parts it reads; its points and
-        # alarm flags are bitwise those of the full simulation
+        # each source propagates only the parts it reads in chunks; its points
+        # and alarm flags are bitwise those of the parts run on the whole batch
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         spec = named_spec("H.B", a)
         cfg = SimConfig(horizon=46, attack_start=40, master_seed=28, trials=60,
                         initial_state=np.linspace(-1.0, 1.0, n))
-        trace = simulate(model, cfg, attack=spec, alpha=a)
-        alarm_free = ~trace.alarm[:, 39:].any(axis=1)
+        noise, attack, r = batch_parts(model, cfg, spec)
+        alarm = distance(r, model.SigmaInv) > a
+        alarm_free = ~alarm[:, 39:].any(axis=1)
         assert alarm_free.any() and not alarm_free.all()
         # some trials alarm only at k*, some only at the horizon
-        assert (trace.alarm[:, 39] & ~trace.alarm[:, 40:].any(axis=1)).any()
-        assert (trace.alarm[:, -1] & ~trace.alarm[:, 39:-1].any(axis=1)).any()
-        for source, column in ((SOURCE_ATTACK, trace.x_delta), (SOURCE_NOISE, trace.x_v),
-                               (SOURCE_TOTAL, trace.x)):
+        assert (alarm[:, 39] & ~alarm[:, 40:].any(axis=1)).any()
+        assert (alarm[:, -1] & ~alarm[:, 39:-1].any(axis=1)).any()
+        x_v, x_delta = noise[..., :n], attack[..., :n]
+        for source, column in ((SOURCE_ATTACK, x_delta), (SOURCE_NOISE, x_v),
+                               (SOURCE_TOTAL, x_v + x_delta)):
             cloud = empirical_cloud(model, cfg, spec, source=source, burn_in=3)
             assert np.array_equal(cloud.points, column[:, 42:].reshape(-1, n)), source
             assert np.array_equal(cloud.trial_alarm_free, alarm_free), source
@@ -201,26 +202,27 @@ class TestAlarmCounts:
         return model, a, cfg, preset and named_spec(preset, a)
 
     def simulated(self, model, a, cfg, spec):
-        """(alarms, steps) and the rate simulate's trace gives for the same run."""
-        trace = simulate(model, cfg, attack=spec, alpha=a)
-        counted = trace.alarm[:, trace.attacked_slice()] if spec else trace.alarm
-        return (int(counted.sum()), counted.size), trace.alarm_rate(attacked_only=bool(spec))
+        """(alarms, steps) of the run simulated as one batch by its parts, over
+        the steps it counts (k* .. horizon when attacked), and the alarm flags
+        of every step."""
+        alarm = distance(batch_parts(model, cfg, spec)[2], model.SigmaInv) > a
+        counted = alarm[:, cfg.attack_start - 1:] if spec else alarm
+        return (int(counted.sum()), counted.size), alarm
 
     @pytest.mark.parametrize("case, cpus", cpu_cases(*ALARM_CASES))
     def test_counts_equal_simulate(self, bench_model, usable_cpus, case, cpus):
         model, a, cfg, spec = self.run(bench_model, case)
-        counts, rate = self.simulated(model, a, cfg, spec)
+        counts, alarm = self.simulated(model, a, cfg, spec)
         usable_cpus(cpus)
         [(alarms, steps)] = alarm_counts(model, [(cfg, spec)], a)
-        assert (alarms, steps) == counts and alarms / steps == rate
+        assert (alarms, steps) == counts
         if spec is None:
             assert alarms > 0 and steps == cfg.trials * cfg.horizon
         elif spec.kind == ZERO_ALARM:
             assert alarms == 0 and steps == cfg.trials * cfg.horizon
         else:
             # steps before k* alarm too, and are not counted
-            trace = simulate(model, cfg, attack=spec, alpha=a)
-            assert alarms > 0 and trace.alarm[:, :cfg.attack_start - 1].any()
+            assert alarms > 0 and alarm[:, :cfg.attack_start - 1].any()
             assert steps == cfg.trials * (cfg.horizon - cfg.attack_start + 1)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -317,7 +319,7 @@ class TestHeatmap:
         spec = AttackSpec(kind=ZERO_ALARM, alpha=a, c1=c1, w1=w1)
         cfg = SimConfig(horizon=90, attack_start=1, master_seed=substream_seed(seed, idx),
                         trials=6)
-        x_delta = simulate(model, cfg, attack=spec, alpha=a).x_delta
+        x_delta = batch_parts(model, cfg, spec)[1][..., :n]
         expected = fit_ellipsoid_moment(x_delta[:, 20:].reshape(-1, n))[1]
         assert w1 > 0.0 and got == expected > 0.0
         assert got == cell_cloud_volume(model, a, c1, w1, seed, idx, trials=6, horizon=90,

@@ -6,12 +6,11 @@ from stealthreach import (
     SimConfig,
     build_model,
     chi2_quantile,
+    distance,
     named_spec,
-    sample_delta_bar,
-    simulate,
     solve_steady_state_kalman,
 )
-from stealthreach.attacks import AttackSpec, ZERO_ALARM
+from stealthreach.attacks import ZERO_ALARM, AttackDraws, AttackSpec
 from stealthreach.errors import (
     DimensionMismatch,
     NotDetectable,
@@ -19,10 +18,11 @@ from stealthreach.errors import (
     UnstableF,
     UnstableFilter,
 )
+from stealthreach.montecarlo import alarm_counts
 from stealthreach.plant import _draw_system_noise, draw_inputs
 from stealthreach.seeding import stream
 
-from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, plant_4d
+from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, batch_parts, plant_4d
 
 
 class TestKalman:
@@ -94,10 +94,9 @@ class TestSimulate:
     def test_equilibrium_without_noise(self):
         model = zero_noise_model()
         cfg = SimConfig(horizon=100, master_seed=0, trials=2)
-        trace = simulate(model, cfg, alpha=1.0)
-        for arr in (trace.x, trace.r, trace.z):
+        for arr in batch_parts(model, cfg):
             assert np.max(np.abs(arr)) == 0.0
-        assert not trace.alarm.any()
+        assert alarm_counts(model, [(cfg, None)], 1.0) == [(0, 200)]
 
     def test_zero_noise_attack_distance(self, bench_model, alpha):
         # noise draws forced to zero, nominal Sigma kept: the boundary attack
@@ -108,33 +107,28 @@ class TestSimulate:
         spec = AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=alpha, w1=0.0,
                           direction_mode=(1.0, 0.0))
         cfg = SimConfig(horizon=200, attack_start=5, master_seed=1, trials=1)
-        trace = simulate(model, cfg, attack=spec, alpha=alpha)
-        attacked = trace.z[:, 4:]
-        assert np.max(np.abs(attacked - alpha)) <= 1e-9 * alpha
-        assert not trace.alarm.any()
-        assert np.max(np.abs(trace.z[:, :4])) == 0.0
+        z = distance(batch_parts(model, cfg, spec)[2], model.SigmaInv)
+        assert np.max(np.abs(z[:, 4:] - alpha)) <= 1e-9 * alpha
+        assert not (z > alpha).any()
+        assert np.max(np.abs(z[:, :4])) == 0.0
 
     def test_superposition_mid_trajectory(self, bench_model, alpha):
-        spec = named_spec("ZA.B", alpha)
+        # the attack part is exactly zero before k*, and the noise part does
+        # not depend on the attack
         cfg = SimConfig(horizon=400, attack_start=120, master_seed=2, trials=4)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert np.max(np.abs(trace.x - (trace.x_v + trace.x_delta))) <= 1e-9
-        assert np.max(np.abs(trace.e - (trace.e_v + trace.e_delta))) <= 1e-9
-        pre = slice(0, 119)
-        assert np.max(np.abs(trace.delta[:, pre])) == 0.0
-        assert np.max(np.abs(trace.x_delta[:, pre])) == 0.0
-        assert np.max(np.abs(trace.e_delta[:, pre])) == 0.0
+        noise, attack, _ = batch_parts(bench_model, cfg, named_spec("ZA.B", alpha))
+        assert np.max(np.abs(attack[:, :119])) == 0.0 and attack[:, 120:].any(axis=-1).all()
+        assert np.array_equal(noise, batch_parts(bench_model, cfg, named_spec("H.D", alpha))[0])
 
     def test_noise_state_equals_noise_error(self, bench_model, alpha):
         spec = named_spec("ZA.C", alpha)
         cfg = SimConfig(horizon=500, attack_start=1, master_seed=3, trials=3)
-        trace = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert np.max(np.abs(trace.x_v - trace.e_v)) <= 1e-12
+        noise = batch_parts(bench_model, cfg, spec)[0]
+        assert np.max(np.abs(noise[..., :2] - noise[..., 2:])) <= 1e-12
 
     def test_residual_whiteness(self, bench_model):
         cfg = SimConfig(horizon=1000, master_seed=4, trials=100)
-        trace = simulate(bench_model, cfg)
-        r = trace.r[:, 200:].reshape(-1, 2)  # drop the filter transient
+        r = batch_parts(bench_model, cfg)[2][:, 200:].reshape(-1, 2)  # drop the filter transient
         count = r.shape[0]
         sigma = bench_model.Sigma
         mean_tol = 4.0 * np.sqrt(np.diag(sigma) / count)
@@ -145,21 +139,20 @@ class TestSimulate:
     def test_determinism_and_trial_streams(self, bench_model, alpha):
         spec = named_spec("H.B", alpha)
         cfg = SimConfig(horizon=200, attack_start=50, master_seed=5, trials=4)
-        t1 = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        t2 = simulate(bench_model, cfg, attack=spec, alpha=alpha)
-        assert np.array_equal(t1.x, t2.x)
-        assert np.array_equal(t1.z, t2.z)
+        p1, p2 = batch_parts(bench_model, cfg, spec), batch_parts(bench_model, cfg, spec)
         # per-trial streams: a smaller batch reproduces the leading trials
         cfg_small = SimConfig(horizon=200, attack_start=50, master_seed=5, trials=2)
-        t3 = simulate(bench_model, cfg_small, attack=spec, alpha=alpha)
-        assert np.array_equal(t1.x[:2], t3.x)
+        p3 = batch_parts(bench_model, cfg_small, spec)
+        for a, b, c in zip(p1, p2, p3):
+            assert np.array_equal(a, b) and np.array_equal(a[:2], c)
 
     def test_truncated_noise_respects_level(self, bench_model, vbar):
         cfg = SimConfig(horizon=400, master_seed=6, trials=5, vbar=vbar)
-        trace = simulate(bench_model, cfg)
+        noise = batch_parts(bench_model, cfg)[0]
+        x, xhat = noise[..., :2], noise[..., :2] - noise[..., 2:]
         # recover v_k = x_{k+1} - F x_k - G K xhat_k and test the quadratic form
-        u = trace.xhat @ bench_model.K.T
-        v = trace.x[:, 1:] - trace.x[:, :-1] @ bench_model.F.T - u[:, :-1] @ bench_model.G.T
+        u = xhat @ bench_model.K.T
+        v = x[:, 1:] - x[:, :-1] @ bench_model.F.T - u[:, :-1] @ bench_model.G.T
         R1_inv = np.linalg.inv(bench_model.R1)
         quad = np.einsum("tki,ij,tkj->tk", v, R1_inv, v)
         assert np.max(quad) <= vbar * (1.0 + 1e-9)
@@ -173,8 +166,7 @@ class TestSimulate:
             SimConfig(horizon=10, master_seed=0, trials=1, vbar=0.0)
 
 
-COLUMNS = ("x", "xhat", "e", "r", "z", "alarm", "delta", "delta_bar",
-           "x_v", "x_delta", "e_v", "e_delta")
+COLUMNS = ("x_v", "e_v", "x_delta", "e_delta", "r", "z", "alarm")
 
 
 def reference_trace(model, cfg, spec, alpha):
@@ -182,9 +174,10 @@ def reference_trace(model, cfg, spec, alpha):
 
     Each trial redraws its inputs from its own stream (v block with
     rejection rounds, eta block, dbar block) and runs x' = F x + G u + v,
-    y = C x + eta + delta, xhat' = F xhat + G u + L (y - C xhat), u = K xhat.
-    The noise part is the same loop with dbar = 0 (the attacker still
-    cancels C e + eta); the attack part is the difference.
+    y = C x + eta + delta, xhat' = F xhat + G u + L (y - C xhat), u = K xhat,
+    with delta = -C e - eta + SigmaSqrt dbar from k*.  The noise part is the
+    same loop with dbar = 0 (the attacker still cancels C e + eta); the
+    attack part is the difference.
     """
     n, p, N = model.n, model.p, cfg.horizon
     kstar = cfg.attack_start if spec is not None else None
@@ -201,17 +194,19 @@ def reference_trace(model, cfg, spec, alpha):
         eta = rng.standard_normal((N, p)) @ chol_r2.T
         dbar = np.zeros((N, p))
         if kstar is not None:
-            dbar[kstar - 1:] = sample_delta_bar(spec, p, rng, size=N - kstar + 1)
+            draws = AttackDraws(spec, dbar[None, kstar - 1:])
+            draws.pull(0, rng)
+            draws.transform()
 
         def run(dbar):
             x, xhat = x0.copy(), x0.copy()
-            rows = {name: [] for name in ("x", "xhat", "r", "delta")}
+            rows = {name: [] for name in ("x", "xhat", "r")}
             for i in range(N):
                 e = x - xhat
                 attacked = kstar is not None and i + 1 >= kstar
                 delta = -model.C @ e - eta[i] + model.SigmaSqrt @ dbar[i] if attacked else np.zeros(p)
                 r = model.C @ x + eta[i] + delta - model.C @ xhat
-                for name, value in (("x", x), ("xhat", xhat), ("r", r), ("delta", delta)):
+                for name, value in (("x", x), ("xhat", xhat), ("r", r)):
                     rows[name].append(value)
                 u = model.K @ xhat
                 x, xhat = model.F @ x + model.G @ u + v[i], model.F @ xhat + model.G @ u + model.L @ r
@@ -220,13 +215,18 @@ def reference_trace(model, cfg, spec, alpha):
         full, noise = run(dbar), run(np.zeros((N, p)))
         e, e_v = full["x"] - full["xhat"], noise["x"] - noise["xhat"]
         z = np.einsum("ki,ij,kj->k", full["r"], model.SigmaInv, full["r"])
-        for name, value in (("x", full["x"]), ("xhat", full["xhat"]), ("e", e),
-                            ("r", full["r"]), ("z", z), ("alarm", z > alpha),
-                            ("delta", full["delta"]), ("delta_bar", dbar),
-                            ("x_v", noise["x"]), ("x_delta", full["x"] - noise["x"]),
-                            ("e_v", e_v), ("e_delta", e - e_v)):
+        for name, value in (("x_v", noise["x"]), ("e_v", e_v), ("x_delta", full["x"] - noise["x"]),
+                            ("e_delta", e - e_v), ("r", full["r"]), ("z", z), ("alarm", z > alpha)):
             cols[name].append(value)
     return {name: np.array(cols[name]) for name in COLUMNS}
+
+
+def part_columns(model, cfg, spec, alpha):
+    """The COLUMNS of batch_parts' arrays: z = distance(r), alarms z > alpha."""
+    noise, attack, r = batch_parts(model, cfg, spec)
+    z, n = distance(r, model.SigmaInv), model.n
+    return {"x_v": noise[..., :n], "e_v": noise[..., n:], "x_delta": attack[..., :n],
+            "e_delta": attack[..., n:], "r": r, "z": z, "alarm": z > alpha}
 
 
 REFERENCE_CASES = ((None, None, False), ("ZA.B", 120, False), ("H.B", 1, True))
@@ -246,18 +246,13 @@ class TestReferenceDynamics:
         cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
                         master_seed=11, trials=3, initial_state=x0,
                         vbar=vbar if truncate else None)
-        trace = simulate(model, cfg, attack=spec, alpha=alpha)
-        ref = reference_trace(model, cfg, spec, alpha)
+        got, ref = part_columns(model, cfg, spec, alpha), reference_trace(model, cfg, spec, alpha)
         for name in COLUMNS:
-            got = getattr(trace, name)
-            if got is None:
-                assert spec is None and name == "delta_bar"
-                continue
-            assert got.shape == ref[name].shape, name
+            assert got[name].shape == ref[name].shape, name
             if name == "alarm":
-                assert np.array_equal(got, ref[name])
+                assert np.array_equal(got[name], ref[name])
             else:
-                assert np.max(np.abs(got - ref[name])) <= 1e-12, name
+                assert np.max(np.abs(got[name] - ref[name])) <= 1e-12, name
 
 
 class TestBatchInvariance:
@@ -266,15 +261,13 @@ class TestBatchInvariance:
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         spec = named_spec("H.B", a)
-        traces = [
-            simulate(model, SimConfig(horizon=80, attack_start=20, master_seed=8, trials=trials),
-                     attack=spec, alpha=a)
+        single, batch = (
+            part_columns(model, SimConfig(horizon=80, attack_start=20, master_seed=8,
+                                          trials=trials), spec, a)
             for trials in (1, 5)
-        ]
+        )
         for name in COLUMNS:
-            single, batch = (getattr(tr, name) for tr in traces)
-            assert np.array_equal(single[0], batch[0]), name
-
+            assert np.array_equal(single[name][0], batch[name][0]), name
 
 
 def full_recheck_draw(rng, count, chol, vbar):
@@ -308,7 +301,8 @@ class TestTruncatedDraw:
 
 def reference_draws(model, cfg, spec):
     """Plain per-trial loop over the public draws: the v block from the
-    full-recheck truncation oracle, the eta block, then sample_delta_bar."""
+    full-recheck truncation oracle, the eta block, then a one-trial
+    AttackDraws."""
     n, p, N = model.n, model.p, cfg.horizon
     kstar = cfg.attack_start if spec is not None else None
     vbar = np.inf if cfg.vbar is None else cfg.vbar
@@ -320,7 +314,9 @@ def reference_draws(model, cfg, spec):
         if np.any(model.R2):
             etas[t] = rng.standard_normal((N, p)) @ np.linalg.cholesky(model.R2).T
         if kstar is not None:
-            dbar[t, kstar - 1:] = sample_delta_bar(spec, p, rng, size=N - kstar + 1)
+            draws = AttackDraws(spec, dbar[t:t + 1, kstar - 1:])
+            draws.pull(0, rng)
+            draws.transform()
     return vs, etas, dbar
 
 

@@ -7,10 +7,13 @@ import pytest
 from stealthreach import (
     GeomSumConfig,
     Ellipsoid,
+    SimConfig,
     build_model,
     chi2_quantile,
+    empirical_cloud,
     geom_bound,
     minkowski_sum_many,
+    named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
     reach_targets,
@@ -18,6 +21,7 @@ from stealthreach import (
 )
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
+from stealthreach.montecarlo import SOURCE_ATTACK, SOURCE_TOTAL
 from stealthreach.reach_geom import series_terms
 from stealthreach.reach_lmi import LMI_CERT_TOL
 from stealthreach.seeding import stream
@@ -136,6 +140,22 @@ class TestAttackStateReach:
             worst_x = max(worst_x, float(np.max(np.atleast_1d(state_bound.shape.membership(xd)))))
         assert worst_e <= 1.0 + 1e-6
         assert worst_x <= 1.0 + 1e-6
+
+    def test_two_leading_zero_terms(self):
+        # K L = 0, so C A B = -G K L = 0 as well as C B: the series starts at
+        # k = 2, and the bound still contains the attack and total clouds
+        model = build_model(np.array([[0.5, 0.0], [0.4, 0.3]]), np.array([[1.0], [0.0]]),
+                            np.array([[1.0, 0.0]]), np.array([[0.0, 0.5]]), 0.05 * np.eye(2),
+                            np.eye(1), L=np.array([[0.3], [0.0]]))
+        alpha, vbar = chi2_quantile(0.95, 1), chi2_quantile(0.95, 2)
+        terms = attack_state_terms(model, alpha, 3)
+        assert not terms[0].any() and not terms[1].any() and terms[2].any()
+        geo, lmi = reach_bounds_geom(model, alpha, vbar), reach_bounds_lmi(model, alpha, vbar)
+        assert 0.0 < geo[2].volume <= lmi[2].volume and geo[3].volume <= lmi[3].volume
+        cfg = SimConfig(horizon=300, attack_start=1, master_seed=3, trials=100, vbar=vbar)
+        for source, bound in ((SOURCE_ATTACK, geo[2]), (SOURCE_TOTAL, geo[3])):
+            cloud = empirical_cloud(model, cfg, named_spec("ZA.C", alpha), source=source)
+            assert np.max(bound.membership(cloud.points)) <= 1.0 + 1e-6, source
 
 
 class TestTruncationAndScaling:

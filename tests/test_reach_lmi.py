@@ -23,10 +23,13 @@ from stealthreach import (
 from stealthreach.errors import AllInfeasible, DimensionMismatch, Infeasible
 from stealthreach.plant import build_model, spectral_radius
 from stealthreach.reach_common import METHOD_LMI, total_state_bound
-from stealthreach.reach_lmi import A_BRACKET_TOL, logdet_slope
+from stealthreach.reach_lmi import A_BRACKET_TOL, _checked, logdet_slope
 from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, R1, R2, plant_4d
+
+# bisection halvings of a bracket at most 1 wide, plus the solve at a*
+BISECTION_SOLVES = math.ceil(math.log2(1.0 / A_BRACKET_TOL)) + 1
 
 
 def block_matrix(P, A, B, R, a):
@@ -170,6 +173,11 @@ class TestMinVolumeOverA:
         bound = min_volume_over_a(np.zeros((2, 2)), np.eye(2), np.eye(2))
         assert bound.volume <= unit_ball_volume(2) * 1.02
         assert bound.a_star < 0.05
+        # Q(a) = I / (1-a): the slope is positive on the whole bracket, so no
+        # secant point exists and the search is bisection, step for step
+        assert bound.a_star == bisection_a_star(np.zeros((2, 2)), np.eye(2), np.eye(2))
+        assert bound.volume == pytest.approx(unit_ball_volume(2) / (1.0 - bound.a_star), rel=1e-12)
+        assert bound.diagnostics["a_evaluations"] <= BISECTION_SOLVES
 
     def test_scalar_family_optimum_location(self):
         # optimum of (a - s^2)(1 - a)/a over a sits at a = s
@@ -191,6 +199,9 @@ class TestMinVolumeOverA:
         assert bound.a_star == pytest.approx(sigma, abs=1e-9)
         p_star = scalar_family_optimum(sigma, sigma)
         assert bound.volume == pytest.approx(unit_ball_volume(2) / p_star, rel=1e-9)
+        assert bound.a_star == pytest.approx(
+            bisection_a_star(sigma * np.eye(2), np.eye(2), np.eye(2)), abs=A_BRACKET_TOL)
+        assert bound.diagnostics["a_evaluations"] <= BISECTION_SOLVES
 
     def test_uncontrollable_pair_all_infeasible_fast(self):
         # the second coordinate is never driven, so no bounded P exists
@@ -285,11 +296,26 @@ class TestBenchmarkBounds:
         for bound in reach_bounds_lmi(bench_model, alpha, vbar)[:3]:
             diag = bound.diagnostics
             assert diag["lyapunov_residual"] <= 1e-12
-            # bisection halvings of a bracket at most 1 wide, plus the solve at a*
-            assert diag["a_evaluations"] <= math.ceil(math.log2(1.0 / A_BRACKET_TOL)) + 1
+            assert diag["a_evaluations"] <= BISECTION_SOLVES
             assert diag["a"] == bound.a_star
             # the slope at a* is zero to the bracket width times the curvature
             assert abs(diag["logdet_slope"]) <= 1e-9
+
+
+def bisection_a_star(A, B, S, C_out=None):
+    """The decay scalar of plain bisection on the sign of the slope, the
+    search that the secant replaced: 40 halvings of (rho(A)^2, 1) to
+    A_BRACKET_TOL, a* at the bracket midpoint."""
+    A, B, S, W0 = _checked(A, B, S, C_out)
+    lo, hi = spectral_radius(A) ** 2 + 1e-12, 1.0
+    while hi - lo > A_BRACKET_TOL:
+        mid = (lo + hi) / 2.0
+        try:
+            rising = logdet_slope(A, W0, mid, C_out)[1] > 0.0
+        except Infeasible:
+            rising = False
+        lo, hi = (lo, mid) if rising else (mid, hi)
+    return (lo + hi) / 2.0
 
 
 def oracle_instances(count=50):
@@ -315,7 +341,7 @@ def oracle_instances(count=50):
 
 class TestBisectionOracle:
     def test_bisection_beats_dense_grid_and_slope_is_monotone(self):
-        # log det Q(a) is convex on (rho(A)^2, 1), so the bisection optimum is
+        # log det Q(a) is convex on (rho(A)^2, 1), so the searched optimum is
         # at or below the fixed point at every point of a 400-point grid, and
         # the slope changes sign at most once along it.  log det Q carries
         # round-off of about eps * cond(Q) per dimension, so the margin scales
@@ -335,3 +361,40 @@ class TestBisectionOracle:
             assert np.linalg.slogdet(bound.shape.Q)[1] <= grid_logdet + margin
             signs = np.sign([slope for _, slope in on_grid])
             assert np.count_nonzero(np.diff(signs)) <= 1
+            # the secant search reaches bisection's optimum to the same
+            # margin, and never solves more decay scalars than it
+            Q_ref, _ = solve_logdet_sdp(A, B, S, bisection_a_star(A, B, S, C_out), C_out)
+            assert abs(np.linalg.slogdet(bound.shape.Q)[1]
+                       - np.linalg.slogdet(Q_ref)[1]) <= margin
+            assert bound.diagnostics["a_evaluations"] <= BISECTION_SOLVES
+
+
+class TestSecantAgainstBisection:
+    def test_certified_targets_in_few_solves(self, bench_model, alpha, vbar):
+        # bisection needs 40 or 41 decay scalars on these targets
+        model = plant_4d()
+        for targets in (reach_targets(bench_model, alpha, vbar),
+                        reach_targets(model, chi2_quantile(0.95, model.p),
+                                      chi2_quantile(0.95, model.n))):
+            for A, B, S, C_out in targets.values():
+                bound = min_volume_over_a(A, B, S, C_out)
+                assert bound.diagnostics["lmi_min_eig"] >= -reach_lmi.LMI_CERT_TOL
+                assert bound.diagnostics["a_evaluations"] <= 16
+                # both a* lie within half a bracket width of the slope's zero
+                assert abs(bound.a_star - bisection_a_star(A, B, S, C_out)) <= A_BRACKET_TOL
+
+    @pytest.mark.parametrize("root", [0.3, 0.9])
+    def test_budget_holds_for_any_rising_slope(self, monkeypatch, root):
+        # slopes on which a secant crawls: without the bisection bound on
+        # each step, the kinked ones take over 100 decay scalars
+        shapes = (lambda a: (a - root) * (1e6 if a > root else 1.0),
+                  lambda a: (a - root) * (1e-6 if a > root else 1.0),
+                  lambda a: (a - root) ** 3,
+                  lambda a: 1.0 if a > root else -1.0)
+        real = logdet_slope
+        for shape in shapes:
+            monkeypatch.setattr(reach_lmi, "logdet_slope",
+                                lambda *args: (real(*args)[0], shape(args[2])))
+            bound = min_volume_over_a(0.5 * np.eye(2), np.eye(2), np.eye(2))
+            assert bound.diagnostics["a_evaluations"] <= BISECTION_SOLVES
+            assert abs(bound.a_star - root) <= A_BRACKET_TOL

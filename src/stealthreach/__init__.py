@@ -13,7 +13,6 @@ from .detector import chi2_quantile, distance, reg_lower_gamma
 from .ellipsoids import (
     Ellipsoid,
     minkowski_sum_many,
-    minkowski_sum_pair,
     sym_sqrt,
     unit_ball_volume,
     volume,
@@ -32,7 +31,7 @@ from .plant import (
     build_model,
     solve_steady_state_kalman,
 )
-from .reach_common import ReachBound, total_state_bound
+from .reach_common import ReachBound
 from .reach_geom import (
     GeomSumConfig,
     geom_bound,
@@ -49,12 +48,11 @@ from .scenario import Scenario, load_scenario, parse_scenario
 __all__ = [
     "AttackSpec", "named_spec",
     "chi2_quantile", "distance", "reg_lower_gamma",
-    "Ellipsoid", "minkowski_sum_many", "minkowski_sum_pair",
-    "sym_sqrt", "unit_ball_volume", "volume",
+    "Ellipsoid", "minkowski_sum_many", "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
     "fit_ellipsoid_moment", "volume_heatmap",
     "PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman",
-    "ReachBound", "total_state_bound",
+    "ReachBound",
     "GeomSumConfig", "geom_bound", "reach_bounds_geom", "reach_targets",
     "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
     "Scenario", "load_scenario", "parse_scenario",

@@ -6,8 +6,7 @@ when Q is singular.  All operations are pure functions; Ellipsoid values
 are immutable and safe to share between threads.
 
 Minkowski sums have one engine: minkowski_sum_many fits the outer shape
-sum_i Q_i / w_i with fixed-point weights, and minkowski_sum_pair is its
-two-term call.
+sum_i Q_i / w_i with fixed-point weights to a stack of shape matrices.
 """
 
 import math
@@ -32,21 +31,28 @@ BLOCK_ROWS = 4096  # rows per block of Ellipsoid.membership
 MAX_WEIGHT_ITERS = 500
 
 
-def _check_symmetric(M: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def checked_shape(M: np.ndarray, ndim: int = 2, name: str = "shape") -> np.ndarray:
+    """M symmetrized, for a square matrix (ndim = 2) or a stack of them
+    (ndim = 3).  Raises NonSymmetric when a matrix's asymmetry exceeds
+    SYM_TOL of its max|M|, and NotPSD when its smallest eigenvalue is below
+    -PSD_TOL of its max|eig|; the messages start with name."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {M.shape}")
-    asym = np.max(np.abs(M - M.T))
-    if asym > tol * np.max(np.abs(M)):
-        raise NonSymmetric(f"asymmetry {asym:.3e} exceeds {tol:.1e} of max|M|")
-    return (M + M.T) / 2.0
-
-
-def _check_psd(w: np.ndarray) -> None:
-    """Raise NotPSD when the smallest of the ascending eigenvalues w is
-    below -PSD_TOL * max|w|."""
-    if w[0] < -PSD_TOL * np.max(np.abs(w)):
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e} of max|eig|")
+    if M.ndim != ndim or M.shape[-2] != M.shape[-1]:
+        raise DimensionMismatch(f"expected {'a stack of ' * (ndim - 2)}square matrices, "
+                                f"got shape {M.shape}")
+    Mt = np.swapaxes(M, -1, -2)
+    asym = np.max(np.abs(M - Mt), axis=(-2, -1))
+    bad = asym > SYM_TOL * np.max(np.abs(M), axis=(-2, -1))
+    if np.any(bad):
+        raise NonSymmetric(f"{name}: asymmetry {np.max(asym[bad]):.3e} exceeds "
+                           f"{SYM_TOL:.1e} of max|M|")
+    M = (M + Mt) / 2.0
+    w = np.linalg.eigvalsh(M)
+    low = w[..., 0] < -PSD_TOL * np.max(np.abs(w), axis=-1)
+    if np.any(low):
+        raise NotPSD(f"{name}: eigenvalue {np.min(w[..., 0][low]):.3e} below "
+                     f"-{PSD_TOL:.1e} of max|eig|")
+    return M
 
 
 def sym_sqrt(M: np.ndarray) -> np.ndarray:
@@ -55,9 +61,7 @@ def sym_sqrt(M: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_TOL * max|eig|, 0) are treated as round-off and
     clamped to 0; anything more negative raises NotPSD.
     """
-    M = _check_symmetric(M)
-    w, V = np.linalg.eigh(M)
-    _check_psd(w)
+    w, V = np.linalg.eigh(checked_shape(M))
     w = np.clip(w, 0.0, None)
     S = (V * np.sqrt(w)) @ V.T
     return (S + S.T) / 2.0
@@ -75,8 +79,7 @@ class Ellipsoid:
     Q: np.ndarray
 
     def __post_init__(self):
-        Q = _check_symmetric(self.Q)
-        _check_psd(np.linalg.eigvalsh(Q))
+        Q = checked_shape(self.Q)
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 
@@ -162,7 +165,7 @@ def stationary_weights(Q: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     return s / s.sum()
 
 
-def stationarity_gap(E: Ellipsoid, terms: list[np.ndarray]) -> float | None:
+def stationarity_gap(E: Ellipsoid, terms) -> float | None:
     """||Q - sum_i Q_i / w_i|| / ||Q|| with w = stationary_weights(Q, terms).
 
     Zero at the volume-minimizing weights; None when Q is degenerate.
@@ -174,18 +177,11 @@ def stationarity_gap(E: Ellipsoid, terms: list[np.ndarray]) -> float | None:
     return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
 
 
-def minkowski_sum_pair(E1: Ellipsoid, E2: Ellipsoid) -> Ellipsoid:
-    """Minimum-volume outer ellipsoid of the Minkowski sum of two ellipsoids.
+def minkowski_sum_many(terms) -> Ellipsoid:
+    """Outer ellipsoid of the Minkowski sum of the ellipsoids whose shape
+    matrices are terms, a sequence of n x n matrices or an (N, n, n) stack.
 
-    The two-term case of minkowski_sum_many.  A zero summand acts as the
-    identity, and two zero summands give the zero ellipsoid.
-    """
-    return minkowski_sum_many([E1, E2])
-
-
-def minkowski_sum_many(terms: list[Ellipsoid]) -> Ellipsoid:
-    """Outer ellipsoid of an N-fold Minkowski sum.
-
+    The terms are checked once, as one stack, by the Ellipsoid checks.
     Every shape Q(w) = sum_i Q_i / w_i with weights w on the simplex
     contains the sum (Kurzhanski and Valyi 1997).  Starting from uniform
     weights, the fixed-point map w <- stationary_weights(Q(w)) descends to
@@ -195,19 +191,15 @@ def minkowski_sum_many(terms: list[Ellipsoid]) -> Ellipsoid:
     terms do not span R^n) is returned as it is, since the map needs
     Q(w)^-1.
     """
-    if not terms:
+    if len(terms) == 0:
         raise EmptyTermList("minkowski_sum_many needs at least one term")
-    n = terms[0].dim
-    for E in terms:
-        if E.dim != n:
-            raise DimensionMismatch(f"mixed dims {n} and {E.dim}")
-    live = [E for E in terms if float(np.trace(E.Q)) > 0.0]
-    if not live:
-        return Ellipsoid.zero(n)
-    if len(live) == 1:
-        return live[0]
-    Qs = np.stack([E.Q for E in live])
-    w = np.full(len(live), 1.0 / len(live))
+    if len({np.shape(Q) for Q in terms}) > 1:
+        raise DimensionMismatch(f"mixed term shapes {sorted({np.shape(Q) for Q in terms})}")
+    Qs = checked_shape(terms, ndim=3, name="term")
+    Qs = Qs[np.trace(Qs, axis1=1, axis2=2) > 0.0]
+    if len(Qs) <= 1:  # no nonzero term gives the zero ellipsoid, one gives itself
+        return Ellipsoid(Qs.sum(axis=0))
+    w = np.full(len(Qs), 1.0 / len(Qs))
     uniform = Ellipsoid(weighted_shape(Qs, w))
     if uniform.is_degenerate():
         return uniform

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackDraws, AttackSpec
-from .ellipsoids import sym_sqrt
+from .ellipsoids import checked_shape, sym_sqrt
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -144,6 +144,9 @@ class PlantModel:
 def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
     """Validate matrices, solve the filter Riccati equation, derive Sigma.
 
+    R1 and R2 must pass the ellipsoid checks (NonSymmetric, NotPSD); a
+    rank-deficient covariance is accepted.
+
     When L is omitted it is the optimal steady-state gain; a supplied L is
     used in the dynamics while P and Sigma still come from the Riccati
     fixed point (discrepancy reported as diagnostics['gain_gap']).
@@ -163,6 +166,8 @@ def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
     K = _as_matrix(K, m, n, "K")
     R1 = _as_matrix(R1, n, n, "R1")
     R2 = _as_matrix(R2, p, p, "R2")
+    for name, R in (("R1", R1), ("R2", R2)):
+        checked_shape(R, name=name)
 
     rho_f = spectral_radius(F)
     if rho_f >= 1.0:

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoids import Ellipsoid, minkowski_sum_pair, stationarity_gap
+from .ellipsoids import Ellipsoid
 
 METHOD_LMI = "lmi"
 METHOD_GEOMETRIC = "geometric"
@@ -55,17 +55,3 @@ class ReachBound:
             "diagnostics": self.diagnostics,
         }
 
-
-def total_state_bound(noise_bound: ReachBound, attack_bound: ReachBound, method: str) -> ReachBound:
-    """Combine the noise and attack state bounds by one Minkowski pair sum,
-    with the stationarity gap of its two weights."""
-    E = minkowski_sum_pair(noise_bound.shape, attack_bound.shape)
-    gap = stationarity_gap(E, [noise_bound.shape.Q, attack_bound.shape.Q])
-    return ReachBound(
-        shape=E,
-        method=method,
-        target=TARGET_TOTAL_STATE,
-        volume=E.volume,
-        diagnostics={"from": [noise_bound.target, attack_bound.target],
-                     "stationarity_gap": gap},
-    )

@@ -11,11 +11,15 @@ methods read:
 
 The attack state is the x block of the joint [x, e] recursion.  From zero
 the recursion unrolls into a sum of independent per-step ellipsoids
-E(C A^k B S B^T A^k^T C^T), which series_terms yields.  geom_bound
-truncates the series once the terms' determinant and trace mass have both
-decayed below a relative tolerance, fits one ellipsoid around the finite
-Minkowski sum with minkowski_sum_many and reports the stationarity gap of
-the fitted weights.
+E(C A^k B S B^T A^k^T C^T), which series_terms yields.  truncated_terms
+stops the series once the terms' determinant and trace mass have both
+decayed below a relative tolerance, and fit_bound fits one ellipsoid
+around the finite Minkowski sum with minkowski_sum_many and reports the
+stationarity gap of the fitted weights.
+
+The total state x = x_v + x_delta sums the noise and attack-state rows, so
+its bound is one fit over both rows' terms.  A pair sum of two fitted
+bounds, the LMI total included, is a member of its weighted family.
 """
 
 import math
@@ -25,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .ellipsoids import Ellipsoid, minkowski_sum_many, stationarity_gap
+from .ellipsoids import minkowski_sum_many, stationarity_gap
 from .errors import MaxTermsExceeded, UnstableF
 from .plant import PlantModel, spectral_radius
 from .reach_common import (
@@ -33,8 +37,8 @@ from .reach_common import (
     TARGET_ATTACK_ERROR,
     TARGET_ATTACK_STATE,
     TARGET_NOISE,
+    TARGET_TOTAL_STATE,
     ReachBound,
-    total_state_bound,
 )
 
 
@@ -80,16 +84,21 @@ def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
         X = A @ X
 
 
-def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig, lead: int) -> list[np.ndarray]:
-    """Take terms from the series until the decay rule fires.
+def truncated_terms(A, B, S, C=None, cfg: GeomSumConfig | None = None) -> list[np.ndarray]:
+    """The series C A^k B S B^T A^k^T C^T until the decay rule of cfg fires.
 
     Exactly zero leading terms (C A^k B = 0, as for the attack state, whose
-    input reaches x one step late or later) are dropped, up to lead of
-    them, and the decay is measured against the first nonzero term.  With
-    lead = dim(A), a series whose first lead terms are zero is zero
-    throughout (Cayley-Hamilton), and the zero term is returned.
+    input reaches x one step late or later) are dropped, up to dim(A) of
+    them, and the decay is measured against the first nonzero term.  A
+    series whose first dim(A) terms are zero is zero throughout
+    (Cayley-Hamilton), and the zero term is returned.
     """
-    for _ in range(lead):
+    rho = spectral_radius(A)
+    if rho >= 1.0:
+        raise UnstableF(f"reach series needs rho(A) < 1, got {rho:.4f}")
+    cfg = cfg or GeomSumConfig()
+    series = series_terms(A, B, S, C)
+    for _ in range(len(A)):
         first = next(series)
         if first.any():
             break
@@ -109,26 +118,34 @@ def _truncated(series: Iterator[np.ndarray], cfg: GeomSumConfig, lead: int) -> l
     )
 
 
+def fit_bound(terms, target: str, method: str = METHOD_GEOMETRIC,
+              diagnostics: dict | None = None) -> ReachBound:
+    """The minkowski_sum_many outer bound of the terms' Minkowski sum, with
+    the stationarity gap of its weights added to diagnostics; a geometric
+    bound counts its terms."""
+    E = minkowski_sum_many(terms)
+    return ReachBound(shape=E, method=method, target=target, volume=E.volume,
+                      terms_used=len(terms) if method == METHOD_GEOMETRIC else None,
+                      diagnostics={**(diagnostics or {}),
+                                   "stationarity_gap": stationarity_gap(E, terms)})
+
+
 def geom_bound(A, B, S, C=None, target: str = "bound",
                cfg: GeomSumConfig | None = None) -> ReachBound:
     """Outer bound of the truncated Minkowski sum of the series C A^k B S B^T A^k^T C^T."""
-    rho = spectral_radius(A)
-    if rho >= 1.0:
-        raise UnstableF(f"reach series needs rho(A) < 1, got {rho:.4f}")
-    terms = _truncated(series_terms(A, B, S, C), cfg or GeomSumConfig(), len(A))
-    E = minkowski_sum_many([Ellipsoid(Q) for Q in terms])
-    return ReachBound(shape=E, method=METHOD_GEOMETRIC, target=target, volume=E.volume,
-                      terms_used=len(terms),
-                      diagnostics={"stationarity_gap": stationarity_gap(E, terms)})
+    return fit_bound(truncated_terms(A, B, S, C, cfg), target)
 
 
 def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float,
                       cfg: GeomSumConfig | None = None):
-    """All three geometric bounds plus the total-state combination.  Each
-    bound's diagnostics carry the input scale, vbar or alpha."""
-    noise, att_err, att_state = (
-        geom_bound(*inputs, target=target, cfg=cfg)
-        for target, inputs in reach_targets(model, alpha, vbar).items())
+    """The three geometric bounds and the total-state bound, one fit over the
+    noise and attack-state terms.  Each of the three carries its input
+    scale, vbar or alpha, in its diagnostics."""
+    terms = {target: truncated_terms(*inputs, cfg=cfg)
+             for target, inputs in reach_targets(model, alpha, vbar).items()}
+    noise, att_err, att_state = (fit_bound(t, target) for target, t in terms.items())
     noise.diagnostics["vbar"] = vbar
     att_err.diagnostics["alpha"] = att_state.diagnostics["alpha"] = alpha
-    return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_GEOMETRIC)
+    total = fit_bound(terms[TARGET_NOISE] + terms[TARGET_ATTACK_STATE], TARGET_TOTAL_STATE,
+                      diagnostics={"from": [noise.target, att_state.target]})
+    return noise, att_err, att_state, total

@@ -42,12 +42,8 @@ import numpy as np
 from .ellipsoids import Ellipsoid, sym_sqrt
 from .errors import AllInfeasible, DimensionMismatch, Infeasible
 from .plant import PlantModel, spectral_radius
-from .reach_common import (
-    METHOD_LMI,
-    ReachBound,
-    total_state_bound,
-)
-from .reach_geom import reach_targets
+from .reach_common import METHOD_LMI, TARGET_TOTAL_STATE, ReachBound
+from .reach_geom import fit_bound, reach_targets
 
 # A certificate whose unit-free block matrix has a smaller minimum
 # eigenvalue than -LMI_CERT_TOL is rejected.
@@ -200,14 +196,19 @@ def min_volume_over_a(A, B, S, C=None, target: str = "bound") -> ReachBound:
 
 
 def reach_bounds_lmi(model: PlantModel, alpha: float, vbar: float):
-    """The three invariant-ellipsoid bounds plus the total-state combination.
+    """The three invariant-ellipsoid bounds plus the total-state bound, the
+    fit_bound pair sum of the noise and attack-state shapes.
 
     Each target reads the geometric method's (A, B, S, C), so each LMI
     shape weights the terms C T_k C^T that the geometric method truncates
     and fits with minimum-volume weights, and the geometric volume is at
-    most the LMI volume by construction.
+    most the LMI volume by construction.  The pair sum's weights theta and
+    1 - theta scale the two rows' weights (1 - a) a^k, so the LMI total is
+    a member of the geometric total's family as well.
     """
     noise, att_err, att_state = (
         min_volume_over_a(*inputs, target=target)
         for target, inputs in reach_targets(model, alpha, vbar).items())
-    return noise, att_err, att_state, total_state_bound(noise, att_state, METHOD_LMI)
+    total = fit_bound([noise.shape.Q, att_state.shape.Q], TARGET_TOTAL_STATE, METHOD_LMI,
+                      {"from": [noise.target, att_state.target]})
+    return noise, att_err, att_state, total

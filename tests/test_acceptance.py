@@ -17,7 +17,6 @@ from stealthreach import (
     chi2_quantile,
     empirical_cloud,
     minkowski_sum_many,
-    minkowski_sum_pair,
     named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
@@ -174,7 +173,7 @@ def test_criterion_06_bound_soundness_geometric(model, tuned, geom_bounds, cloud
 
 def test_criterion_07_bound_soundness_lmi(model, tuned, geom_bounds, lmi_bounds, clouds):
     t0 = time.time()
-    g_noise, g_err, g_state, _ = geom_bounds
+    g_noise, g_err, g_state, g_total = geom_bounds
     l_noise, l_err, l_state, l_total = lmi_bounds
     worst = {}
     for name in ("ZA.A", "ZA.B", "ZA.C"):
@@ -186,12 +185,14 @@ def test_criterion_07_bound_soundness_lmi(model, tuned, geom_bounds, lmi_bounds,
     certified = all(c >= -1e-7 for c in certs)
     ordering = (l_noise.volume >= g_noise.volume
                 and l_err.volume >= g_err.volume
-                and l_state.volume >= g_state.volume)
+                and l_state.volume >= g_state.volume
+                and l_total.volume >= g_total.volume)
     elapsed = time.time() - t0
     ok = contained and certified and ordering and elapsed < 300.0
     detail = (f"worst memb {max(worst.values()):.3f}, min cert {min(certs):.1e}, "
               f"vol lmi/geom: noise {l_noise.volume / g_noise.volume:.3f}, "
-              f"err {l_err.volume / g_err.volume:.3f}, state {l_state.volume / g_state.volume:.3f}")
+              f"err {l_err.volume / g_err.volume:.3f}, state {l_state.volume / g_state.volume:.3f}"
+              f", total {l_total.volume / g_total.volume:.3f}")
     report(7, "LMI bound soundness and conservatism ordering", ok, detail, elapsed)
 
 
@@ -244,7 +245,7 @@ def test_criterion_10_ellipsoid_property_suite():
         A2 = rng.standard_normal((2, 2))
         E1 = Ellipsoid(A1 @ A1.T + 0.05 * np.eye(2))
         E2 = Ellipsoid(A2 @ A2.T + 0.05 * np.eye(2))
-        S = minkowski_sum_pair(E1, E2)
+        S = minkowski_sum_many([E1.Q, E2.Q])
         g = rng.standard_normal((16, 2))
         u = g / np.linalg.norm(g, axis=1, keepdims=True)
         pts = u @ sym_sqrt(E1.Q).T
@@ -271,10 +272,10 @@ def test_criterion_10_ellipsoid_property_suite():
         failures.append(f"linear image {worst_img}")
 
     # ball-sum exactness: radii add
-    pair = minkowski_sum_pair(Ellipsoid(np.eye(2)), Ellipsoid(4.0 * np.eye(2)))
+    pair = minkowski_sum_many([np.eye(2), 4.0 * np.eye(2)])
     if np.max(np.abs(pair.Q - 9.0 * np.eye(2))) > 1e-8:
         failures.append("pair ball sum not 9I")
-    many = minkowski_sum_many([Ellipsoid(np.eye(2))] * 3)
+    many = minkowski_sum_many([np.eye(2)] * 3)
     if np.max(np.abs(many.Q - 9.0 * np.eye(2))) > 1e-8:
         failures.append("3-ball sum not 9I")
 

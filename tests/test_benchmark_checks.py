@@ -20,8 +20,7 @@ import workloads  # noqa: E402
 
 # the probes the bound workload's per-layer metrics and gated volumes read
 BOUND_PROBES = ("cli.reach_bounds_geom", "cli.reach_bounds_lmi", "reach_lmi.min_volume_over_a",
-                "reach_lmi.solve_logdet_sdp", "reach_geom.minkowski_sum_many",
-                "reach_common.minkowski_sum_pair")
+                "reach_lmi.solve_logdet_sdp", "reach_geom.minkowski_sum_many")
 # the probes montecarlo-2d's gated vol_*_geom and its cloud and heatmap layers read
 MONTECARLO_PROBES = ("cli.reach_bounds_geom", "cli.empirical_cloud", "cli.containment_report",
                      "cli.volume_heatmap")

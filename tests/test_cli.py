@@ -354,6 +354,8 @@ class TestVerifyCommand:
         checks = {c["name"] for c in json.loads((out / "verify.json").read_text())["checks"]}
         for target in ("noise", "attack_error", "attack_state"):
             assert f"lmi certificate ({target})" in checks
+        assert "lmi certificate (total_state)" not in checks
+        for target in ("noise", "attack_error", "attack_state", "total_state"):
             assert f"volume ordering ({target})" in checks
         assert "total-state containment (geometric)" in checks
         assert "[FAIL]" not in capsys.readouterr().out
@@ -442,3 +444,25 @@ class TestRankDeficientCovariance:
         for bound in report["bounds"]:
             assert bound["target"] == "noise"
             assert bound["max_membership"] <= 1.0
+
+
+class TestInvalidCovariance:
+    """build_model checks R1 and R2 as ellipsoid shapes, so an asymmetric or
+    indefinite covariance exits 4 from every command, before any series,
+    LMI or Riccati iteration reads it."""
+
+    @pytest.mark.parametrize("argv", [["tune"], ["bound", "--method", "geom"],
+                                      ["bound", "--method", "lmi"]], ids=" ".join)
+    @pytest.mark.parametrize("name", ["R1", "R2"])
+    @pytest.mark.parametrize("fault, error", [("asymmetric", "NonSymmetric"),
+                                              ("indefinite", "NotPSD")])
+    def test_exits_4(self, tmp_path, capsys, argv, name, fault, error):
+        raw = json.loads(json.dumps(load_scenario("benchmark2d").raw))
+        M = raw["model"][name]
+        if fault == "asymmetric":
+            M[0][1] += 0.01
+        else:
+            M[0][0] = -M[0][0]
+        path = write_scenario(tmp_path, raw)
+        assert main([argv[0], "--scenario", path, "--out", str(tmp_path / "out"), *argv[1:]]) == 4
+        assert f"{error}: {name}:" in capsys.readouterr().err

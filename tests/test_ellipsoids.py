@@ -11,7 +11,6 @@ from scipy.optimize import minimize_scalar
 from stealthreach import (
     Ellipsoid,
     minkowski_sum_many,
-    minkowski_sum_pair,
     sym_sqrt,
     unit_ball_volume,
     volume,
@@ -82,14 +81,24 @@ class TestSymSqrt:
         assert S[0, 0] == 0.0
 
 
+def one_bad_term(bad):
+    """A stack of good terms with bad in the middle, as minkowski_sum_many takes it."""
+    return np.stack([np.eye(len(bad)), bad, 2.0 * np.eye(len(bad))])
+
+
+# Each shape check rejects a bad matrix alone, as an Ellipsoid, and as one
+# term of a stack, as minkowski_sum_many checks its terms.
 class TestEllipsoid:
     def test_validation(self):
-        with pytest.raises(NotPSD):
-            Ellipsoid(np.diag([-1.0, 1.0]))
-        with pytest.raises(NonSymmetric):
-            Ellipsoid(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        for make in (Ellipsoid, lambda Q: minkowski_sum_many(one_bad_term(Q))):
+            with pytest.raises(NotPSD):
+                make(np.diag([-1.0, 1.0]))
+            with pytest.raises(NonSymmetric):
+                make(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(DimensionMismatch):
             Ellipsoid(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            minkowski_sum_many(np.zeros((3, 2, 3)))
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     def test_validation_is_scale_free(self, scale):
@@ -97,10 +106,12 @@ class TestEllipsoid:
         rounded = np.array([[2.0, 0.5], [0.5 * (1.0 + 1e-15), 1.0]])
         assert Ellipsoid(scale * rounded).dim == 2
         assert sym_sqrt(scale * np.diag([-1e-11, 1.0]))[0, 0] == 0.0
-        with pytest.raises(NonSymmetric):
-            Ellipsoid(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(NotPSD):
-            Ellipsoid(scale * np.diag([-1.0, 1.0]))
+        assert minkowski_sum_many(one_bad_term(scale * rounded)).dim == 2
+        for make in (Ellipsoid, lambda Q: minkowski_sum_many(one_bad_term(Q))):
+            with pytest.raises(NonSymmetric):
+                make(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+            with pytest.raises(NotPSD):
+                make(scale * np.diag([-1.0, 1.0]))
         with pytest.raises(NotPSD):
             sym_sqrt(scale * np.diag([-1e-9, 1.0]))
 
@@ -200,56 +211,64 @@ class TestVolume:
 
 
 class TestMinkowskiPair:
+    """The two-term case of minkowski_sum_many."""
+
     def test_two_unit_balls(self):
-        E = minkowski_sum_pair(Ellipsoid(np.eye(2)), Ellipsoid(np.eye(2)))
+        E = minkowski_sum_many([np.eye(2), np.eye(2)])
         assert np.max(np.abs(E.Q - 4.0 * np.eye(2))) <= 1e-9
 
     def test_balls_radii_one_and_two(self):
         # minimizing 5 + 1/beta + 4 beta gives beta = 1/2 and shape 9 I
-        E = minkowski_sum_pair(Ellipsoid(np.eye(2)), Ellipsoid(4.0 * np.eye(2)))
+        E = minkowski_sum_many([np.eye(2), 4.0 * np.eye(2)])
         assert np.max(np.abs(E.Q - 9.0 * np.eye(2))) <= 1e-8
 
     def test_zero_identity(self):
         rng = np.random.default_rng(3)
         Q = random_spd(rng, 2)
-        E = minkowski_sum_pair(Ellipsoid.zero(2), Ellipsoid(Q))
+        E = minkowski_sum_many([np.zeros((2, 2)), Q])
         assert np.array_equal(E.Q, Q)
 
     def test_both_degenerate(self):
         assert np.array_equal(
-            minkowski_sum_pair(Ellipsoid.zero(2), Ellipsoid.zero(2)).Q, np.zeros((2, 2))
+            minkowski_sum_many(np.zeros((2, 2, 2))).Q, np.zeros((2, 2))
         )
 
     def test_commutativity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            E1, E2 = Ellipsoid(random_spd(rng, 2)), Ellipsoid(random_spd(rng, 2))
-            Qa = minkowski_sum_pair(E1, E2).Q
-            Qb = minkowski_sum_pair(E2, E1).Q
+            Q1, Q2 = random_spd(rng, 2), random_spd(rng, 2)
+            Qa = minkowski_sum_many([Q1, Q2]).Q
+            Qb = minkowski_sum_many([Q2, Q1]).Q
             assert np.max(np.abs(Qa - Qb)) <= 1e-10
 
     def test_outer_soundness_sampled(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             E1, E2 = Ellipsoid(random_spd(rng, 2)), Ellipsoid(random_spd(rng, 2))
-            S = minkowski_sum_pair(E1, E2)
+            S = minkowski_sum_many([E1.Q, E2.Q])
             total = boundary_samples(E1, rng, 32) + boundary_samples(E2, rng, 32)
             assert np.max(np.atleast_1d(S.membership(total))) <= 1.0 + 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            minkowski_sum_pair(Ellipsoid(np.eye(2)), Ellipsoid(np.eye(3)))
+            minkowski_sum_many([np.eye(2), np.eye(3)])
 
 
 class TestMinkowskiMany:
     def test_three_unit_balls(self):
-        E = minkowski_sum_many([Ellipsoid(np.eye(2))] * 3)
+        E = minkowski_sum_many([np.eye(2)] * 3)
         assert np.max(np.abs(E.Q - 9.0 * np.eye(2))) <= 1e-8
+
+    def test_stack_equals_sequence(self):
+        rng = np.random.default_rng(11)
+        terms = [random_spd(rng, 3) for _ in range(5)]
+        assert np.array_equal(minkowski_sum_many(np.stack(terms)).Q,
+                              minkowski_sum_many(terms).Q)
 
     def test_degenerate_terms_are_identities(self):
         rng = np.random.default_rng(6)
         Q = random_spd(rng, 2)
-        E = minkowski_sum_many([Ellipsoid(Q), Ellipsoid.zero(2), Ellipsoid.zero(2)])
+        E = minkowski_sum_many([Q, np.zeros((2, 2)), np.zeros((2, 2))])
         assert np.array_equal(E.Q, Q)
 
     def test_empty_list(self):
@@ -262,7 +281,7 @@ class TestMinkowskiMany:
         Q1 = np.diag([1.0, 2.0])
         Q2 = np.array([[2.0, 0.5], [0.5, 1.0]])
         E1, E2 = Ellipsoid(Q1), Ellipsoid(Q2)
-        S = minkowski_sum_many([E1, E2])
+        S = minkowski_sum_many([Q1, Q2])
         x = boundary_samples(E1, rng, 10_000) * np.sqrt(rng.random((10_000, 1)))
         y = boundary_samples(E2, rng, 10_000) * np.sqrt(rng.random((10_000, 1)))
         assert np.max(np.atleast_1d(S.membership(x + y))) <= 1.0 + 1e-9
@@ -271,10 +290,9 @@ class TestMinkowskiMany:
         rng = np.random.default_rng(8)
         for _ in range(15):
             count = rng.integers(2, 7)
-            terms = [Ellipsoid(random_spd(rng, 2, scale=float(rng.random()) + 0.1))
-                     for _ in range(count)]
+            terms = [random_spd(rng, 2, scale=float(rng.random()) + 0.1) for _ in range(count)]
             best = minkowski_sum_many(terms)
-            folded = Ellipsoid(reduce(pairwise_fold_oracle, [E.Q for E in terms]))
+            folded = Ellipsoid(reduce(pairwise_fold_oracle, terms))
             assert volume(best) <= volume(folded) + 1e-9
 
     def test_rank_deficient_large_scale_terms(self):
@@ -286,7 +304,7 @@ class TestMinkowskiMany:
             B = np.sqrt(1.5e3) * rng.standard_normal((4, int(rng.integers(1, 3))))
             Q = B @ B.T
             terms.append(Ellipsoid((Q + Q.T) / 2.0))
-        S = minkowski_sum_many(terms)
+        S = minkowski_sum_many([E.Q for E in terms])
         assert isinstance(S, Ellipsoid)
         total = sum(boundary_samples(E, rng, 2000) for E in terms)
         assert np.max(np.atleast_1d(S.membership(total))) <= 1.0 + 1e-9
@@ -294,7 +312,7 @@ class TestMinkowskiMany:
     def test_higher_dimension_soundness(self):
         rng = np.random.default_rng(9)
         terms = [Ellipsoid(random_spd(rng, 3)) for _ in range(4)]
-        S = minkowski_sum_many(terms)
+        S = minkowski_sum_many([E.Q for E in terms])
         total = sum(boundary_samples(E, rng, 500) for E in terms)
         assert np.max(np.atleast_1d(S.membership(total))) <= 1.0 + 1e-9
 
@@ -304,7 +322,7 @@ def rank_mixed_terms(rng, n, count):
     out = []
     for i in range(count):
         B = rng.standard_normal((n, n if i % 2 == 0 else max(1, n - 1)))
-        out.append(Ellipsoid(B @ B.T))
+        out.append(Ellipsoid(B @ B.T).Q)
     return out
 
 
@@ -326,7 +344,6 @@ def test_affine_equivariance(seed, n, count):
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
     T = U @ np.diag(np.exp(rng.uniform(-1.0, 1.0, n))) @ V
     base = minkowski_sum_many(terms)
-    mapped = volume(minkowski_sum_many(
-        [Ellipsoid((Y + Y.T) / 2.0) for Y in (T @ E.Q @ T.T for E in terms)]))
+    mapped = volume(minkowski_sum_many([(Y + Y.T) / 2.0 for Y in (T @ Q @ T.T for Q in terms)]))
     rel = max(1e-9, COND_FACTOR * np.finfo(float).eps * np.linalg.cond(base.Q))
     assert mapped == pytest.approx(abs(np.linalg.det(T)) * volume(base), rel=rel)

@@ -1,5 +1,7 @@
 import json
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +19,18 @@ from stealthreach import (
     reach_bounds_geom,
     reach_bounds_lmi,
     reach_targets,
-    total_state_bound,
 )
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
 from stealthreach.montecarlo import SOURCE_ATTACK, SOURCE_TOTAL
-from stealthreach.reach_geom import series_terms
+from stealthreach.reach_geom import fit_bound, series_terms, truncated_terms
 from stealthreach.reach_lmi import LMI_CERT_TOL
 from stealthreach.seeding import stream
 
 from conftest import plant_4d
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def geom(model, target, scale, cfg=None):
@@ -116,8 +120,7 @@ class TestAttackStateReach:
         assert np.max(np.abs(terms[1] - alpha * GK @ core @ GK.T)) <= 1e-12
         bound = geom(bench_model, "attack_state", alpha)
         assert np.array_equal(minkowski_sum_many(
-            [Ellipsoid(Q) for Q in attack_state_terms(bench_model, alpha, bound.terms_used + 1)[1:]]
-        ).Q, bound.shape.Q)
+            attack_state_terms(bench_model, alpha, bound.terms_used + 1)[1:]).Q, bound.shape.Q)
 
     def test_containment_of_simulated_error_and_state(self, bench_model, alpha):
         # simulation oracle: boundary-magnitude attack draws stay inside
@@ -164,9 +167,7 @@ class TestTruncationAndScaling:
         # trace-ratio rule at tail_tol scales as sqrt(tail_tol)
         cfg = GeomSumConfig(tail_tol=1e-12)
         bound = geom(bench_model, "noise", vbar, cfg)
-        doubled = minkowski_sum_many(
-            [Ellipsoid((Q + Q.T) / 2) for Q in noise_terms(bench_model, vbar, 2 * bound.terms_used)]
-        )
+        doubled = minkowski_sum_many(noise_terms(bench_model, vbar, 2 * bound.terms_used))
         import math
 
         assert abs(doubled.volume - bound.volume) <= 10.0 * math.sqrt(cfg.tail_tol) * bound.volume
@@ -186,20 +187,49 @@ class TestTruncationAndScaling:
 
 
 class TestTotalBound:
-    def test_degenerate_attack_returns_noise_bound(self, bench_model, alpha, vbar):
-        noise = geom(bench_model, "noise", vbar)
-        degen = geom(diag_model(0.5, k=np.zeros((2, 2))), "attack_state", alpha)
-        total = total_state_bound(noise, degen, "geometric")
+    def test_degenerate_attack_returns_noise_bound(self, alpha, vbar):
+        # K = 0 leaves x_delta undriven: the attack-state terms are all zero
+        noise, _, att_state, total = reach_bounds_geom(diag_model(0.5, k=np.zeros((2, 2))),
+                                                       alpha, vbar)
+        assert att_state.volume == 0.0
         assert np.array_equal(total.shape.Q, noise.shape.Q)
 
-    def test_ball_radii_add(self):
-        from stealthreach.reach_common import ReachBound
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_attack_input_total_is_noise_bound(self, bench_model, vbar, n):
+        # alpha = 0: the attack-state row's terms are zero, identities of the fit
+        model, v = (bench_model, vbar) if n == 2 else (plant_4d(), chi2_quantile(0.95, 4))
+        noise, _, att_state, total = reach_bounds_geom(model, 0.0, v)
+        assert not att_state.shape.Q.any()
+        assert np.array_equal(total.shape.Q, noise.shape.Q)
+        assert total.volume == noise.volume
+        assert total.diagnostics["stationarity_gap"] == noise.diagnostics["stationarity_gap"]
 
-        b1 = ReachBound(shape=Ellipsoid(np.eye(2)), method="geometric", target="noise", volume=0.0)
-        b2 = ReachBound(shape=Ellipsoid(4.0 * np.eye(2)), method="geometric",
-                        target="attack_state", volume=0.0)
-        total = total_state_bound(b1, b2, "geometric")
+    def test_ball_radii_add(self):
+        total = fit_bound([np.eye(2), 4.0 * np.eye(2)], "total_state")
         assert np.max(np.abs(total.shape.Q - 9.0 * np.eye(2))) <= 1e-8
+
+    def test_total_fits_both_rows_terms(self, bench_model, alpha, vbar):
+        # one fit over the noise row's and the attack-state row's truncated terms
+        targets = reach_targets(bench_model, alpha, vbar)
+        terms = truncated_terms(*targets["noise"]) + truncated_terms(*targets["attack_state"])
+        noise, _, att_state, total = reach_bounds_geom(bench_model, alpha, vbar)
+        assert np.array_equal(total.shape.Q, minkowski_sum_many(terms).Q)
+        assert total.terms_used == noise.terms_used + att_state.terms_used == len(terms)
+        assert total.diagnostics["from"] == ["noise", "attack_state"]
+        assert total.volume == pytest.approx(8.650637415604, rel=1e-10)
+
+    @pytest.mark.parametrize("plant", ["benchmark2d", 0, 1, 2])
+    def test_total_at_most_pair_sum_and_lmi_total(self, bench_model, plant):
+        # on benchmark2d and three n = 4 plants of the benchmark's generator:
+        # the pair sum of the two fitted bounds and the LMI pair sum are both
+        # members of the joint fit's weighted family
+        model = bench_model if plant == "benchmark2d" else build_model(
+            **workloads.draw_plant(np.random.default_rng(plant))[0])
+        alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
+        noise, _, att_state, total = reach_bounds_geom(model, alpha, vbar)
+        pair = minkowski_sum_many([noise.shape.Q, att_state.shape.Q])
+        assert total.volume <= pair.volume
+        assert total.volume <= reach_bounds_lmi(model, alpha, vbar)[3].volume
 
     def test_bound_json_round_trip(self, bench_model, alpha):
         bound = geom(bench_model, "attack_state", alpha)

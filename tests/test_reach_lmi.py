@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from stealthreach import (
-    Ellipsoid,
-    ReachBound,
     SimConfig,
     chi2_quantile,
     empirical_cloud,
     min_volume_over_a,
+    minkowski_sum_many,
     named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
@@ -22,7 +21,8 @@ from stealthreach import (
 )
 from stealthreach.errors import AllInfeasible, DimensionMismatch, Infeasible
 from stealthreach.plant import build_model, spectral_radius
-from stealthreach.reach_common import METHOD_LMI, total_state_bound
+from stealthreach.reach_common import METHOD_LMI
+from stealthreach.reach_geom import fit_bound
 from stealthreach.reach_lmi import A_BRACKET_TOL, _checked, logdet_slope
 from stealthreach.seeding import stream
 
@@ -248,21 +248,21 @@ class TestMinVolumeOverA:
 
 class TestTotalBound:
     def test_degenerate_attack_is_identity(self):
-        noise = ReachBound(shape=Ellipsoid(np.diag([2.0, 3.0])), method="lmi",
-                           target="noise", volume=0.0)
-        degen = ReachBound(shape=Ellipsoid.zero(2), method="lmi",
-                           target="attack_state", volume=0.0)
-        total = total_state_bound(noise, degen, METHOD_LMI)
-        assert np.array_equal(total.shape.Q, noise.shape.Q)
+        total = fit_bound([np.diag([2.0, 3.0]), np.zeros((2, 2))], "total_state", METHOD_LMI)
+        assert np.array_equal(total.shape.Q, np.diag([2.0, 3.0]))
 
     def test_sphere_radii_add(self):
         # quad forms I and (1/4) I are balls of radius 1 and 2: total radius 3
-        b1 = ReachBound(shape=Ellipsoid(np.eye(2)), method="lmi", target="noise", volume=0.0)
-        b2 = ReachBound(shape=Ellipsoid(4.0 * np.eye(2)), method="lmi",
-                        target="attack_state", volume=0.0)
-        total = total_state_bound(b1, b2, METHOD_LMI)
+        total = fit_bound([np.eye(2), 4.0 * np.eye(2)], "total_state", METHOD_LMI)
         assert np.max(np.abs(total.shape.Q - 9.0 * np.eye(2))) <= 1e-8
         assert np.max(np.abs(total.quad_matrix - np.eye(2) / 9.0)) <= 1e-9
+
+    def test_total_is_pair_sum_of_lmi_shapes(self, bench_model, alpha, vbar):
+        noise, _, att_state, total = reach_bounds_lmi(bench_model, alpha, vbar)
+        pair = minkowski_sum_many([noise.shape.Q, att_state.shape.Q])
+        assert np.array_equal(total.shape.Q, pair.Q)
+        assert total.method == METHOD_LMI and total.a_star is None and total.terms_used is None
+        assert total.diagnostics["from"] == ["noise", "attack_state"]
 
 
 class TestBenchmarkBounds:

@@ -43,8 +43,8 @@ class SvgCanvas:
         pts = np.asarray(points)
         if len(pts) > max_points:  # stride subsample keeps determinism
             pts = pts[:: max(1, len(pts) // max_points)][:max_points]
-        for xy in pts:
-            px, py = self._px(xy)
+        xs, ys = self._px(pts.reshape(-1, 2).T)  # _px's arithmetic on all points at once
+        for px, py in zip(xs.tolist(), ys.tolist()):
             self.elements.append(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" fill="{color}"/>'
             )

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from stealthreach import reach_bounds_geom, svgplot
 
@@ -29,3 +30,18 @@ def test_bounds_svg_bytes_unchanged(bench_model, alpha, vbar, monkeypatch):
     got = svgplot.render_bounds_svg(bounds, cloud)
     monkeypatch.setattr(svgplot, "_limits", stacked_limits)
     assert got == svgplot.render_bounds_svg(bounds, cloud)
+
+
+@pytest.mark.parametrize("count", [10_007, 3_999])  # not a multiple of max_points; below it
+def test_dots_equal_per_point_mapping(count):
+    cloud = np.random.default_rng(14).standard_normal((count, 2)) * [2.0, 0.4] + [0.3, -1.0]
+    canvas = svgplot.SvgCanvas((-6.5, 7.25), (-3.0, 1.5))
+    canvas.dots(cloud, "#222222", max_points=4000)
+    kept = cloud[:: max(1, count // 4000)][:4000] if count > 4000 else cloud
+    want = []
+    for xy in kept:  # the per-point mapping through _px
+        px, py = canvas._px(xy)
+        want.append(f'<circle cx="{svgplot._fmt(px)}" cy="{svgplot._fmt(py)}" '
+                    f'r="{svgplot._fmt(1.0)}" fill="#222222"/>')
+    assert canvas.elements == want
+    assert len(want) == min(count, 4000)

@@ -9,7 +9,7 @@ a geometric Minkowski-sum method.
 __version__ = "0.1.0"
 
 from .attacks import AttackSpec, named_spec
-from .detector import chi2_quantile, distance, reg_lower_gamma
+from .detector import chi2_cdf, chi2_quantile, distance
 from .ellipsoids import (
     Ellipsoid,
     minkowski_sum_many,
@@ -47,7 +47,7 @@ from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = [
     "AttackSpec", "named_spec",
-    "chi2_quantile", "distance", "reg_lower_gamma",
+    "chi2_cdf", "chi2_quantile", "distance",
     "Ellipsoid", "minkowski_sum_many", "sym_sqrt", "unit_ball_volume", "volume",
     "HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
     "fit_ellipsoid_moment", "volume_heatmap",

@@ -1,8 +1,8 @@
 """Command-line pipeline: tune -> bound -> montecarlo / heatmap -> verify.
 
-Exit codes: 0 success, 2 scenario schema error or out-of-range argument,
-3 numeric failure (no convergence / infeasible), 4 model or invariant
-violation.
+Exit codes: 0 success, otherwise the exit_code of the library error
+(errors.py): 2 scenario or argument error, 3 numeric failure, 4 model or
+invariant violation.
 """
 
 import argparse
@@ -17,16 +17,7 @@ from . import __version__
 from .attacks import ZERO_ALARM
 from .csvout import write_csv
 from .detector import chi2_quantile
-from .errors import (
-    AllInfeasible,
-    DomainError,
-    Infeasible,
-    MaxTermsExceeded,
-    NoConvergence,
-    SchemaError,
-    StealthreachError,
-    UsageError,
-)
+from .errors import SchemaError, StealthreachError, UsageError
 from .montecarlo import (
     SOURCE_ATTACK,
     SOURCE_NOISE,
@@ -43,8 +34,6 @@ from .reach_lmi import LMI_CERT_TOL, reach_bounds_lmi
 from .scenario import Scenario, load_scenario
 from .svgplot import render_bounds_svg, render_heatmap_svg
 
-_NUMERIC_ERRORS = (NoConvergence, Infeasible, AllInfeasible, MaxTermsExceeded, DomainError)
-
 
 def _meta(scenario: Scenario) -> dict:
     return {
@@ -57,7 +46,6 @@ def _meta(scenario: Scenario) -> dict:
 def _write_json(path: Path, payload: dict, scenario: Scenario) -> None:
     payload = dict(payload)
     payload["meta"] = _meta(scenario)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -65,7 +53,6 @@ def _write_json(path: Path, payload: dict, scenario: Scenario) -> None:
 
 
 def _write_text(path: Path, text: str, scenario: Scenario | None = None) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         if scenario is not None:
             pairs = " ".join(f"{k}={v}" for k, v in _meta(scenario).items())
@@ -81,6 +68,8 @@ def _check_arg(flag: str, value: int, lo: int, hi: int | None = None) -> None:
 
 
 def _load(args) -> Scenario:
+    """The scenario with the command-line overrides, and its output directory
+    created, so that an unusable one fails before any computation."""
     scenario = load_scenario(args.scenario)
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -94,6 +83,11 @@ def _load(args) -> Scenario:
         )
     if getattr(args, "out", None):
         scenario = dataclasses.replace(scenario, output_dir=args.out)
+    try:
+        Path(scenario.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create the output directory {scenario.output_dir}: "
+                         f"{exc.strerror}") from None
     return scenario
 
 
@@ -196,7 +190,6 @@ def cmd_heatmap(args) -> int:
         trials=args.cell_trials, master_seed=scenario.sim.master_seed,
     )
     out_dir = Path(scenario.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "heatmap.csv"
     write_csv(csv_path, _meta(scenario), ["c1", "w1", "volume"], np.array(result.grid), "%.17g")
     print(f"wrote {csv_path}")
@@ -313,21 +306,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except StealthreachError as exc:
-        print(f"invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (SchemaError, UsageError)):
+            kind = "schema" if isinstance(exc, SchemaError) else "argument"
+            print(f"{kind} error: {exc}", file=sys.stderr)
+        else:
+            kind = "numeric failure" if exc.exit_code == 3 else "invariant violation"
+            print(f"{kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .workers import ordered_map
 # cloud, so they never inflate the peak memory of a large cloud.
 BLOCK_ROWS = 4096
 
-# The formats with a numpy path.  A "%.17g" value takes it when 1e-280 < |x|
+# The two formats.  A "%.17g" value takes the numpy path when 1e-280 < |x|
 # < 1e280, so that the scaled products below neither overflow nor leave the
 # normal range; a "%d" value when |int(x)| < 1e16, at most 16 digits.
 G_FMT, D_FMT = "%.17g", "%d"
@@ -172,29 +172,28 @@ def _text(matrix):
 def write_csv(path, metadata: dict | None, header: list[str], rows, fmt) -> None:
     """Write '# key=value' metadata lines, the header, then one line per row.
 
-    rows is 2-D with one column per header name: an array, or a view with
-    .shape whose row slices are arrays, sliced per block and never whole.
-    fmt is one %-format per column, or one for all ("%d" for counters,
-    "%.17g" for floats, which round-trips every double).  The bytes are those
-    of np.savetxt with delimiter ","; the blocks are spread over the usable
-    CPUs (workers.ordered_map) and written in order as they arrive.
+    rows is 2-D float64 with one column per header name: an array, or a view
+    with .shape whose row slices are arrays, sliced per block and never whole.
+    fmt is one format per column, or one for all: "%d" for counters or
+    "%.17g" for floats, which round-trips every double; anything else raises
+    ValueError.  The bytes are those of np.savetxt with delimiter ","; the
+    blocks are spread over the usable CPUs (workers.ordered_map) and written
+    in order as they arrive.
 
-    A float64 block whose formats are all "%d" or "%.17g" is formatted by
-    numpy (_g_fields, _d_fields).  A row of it takes the % path in place when
-    one of its values is non-finite, is a "%d" value with |int(x)| >= 1e16,
-    or is a "%.17g" value that numpy does not prove: |x| outside (1e-280,
-    1e280), within 1e-9 of a rounding tie, or next to a power of ten (see
-    _significand).  Any other block takes one % on the row format repeated
-    once per row.
+    Each block is formatted by numpy (_g_fields, _d_fields).  A row takes the
+    % path in place when one of its values is non-finite, is a "%d" value
+    with |int(x)| >= 1e16, or is a "%.17g" value that numpy does not prove:
+    |x| outside (1e-280, 1e280), within 1e-9 of a rounding tie, or next to a
+    power of ten (see _significand).
     """
     fmts = [fmt] * rows.shape[1] if isinstance(fmt, str) else list(fmt)
+    if not set(fmts) <= {G_FMT, D_FMT} or np.asarray(rows[:0]).dtype != np.float64:
+        raise ValueError(f"write_csv takes float64 rows in {D_FMT!r} or {G_FMT!r} columns, "
+                         f"got {fmts}")
     line = ",".join(fmts) + "\n"
-    fast = set(fmts) <= {G_FMT, D_FMT}
 
     def format_block(lo):
         block = np.asarray(rows[lo:lo + BLOCK_ROWS])
-        if not fast or block.dtype != np.float64:
-            return line * block.shape[0] % tuple(block.ravel().tolist())
         matrix, refused = _fast_block(block, fmts)
         parts, start = [], 0
         for i in refused:

@@ -1,104 +1,49 @@
 """Chi-squared residual detector: distance measure and threshold tuning.
 
-The threshold for a target false-alarm rate comes from inverting the
-regularized lower incomplete gamma function, since the attack-free
-distance measure is chi-square with one degree of freedom per sensor.
+The attack-free distance measure is chi-square with one degree of freedom
+per sensor; the threshold for a target false-alarm rate is its quantile.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoConvergence
-
-_MAX_SERIES_TERMS = 500
+from .errors import DimensionMismatch, DomainError
 
 
-def reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
-
-    Series expansion for x < s + 1, continued fraction (modified Lentz)
-    otherwise; absolute accuracy about 1e-14.
+def chi2_cdf(x: float, dof: int) -> float:
+    """P(chi2_dof <= x) = P(dof/2, x/2), in closed form (Abramowitz and Stegun 26.4):
+    with h = x/2, 1 - sum_{j = 0, 1, ... < dof/2} e^-h h^j / Gamma(j+1) for even
+    dof, erf(sqrt h) minus that sum over j = 1/2, 3/2, ... for odd dof.
     """
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
+    if not isinstance(dof, Integral) or dof < 1:
+        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
-    log_prefactor = -x + s * math.log(x) - math.lgamma(s)
-    if x < s + 1.0:
-        ap = s
-        term = 1.0 / s
-        total = term
-        for _ in range(_MAX_SERIES_TERMS):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                return min(total * math.exp(log_prefactor), 1.0)
-        raise NoConvergence("incomplete gamma series did not converge")
-    # upper-tail continued fraction, P = 1 - Q
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_SERIES_TERMS + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return max(1.0 - math.exp(log_prefactor) * h, 0.0)
-    raise NoConvergence("incomplete gamma continued fraction did not converge")
-
-
-def _chi2_pdf(x: float, dof: int) -> float:
-    s = dof / 2.0
-    if x <= 0.0:
-        return 0.0
-    return math.exp((s - 1.0) * math.log(x) - x / 2.0 - s * math.log(2.0) - math.lgamma(s))
+    h = x / 2.0
+    log_h = math.log(h)
+    head = math.erf(math.sqrt(h)) if dof % 2 else 1.0
+    orders = (k + dof % 2 / 2.0 for k in range(dof // 2))
+    return head - sum(math.exp(j * log_h - h - math.lgamma(j + 1.0)) for j in orders)
 
 
 def chi2_quantile(q: float, dof: int) -> float:
-    """Inverse chi-square CDF: the x with P(dof/2, x/2) = q.
-
-    Bracketed Newton iteration with bisection fallback; residual in q
-    below 1e-12.
+    """Inverse chi-square CDF: bisection on chi2_cdf until the bracket, with
+    chi2_cdf(lo) < q <= chi2_cdf(hi), holds two adjacent doubles; returns hi.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile level must be in (0,1), got {q}")
-    if dof < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {dof}")
-    lo, hi = 0.0, float(max(dof, 1))
-    while reg_lower_gamma(dof / 2.0, hi / 2.0) < q:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergence("quantile bracket expansion failed")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = reg_lower_gamma(dof / 2.0, x / 2.0) - q
-        if abs(f) <= 1e-12:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        dfdx = _chi2_pdf(x, dof)
-        step_ok = dfdx > 0.0
-        if step_ok:
-            x_new = x - f / dfdx
-            step_ok = lo < x_new < hi
-        x = x_new if step_ok else 0.5 * (lo + hi)
-    raise NoConvergence("chi2 quantile iteration did not converge")
+    lo, hi = 0.0, float(dof)
+    while chi2_cdf(hi, dof) < q:  # the CDF reaches 1.0 at a finite x
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        lo, hi = (mid, hi) if chi2_cdf(mid, dof) < q else (lo, mid)
 
 
 def distance(r: np.ndarray, sigma_inv: np.ndarray) -> float:
@@ -112,4 +57,3 @@ def distance(r: np.ndarray, sigma_inv: np.ndarray) -> float:
         raise DimensionMismatch(f"residual dim {r.shape[-1]} vs Sigma dim {sigma_inv.shape}")
     z = np.einsum("...i,ij,...j->...", r, sigma_inv, r)
     return float(z) if z.ndim == 0 else z
-

@@ -87,10 +87,6 @@ class Ellipsoid:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    @classmethod
-    def zero(cls, n: int) -> "Ellipsoid":
-        return cls(np.zeros((n, n)))
-
     @property
     def volume(self) -> float:
         return volume(self)

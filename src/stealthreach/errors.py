@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all stealthreach modules."""
+"""Exception hierarchy shared by all stealthreach modules.
+
+Each class carries its command-line exit code: 2 bad scenario or argument,
+3 numeric failure, 4 model or invariant violation (the base class's)."""
 
 
 class StealthreachError(Exception):
     """Base class for all library errors."""
+    exit_code = 4
 
 
 class DimensionMismatch(StealthreachError):
@@ -31,6 +35,7 @@ class NotDetectable(StealthreachError):
 
 class NoConvergence(StealthreachError):
     """An iterative routine hit its iteration cap before reaching tolerance."""
+    exit_code = 3
 
 
 class UnstableF(StealthreachError):
@@ -47,6 +52,7 @@ class UnstableFilter(StealthreachError):
 
 class DomainError(StealthreachError):
     """Scalar argument outside the mathematical domain of the function."""
+    exit_code = 3
 
 
 class InvalidSpec(StealthreachError):
@@ -55,22 +61,29 @@ class InvalidSpec(StealthreachError):
 
 class Infeasible(StealthreachError):
     """No positive definite Lyapunov solution certifies the bound at this decay scalar."""
+    exit_code = 3
 
 
 class AllInfeasible(StealthreachError):
     """No decay scalar in (rho(A)^2, 1) gives a certified bound."""
+    exit_code = 3
 
 
 class MaxTermsExceeded(StealthreachError):
     """Geometric series truncation rule not met within the term cap."""
+    exit_code = 3
 
 
 class UsageError(StealthreachError):
-    """A command-line argument is out of range; the message names the flag."""
+    """A command-line argument is out of range, or the output directory cannot
+    be created; the message names the flag or the directory."""
+    exit_code = 2
 
 
 class SchemaError(StealthreachError):
-    """Scenario file violates the strict schema; carries the offending path."""
+    """Scenario file cannot be read or violates the strict schema; carries the
+    file or the offending path in it."""
+    exit_code = 2
 
     def __init__(self, path: str, message: str):
         self.path = path

@@ -237,8 +237,12 @@ def load_scenario(path_or_name: str) -> Scenario:
         if ref.is_file():
             text = ref.read_text()
     if text is None:
-        with open(path_or_name) as fh:
-            text = fh.read()
+        try:
+            with open(path_or_name) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SchemaError(str(path_or_name),
+                              f"cannot read the scenario file: {exc.strerror}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

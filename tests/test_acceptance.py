@@ -14,13 +14,13 @@ from stealthreach import (
     GeomSumConfig,
     SimConfig,
     build_model,
+    chi2_cdf,
     chi2_quantile,
     empirical_cloud,
     minkowski_sum_many,
     named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
-    reg_lower_gamma,
     solve_steady_state_kalman,
     sym_sqrt,
 )
@@ -109,7 +109,7 @@ def test_criterion_02_threshold_tuning():
     for p in range(1, 11):
         for q in np.arange(0.01, 0.995, 0.01):
             x = chi2_quantile(float(q), p)
-            worst = max(worst, abs(reg_lower_gamma(p / 2.0, x / 2.0) - float(q)))
+            worst = max(worst, abs(chi2_cdf(x, p) - float(q)))
     elapsed = time.time() - t0
     ok = abs(q95 - closed_form) <= 1e-4 and worst <= 1e-9 and elapsed < 1.0
     report(2, "threshold tuning",

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,35 @@ class TestCliExitCodes:
         path = write_scenario(tmp_path, base_raw())
         assert main([command, "--scenario", path, "--out", str(tmp_path / "out"), flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_scenario_directory_exit_2(self, tmp_path, capsys):
+        assert main(["tune", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"schema error: {tmp_path}: cannot read" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_cloud(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("the cloud was computed before the output directory was made")
+
+        monkeypatch.setattr(cli, "empirical_cloud", computed)
+
+    def test_out_under_a_file_exit_2(self, tmp_path, capsys, no_cloud):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        path = write_scenario(tmp_path, base_raw())
+        assert main(["montecarlo", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument error: cannot create the output directory {out}" in err
+
+    def test_out_the_os_refuses_exit_2(self, tmp_path, monkeypatch, capsys, no_cloud):
+        # mkdir in a deleted working directory fails with ENOENT, as it does under /proc
+        path = write_scenario(tmp_path, base_raw())
+        (tmp_path / "gone").mkdir()
+        monkeypatch.chdir(tmp_path / "gone")
+        (tmp_path / "gone").rmdir()
+        assert main(["montecarlo", "--scenario", path, "--out", "out"]) == 2
+        assert ("argument error: cannot create the output directory out: No such file"
+                in capsys.readouterr().err)
 
 
 def csv_meta(scn):
@@ -417,6 +447,27 @@ def test_every_error_exits_with_its_documented_code(monkeypatch, capsys, cls):
     monkeypatch.setattr(cli, "cmd_tune", raise_it)
     assert main(["tune", "--scenario", "benchmark2d"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
     assert "boom" in capsys.readouterr().err
+
+
+README_EXIT_CODES = (Path(__file__).parents[1] / "README.md").read_text().split("Exit codes:")[1]
+README_EXIT_CODES = README_EXIT_CODES.split("\n\n")[0]
+
+
+@pytest.mark.parametrize("cls", [StealthreachError] + ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_main_returns_the_exit_code_of_the_error(monkeypatch, capsys, cls):
+    # errors.py holds the policy: main returns each class's exit_code, and
+    # the README's exit-code paragraph names every class that does not exit 4
+    exc = cls("scenario.x", "boom") if cls is SchemaError else cls("boom")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_tune", raise_it)
+    assert main(["tune", "--scenario", "benchmark2d"]) == cls.exit_code
+    assert "boom" in capsys.readouterr().err
+    assert cls.exit_code in (2, 3, 4)
+    if cls.exit_code != 4:
+        assert f"`{cls.__name__}`" in README_EXIT_CODES
 
 
 class TestRankDeficientCovariance:

@@ -176,3 +176,13 @@ def test_tables_are_built_on_first_use():
     code = ("import sys; sys.path[:0] = sys.argv[1:]; from stealthreach import cli, csvout; "
             "assert csvout._tables.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code, str(Path(csvout.__file__).parents[1])], check=True)
+
+
+@pytest.mark.parametrize("rows, fmt", [
+    (np.ones((3, 2)), "%.3f"), (np.ones((3, 2)), ["%d", "%s"]),
+    (np.ones((3, 2), np.int64), "%d"), (np.ones((3, 2), np.float32), "%.17g"),
+], ids=["format", "one-format", "int64", "float32"])
+def test_other_format_or_dtype_raises(tmp_path, rows, fmt):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "got.csv", None, ["a", "b"], rows, fmt)
+    assert not (tmp_path / "got.csv").exists()

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
-from stealthreach import SimConfig, chi2_quantile, distance, reg_lower_gamma, sym_sqrt
+from stealthreach import SimConfig, chi2_cdf, chi2_quantile, distance, sym_sqrt
 from stealthreach.errors import DimensionMismatch, DomainError
 from stealthreach.montecarlo import alarm_counts
 
@@ -20,33 +20,41 @@ def quad_oracle(s, x):
 
 
 class TestRegLowerGamma:
+    # chi2_cdf(x, dof) is the regularized lower incomplete gamma P(dof/2, x/2)
     def test_exponential_case(self):
         # P(1, x) = 1 - exp(-x)
-        assert reg_lower_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
-        assert reg_lower_gamma(1.0, 0.0) == 0.0
+        assert chi2_cdf(2.0 * math.log(2.0), 2) == pytest.approx(0.5, abs=1e-12)
+        assert chi2_cdf(0.0, 2) == 0.0
 
     def test_half_dof_value(self):
         # quadrature oracle for s = 1/2 near the 95% point
-        assert reg_lower_gamma(0.5, 1.92073) == pytest.approx(0.95, abs=1e-5)
-        assert reg_lower_gamma(0.5, 1.92073) == pytest.approx(quad_oracle(0.5, 1.92073), abs=1e-10)
+        assert chi2_cdf(2.0 * 1.92073, 1) == pytest.approx(0.95, abs=1e-5)
+        assert chi2_cdf(2.0 * 1.92073, 1) == pytest.approx(quad_oracle(0.5, 1.92073), abs=1e-10)
 
     def test_against_quadrature_grid(self):
-        for s in (0.5, 1.0, 2.5, 7.0):
+        for dof in (1, 2, 5, 14):
             for x in (0.1, 1.0, 3.0, 10.0, 40.0):
-                assert reg_lower_gamma(s, x) == pytest.approx(quad_oracle(s, x), abs=1e-10)
+                assert chi2_cdf(2.0 * x, dof) == pytest.approx(quad_oracle(dof / 2.0, x), abs=1e-10)
 
     def test_against_scipy_grid(self):
-        for s in np.linspace(0.25, 12.0, 30):
-            for x in np.linspace(0.0, 30.0, 40):
-                assert reg_lower_gamma(float(s), float(x)) == pytest.approx(
-                    float(special.gammainc(s, x)), abs=1e-12
+        for dof in range(1, 41):
+            for x in np.linspace(0.0, 200.0, 401):
+                assert chi2_cdf(float(x), dof) == pytest.approx(
+                    float(special.gammainc(dof / 2.0, x / 2.0)), abs=1e-14
                 )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
+            chi2_cdf(1.0, 0)
         with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
+            chi2_cdf(-0.5, 2)
+
+    @pytest.mark.parametrize("dof", [0.5, 2.5])
+    def test_non_integer_dof(self, dof):
+        with pytest.raises(DomainError):
+            chi2_cdf(1.0, dof)
+        with pytest.raises(DomainError):
+            chi2_quantile(0.5, dof)
 
 
 class TestChi2Quantile:
@@ -65,7 +73,7 @@ class TestChi2Quantile:
         for p in range(1, 11):
             for q in np.linspace(0.05, 0.95, 19):
                 x = chi2_quantile(float(q), p)
-                assert reg_lower_gamma(p / 2.0, x / 2.0) == pytest.approx(float(q), abs=1e-9)
+                assert chi2_cdf(x, p) == pytest.approx(float(q), abs=1e-9)
 
     def test_monotone(self):
         qs = np.linspace(0.05, 0.95, 10)
@@ -75,6 +83,16 @@ class TestChi2Quantile:
         for q in (0.1, 0.5, 0.9):
             xs = [chi2_quantile(q, p) for p in range(1, 11)]
             assert all(a < b for a, b in zip(xs, xs[1:]))
+
+    def test_against_scipy_ppf(self):
+        for dof in range(1, 41):
+            for q in np.arange(1, 100) / 100.0:
+                assert chi2_quantile(float(q), dof) == pytest.approx(
+                    float(stats.chi2.ppf(q, dof)), rel=5e-14
+                )
+            assert chi2_quantile(0.95, dof) == pytest.approx(
+                float(stats.chi2.ppf(0.95, dof)), rel=4e-15
+            )
 
     def test_monte_carlo_rate(self, alpha):
         # tuning-rule oracle: raw chi-square(2) draws against the tuned threshold

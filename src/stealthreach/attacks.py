@@ -159,9 +159,10 @@ class AttackDraws:
     stream fills its row in stream order (pull): count segment-1 uniforms,
     for a hidden attack count segment picks and count segment-2 uniforms,
     then count x p direction normals, drawn into out (none for a fixed
-    direction).  transform then maps the whole batch in place; every
-    operation is elementwise or per step, so a trial's rows do not depend on
-    the batch they are transformed in.
+    direction).  transform then maps the whole batch in place: normalise
+    turns the normals into unit directions, and scale multiplies them by
+    sqrt(z).  Every operation is elementwise or per step, so a trial's rows
+    do not depend on the batch they are transformed in.
     """
 
     def __init__(self, spec: AttackSpec, out: np.ndarray):
@@ -178,19 +179,28 @@ class AttackDraws:
         if not self.fixed:
             rng.standard_normal(out=self.out[i])
 
-    def transform(self) -> np.ndarray:
-        """Turn out into dbar = sqrt(z) * u, u the fixed direction or the
-        normalised normals, and return it."""
-        g = self.out
-        scale = np.sqrt(_mixture_z(self.spec, self.uniforms.swapaxes(0, 1)))[..., None]
+    def normalise(self) -> None:
+        """Turn the normals in out into unit directions, in place; a normal of
+        norm below 1e-300 becomes the first basis vector."""
         if self.fixed:
-            return np.multiply(scale, np.asarray(self.spec.direction_mode, dtype=float), out=g)
+            return
+        g = self.out
         norms = np.linalg.norm(g, axis=-1, keepdims=True)
         degenerate = norms[..., 0] < 1e-300
         if degenerate.any():
             g[degenerate] = np.eye(g.shape[-1])[0]
             norms = np.linalg.norm(g, axis=-1, keepdims=True)
         g /= norms
-        g *= scale
-        return g
 
+    def scale(self, spec: AttackSpec, dbar: np.ndarray) -> np.ndarray:
+        """Write dbar = sqrt(z) * u and return it: z is spec's mixture of the
+        pulled uniforms, u the fixed direction or the normalised out.  Any
+        spec with this batch's uniform count and directions can reuse one pull."""
+        root_z = np.sqrt(_mixture_z(spec, self.uniforms.swapaxes(0, 1)))[..., None]
+        u = np.asarray(self.spec.direction_mode, dtype=float) if self.fixed else self.out
+        return np.multiply(root_z, u, out=dbar)
+
+    def transform(self) -> np.ndarray:
+        """Turn out into dbar = sqrt(z) * u of the batch's own spec, and return it."""
+        self.normalise()
+        return self.scale(self.spec, self.out)

@@ -2,7 +2,7 @@
 
 Clouds are collected from post-transient simulation steps; fits provide a
 volume proxy for comparing attack parameterizations.  All sampling is
-deterministic per (master_seed, path).
+deterministic per (master_seed, trial).
 """
 
 import math
@@ -15,9 +15,8 @@ from .ellipsoids import Ellipsoid
 from .errors import DegenerateCloud, DimensionMismatch
 from .detector import distance
 from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part,
-                    noise_residual)
+                    noise_residual, pull_inputs)
 from .reach_common import ReachBound
-from .seeding import substream_seed
 from .workers import ordered_map
 
 SOURCE_NOISE = "noise"
@@ -209,15 +208,16 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
                    master_seed: int = 0) -> HeatmapResult:
     """Sweep the admissible (c1, w1) triangle and record fitted volumes.
 
-    Cell idx is the zero-alarm mixture (c1, w1) attacking from step 1, its
-    trials drawn from the stream keyed by substream_seed(master_seed, idx),
-    so results are independent of evaluation order.  Its volume is, bit for
-    bit, fit_ellipsoid_moment of that cell's own empirical_cloud (0.0 when
-    the fit is degenerate: zero-magnitude mixtures reach nothing).  The
-    cells' attack draws are stacked along the trial axis up to BATCH_TRIALS
-    trials, each batch's attack part is propagated once (the recursion is
-    per row) and fitted in its worker, and the batches are spread over the
-    usable CPUs (workers.ordered_map).
+    Cell (c1, w1) is the zero-alarm mixture attacking from step 1.  All
+    cells share one set of trials (common random numbers): the streams keyed
+    by (master_seed, t) are pulled once, in the calling process, their
+    directions normalised once, and each cell maps the shared uniforms
+    through its own mixture.  So a cell's volume is, bit for bit,
+    fit_ellipsoid_moment of that cell's own empirical_cloud at master_seed
+    (0.0 when the fit is degenerate: zero-magnitude mixtures reach nothing),
+    whatever the evaluation order.  Cells are stacked along the trial axis
+    up to BATCH_TRIALS trials; each batch's attack part is propagated once
+    and fitted in its worker (workers.ordered_map).
     """
     if grid_res < 4:
         raise DimensionMismatch(f"grid resolution must be >= 4, got {grid_res}")
@@ -225,17 +225,19 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
         raise DimensionMismatch(
             f"burn_in {burn_in} must be in [0, {horizon - 1}] (attack_start 1, horizon {horizon})"
         )
-    cells = [(c1, w1, substream_seed(master_seed, idx))
-             for idx, (c1, w1) in enumerate(admissible_cells(alpha, grid_res))]
+    cfg = SimConfig(horizon=horizon, attack_start=1, master_seed=master_seed, trials=trials)
+    # every zero-alarm spec pulls the same raw numbers; the corner's sizes the pull
+    raw = pull_inputs(model, cfg, AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=alpha))[3]
+    raw.normalise()
+    cells = admissible_cells(alpha, grid_res)
     per_batch = max(1, BATCH_TRIALS // trials)
     batches = [cells[lo:lo + per_batch] for lo in range(0, len(cells), per_batch)]
 
     def batch_volumes(batch):
-        dbars = [draw_inputs(model, SimConfig(horizon=horizon, attack_start=1, master_seed=seed,
-                                              trials=trials),
-                             AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1))[2]
-                 for c1, w1, seed in batch]
-        x_delta = attack_part(model, np.concatenate(dbars), kstar=1)[:, burn_in:, :model.n]
+        dbar = np.empty((len(batch) * trials, horizon, model.p))
+        for cell, (c1, w1) in zip(np.split(dbar, len(batch)), batch):
+            raw.scale(AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1), cell)
+        x_delta = attack_part(model, dbar, kstar=1)[:, burn_in:, :model.n]
         volumes = []
         for cell in np.split(x_delta, len(batch)):
             points = cell.reshape(-1, model.n)
@@ -248,7 +250,7 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
         return volumes
 
     grid = [(c1, w1, vol) for batch, vols in zip(batches, ordered_map(batch_volumes, batches))
-            for (c1, w1, _), vol in zip(batch, vols)]
+            for (c1, w1), vol in zip(batch, vols)]
     return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res))
 
 

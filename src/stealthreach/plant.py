@@ -274,15 +274,24 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
                 trials=None):
     """(vs, etas, dbar), each (len(trials), horizon, dim): system noise,
     measurement noise and attack draw (zero before k* and when attack-free)
-    of the trial indices trials, by default range(cfg.trials).
+    of the trial indices trials, by default range(cfg.trials): pull_inputs,
+    then the attack transform once over the batch, in place.  Each trial's
+    rows are the same in any batch."""
+    vs, etas, dbar, raw_attack = pull_inputs(model, cfg, attack, trials)
+    if raw_attack is not None:
+        raw_attack.transform()
+    return vs, etas, dbar
+
+
+def pull_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = None,
+                trials=None):
+    """(vs, etas, dbar, raw_attack) of draw_inputs before the attack transform:
+    dbar is zero, and raw_attack (None when attack-free) holds the attack
+    uniforms and direction normals from k* on, its out a view of dbar.
 
     Trial t consumes the counter-based stream keyed by (master_seed, t):
     first the system-noise block (with rejection redraw rounds when
-    truncated), then the measurement-noise block, then the attack
-    uniforms and direction normals from k* on.  The loop only pulls the raw
-    attack numbers (AttackDraws); their transform to dbar runs once over the
-    batch, in place.  Each trial's rows are the same in any batch.
-    """
+    truncated), then the measurement-noise block, then AttackDraws.pull."""
     n, p = model.n, model.p
     trials = range(cfg.trials) if trials is None else trials
     T, N = len(trials), cfg.horizon
@@ -304,9 +313,7 @@ def draw_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
             etas[i] = rng.standard_normal((N, p)) @ chol_r2.T
         if raw_attack is not None:
             raw_attack.pull(i, rng)
-    if raw_attack is not None:
-        raw_attack.transform()
-    return vs, etas, dbar
+    return vs, etas, dbar, raw_attack
 
 
 def _advance(model: PlantModel, S, pre: int, start: int = 0):

@@ -238,11 +238,14 @@ def load_scenario(path_or_name: str) -> Scenario:
             text = ref.read_text()
     if text is None:
         try:
-            with open(path_or_name) as fh:
+            with open(path_or_name, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise SchemaError(str(path_or_name),
                               f"cannot read the scenario file: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(str(path_or_name),
+                              f"the scenario file is not UTF-8 text: {exc.reason}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,11 +2,11 @@
 
 Every stochastic routine in the library derives its draws from a
 counter-based Philox stream keyed by a master seed plus an integer path
-(trial index, grid-cell index, ...).  Streams for distinct paths are
-independent, and a stream's output depends only on (master_seed, path),
-never on scheduling, on how many sibling streams exist or on which process
-draws them.  That is what makes multi-trial output reproducible bit for
-bit, also when heatmap batches are spread over worker processes.
+(the trial index).  Streams for distinct paths are independent, and a
+stream's output depends only on (master_seed, path), never on scheduling,
+on how many sibling streams exist or on which process draws them.  That is
+what makes multi-trial output reproducible bit for bit, also when cloud
+chunks and heatmap batches are spread over worker processes.
 """
 
 import numpy as np
@@ -17,8 +17,3 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(seed=ss))
 
-
-def substream_seed(master_seed: int, *path: int) -> int:
-    """Derive a 64-bit master seed for a nested unit of work (e.g. one heatmap cell)."""
-    ss = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *[int(p) for p in path]])
-    return int(ss.generate_state(1, np.uint64)[0])

@@ -10,7 +10,6 @@ from stealthreach.errors import DegenerateCloud
 from stealthreach.montecarlo import SOURCE_ATTACK
 from stealthreach.plant import (attack_part, attack_residual, draw_inputs, noise_part,
                                 noise_residual, spectral_radius)
-from stealthreach.seeding import substream_seed
 
 # 2-D benchmark loop used throughout: open-loop stable plant, two sensors,
 # static estimate feedback, detector tuned to a 5% false-alarm rate.
@@ -53,10 +52,20 @@ def batch_parts(model, cfg, spec=None):
     return noise, attack_part(model, dbar, kstar), r
 
 
-def cell_cloud_volume(model, alpha, c1, w1, seed, idx, trials, horizon, burn_in):
-    """Volume of heatmap cell idx through the cloud path: the moment fit of the
-    cell's own attack cloud, 0.0 when the fit is degenerate."""
-    cfg = SimConfig(horizon, attack_start=1, master_seed=substream_seed(seed, idx), trials=trials)
+def substream_seed(master_seed, *path):
+    """A 64-bit master seed derived from (master_seed, path), for a run that
+    needs trials of its own."""
+    ss = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *[int(p) for p in path]])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def cell_cloud_volume(model, alpha, c1, w1, seed, idx=None, *, trials, horizon, burn_in):
+    """Volume of heatmap cell (c1, w1) through the cloud path: the moment fit of
+    the cell's own attack cloud at the heatmap's master seed, 0.0 when the fit
+    is degenerate.  A reference cloud on a seed of its own passes idx: its
+    trials come from substream_seed(seed, idx)."""
+    master_seed = seed if idx is None else substream_seed(seed, idx)
+    cfg = SimConfig(horizon, attack_start=1, master_seed=master_seed, trials=trials)
     cloud = empirical_cloud(model, cfg, AttackSpec(ZERO_ALARM, alpha, c1, w1), SOURCE_ATTACK,
                             burn_in)
     try:

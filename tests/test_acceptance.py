@@ -31,9 +31,10 @@ from stealthreach.montecarlo import (
     alarm_counts,
     volume_heatmap,
 )
-from stealthreach.seeding import stream, substream_seed
+from stealthreach.seeding import stream
 
-from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, cell_cloud_volume
+from conftest import (C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, cell_cloud_volume,
+                      substream_seed)
 
 SEED = 20260808
 

@@ -8,13 +8,13 @@ import pytest
 
 from stealthreach import (
     SimConfig, __version__, cli, distance, empirical_cloud, errors, load_scenario, parse_scenario,
-    volume_heatmap,
 )
 from stealthreach.cli import main
 from stealthreach.csvout import BLOCK_ROWS
 from stealthreach.errors import SchemaError, StealthreachError
+from stealthreach.montecarlo import admissible_cells
 
-from conftest import C, F, G, K, R1, R2, batch_parts, cpu_cases, plant_4d
+from conftest import C, F, G, K, R1, R2, batch_parts, cell_cloud_volume, cpu_cases, plant_4d
 
 
 def base_raw(**overrides):
@@ -206,6 +206,15 @@ class TestCliExitCodes:
         assert main(["tune", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
         assert f"schema error: {tmp_path}: cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_scenario_exit_2(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark, then the scenario in UTF-16
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_raw()).encode("utf-16-le"))
+        assert main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"schema error: {path}: the scenario file is not UTF-8 text" in err
+        assert "Traceback" not in err
+
     @pytest.fixture
     def no_cloud(self, monkeypatch):
         def computed(*args, **kwargs):
@@ -290,10 +299,12 @@ class TestCliOutputs:
         scn = load_scenario(path)
         assert (out / "cloud_attack.csv").read_bytes() == cloud_csv_oracle(scn, burn_in=10)
 
-        result = volume_heatmap(scn.model, scn.alpha, grid_res=5, trials=2,
-                                master_seed=scn.sim.master_seed)
+        # each heatmap row is the fit of its cell's own cloud at the scenario's seed
         lines = csv_meta(scn) + ["c1,w1,volume"]
-        lines += [f"{c1:.17g},{w1:.17g},{vol:.17g}" for c1, w1, vol in result.grid]
+        for c1, w1 in admissible_cells(scn.alpha, 5):
+            vol = cell_cloud_volume(scn.model, scn.alpha, c1, w1, scn.sim.master_seed, trials=2,
+                                    horizon=550, burn_in=50)
+            lines.append(f"{c1:.17g},{w1:.17g},{vol:.17g}")
         assert (out / "heatmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("trials, cpus", cpu_cases(130))
@@ -321,7 +332,6 @@ class TestCliOutputs:
         lines = [l for l in (out / "heatmap.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0] == "c1,w1,volume"
-        from stealthreach.montecarlo import admissible_cells
         scn = parse_scenario(raw)
         assert len(lines) - 1 == len(admissible_cells(scn.alpha, 5))
         svg = (out / "heatmap.svg").read_text()

@@ -11,13 +11,14 @@ from stealthreach import (
     containment_report,
     empirical_cloud,
     fit_ellipsoid_moment,
+    load_scenario,
     named_spec,
     distance,
     reach_bounds_geom,
     volume_heatmap,
 )
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
-from stealthreach import montecarlo
+from stealthreach import montecarlo, plant
 from stealthreach.csvout import write_csv
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import (
@@ -29,7 +30,7 @@ from stealthreach.montecarlo import (
     admissible_cells,
     alarm_counts,
 )
-from stealthreach.seeding import substream_seed
+from stealthreach.seeding import stream
 
 from conftest import batch_parts, cell_cloud_volume, cpu_cases, plant_4d
 
@@ -307,8 +308,9 @@ class TestHeatmap:
         for a, b in zip(smoothed, smoothed[1:]):
             assert b >= a - 0.05 * max(smoothed)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_cell_volume_equals_fit_of_full_trace(self, bench_model, n):
+    @pytest.mark.parametrize("n, cpus", cpu_cases(2, 4))
+    def test_cell_volume_equals_fit_of_full_trace(self, bench_model, usable_cpus, n, cpus):
+        usable_cpus(cpus)
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         # cell 2 is (a/3, a/3), one of the res-4 grid's 8 cells stacked in one batch
@@ -317,12 +319,11 @@ class TestHeatmap:
                                 master_seed=seed)
         c1, w1, got = result.grid[idx]
         spec = AttackSpec(kind=ZERO_ALARM, alpha=a, c1=c1, w1=w1)
-        cfg = SimConfig(horizon=90, attack_start=1, master_seed=substream_seed(seed, idx),
-                        trials=6)
+        cfg = SimConfig(horizon=90, attack_start=1, master_seed=seed, trials=6)
         x_delta = batch_parts(model, cfg, spec)[1][..., :n]
         expected = fit_ellipsoid_moment(x_delta[:, 20:].reshape(-1, n))[1]
         assert w1 > 0.0 and got == expected > 0.0
-        assert got == cell_cloud_volume(model, a, c1, w1, seed, idx, trials=6, horizon=90,
+        assert got == cell_cloud_volume(model, a, c1, w1, seed, trials=6, horizon=90,
                                         burn_in=20)
 
     @pytest.mark.parametrize("n, cpus", cpu_cases(2, 4))
@@ -339,10 +340,39 @@ class TestHeatmap:
         result = volume_heatmap(model, a, grid_res=res, trials=trials, horizon=70,
                                 burn_in=15, master_seed=seed)
         alone = [
-            (c1, w1, cell_cloud_volume(model, a, c1, w1, seed, idx, trials=trials, horizon=70,
+            (c1, w1, cell_cloud_volume(model, a, c1, w1, seed, trials=trials, horizon=70,
                                        burn_in=15))
-            for idx, (c1, w1) in enumerate(cells)
+            for c1, w1 in cells
         ]
         assert result.grid == alone
         assert result.grid[0][:3] == (0.0, 0.0, 0.0)
         assert all(vol > 0.0 for _, _, vol in result.grid[1:])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_grid_pulls_each_trial_stream_once(self, monkeypatch, usable_cpus, cpus):
+        usable_cpus(cpus)
+        scn = load_scenario("benchmark2d")
+        caller, opened = os.getpid(), []
+
+        def counted(master_seed, *path):
+            # a worker that opened a stream would raise here, and the map re-raises it
+            assert os.getpid() == caller, "a worker opened a trial stream"
+            opened.append((master_seed, *path))
+            return stream(master_seed, *path)
+
+        monkeypatch.setattr(plant, "stream", counted)
+        result = volume_heatmap(scn.model, scn.alpha, grid_res=16, trials=20, master_seed=21)
+        # 128 cells of 20 trials opened 2,560 streams when every cell drew its own
+        assert len(result.grid) == 128
+        assert opened == [(21, t) for t in range(20)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corner_is_the_argmax_on_every_seed(self, seed):
+        # criterion 8's assertions on the benchmark heatmap, seed by seed
+        scn = load_scenario("benchmark2d")
+        a = scn.alpha
+        result = volume_heatmap(scn.model, a, grid_res=16, trials=20, master_seed=seed)
+        c1_max, w1_max, vol_max = result.argmax_cell()
+        assert c1_max == pytest.approx(a, rel=1e-12) and w1_max == 0.0
+        ref = min(result.grid, key=lambda row: (row[0] - a / 8.0) ** 2 + (row[1] - a / 10.0) ** 2)
+        assert vol_max / ref[2] - 1.0 >= 0.20

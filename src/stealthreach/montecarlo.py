@@ -14,8 +14,8 @@ from .attacks import ZERO_ALARM, AttackSpec
 from .ellipsoids import Ellipsoid
 from .errors import DegenerateCloud, DimensionMismatch
 from .detector import distance
-from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_part,
-                    noise_residual, pull_inputs)
+from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_error,
+                    noise_part, noise_residual, pull_inputs)
 from .reach_common import ReachBound
 from .workers import ordered_map
 
@@ -24,12 +24,11 @@ SOURCE_ATTACK = "attack"
 SOURCE_TOTAL = "total"
 
 # Trials are drawn and propagated in batches of at most this many: a cloud's
-# or alarm count's trials in consecutive chunks, and the heatmap's cells
-# stacked along the trial axis.  Batches are spread over the usable CPUs
-# (workers.ordered_map).
-# Per trial-step the attack part costs 0.14 us at 160 trials and 0.13 at 256
-# (horizon 550).  On 2 CPUs, 128 against 256 gave the heatmap within 2 %,
-# faster clouds (a 200-trial cloud splits in two) and a lower peak RSS.
+# or alarm count's trials in consecutive chunks, and the heatmap's cells stacked
+# along the trial axis, spread over the usable CPUs (workers.ordered_map).  Per
+# trial-step the attack part costs 0.06-0.08 us at 128 trials and 0.05-0.06 at
+# 256 (horizon 550, one CPU); on 2 CPUs 256 gave montecarlo-2d 0.886 s against
+# 0.908 s (2 of 3 pairs) and raised its peak RSS from 58.2 to 64.9 MB (+12 %).
 BATCH_TRIALS = 128
 
 
@@ -144,15 +143,15 @@ def alarm_counts(model: PlantModel, runs, alpha: float) -> list[tuple[int, int]]
     horizon of an attacked one; the counts are bitwise those of the run's
     residual computed on the whole batch at once.  All runs' chunks go
     through one workers.ordered_map, and a chunk propagates only what its
-    residual reads: the noise part, or nothing when r = SigmaSqrt dbar.
+    residual reads: e_v alone (plant.noise_error), or nothing when r = SigmaSqrt dbar.
     """
     def count(item):
         (cfg, spec), trials = runs[item[0]], item[1]
         vs, etas, dbar = draw_inputs(model, cfg, spec, trials)
         if spec is not None:
             return int(_attack_alarms(model, dbar, cfg.attack_start, alpha).sum())
-        e_v = noise_part(model, vs, etas, None, cfg.initial_state)[..., model.n:]
-        return int((distance(noise_residual(model, e_v, etas), model.SigmaInv) > alpha).sum())
+        r = noise_residual(model, noise_error(model, vs, etas), etas)
+        return int((distance(r, model.SigmaInv) > alpha).sum())
 
     items = [(i, trials) for i, (cfg, _) in enumerate(runs) for trials in _chunks(cfg.trials)]
     alarms = [0] * len(runs)

@@ -264,9 +264,8 @@ def _chol_or_zero(M):
 
 
 def _dot(a, M):
-    """a @ M over the last axis with the same arithmetic in every row,
-    whatever the row count (matmul picks its BLAS kernel by row count).
-    Contract whole arrays, then slice: step-sliced views run ~5x slower."""
+    """a @ M over the last axis of a whole array, the same arithmetic in every
+    row whatever the row count (matmul picks its BLAS kernel by row count)."""
     return np.einsum("...i,ij->...j", a, M)
 
 
@@ -316,18 +315,24 @@ def pull_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     return vs, etas, dbar, raw_attack
 
 
-def _advance(model: PlantModel, S, pre: int, start: int = 0):
-    """Run one part's [x, e] recursion in place on S (trials, horizon, 2n):
-    for i = start .. horizon - 2, add S[:, i] @ A_i^T into S[:, i + 1],
-    which held the input of step i + 1.  A_i is x' = (F + G K) x - G K e
-    with e' = (F - L C) e for i < pre (before k* the noise residual feeds
-    back through -L) and e' = F e after (the attacker cancels it)."""
-    n, post_T = model.n, model.joint_transition.T
-    pre_T = post_T.copy()
-    pre_T[n:, n:] -= (model.L @ model.C).T
-    for i in range(start, S.shape[1] - 1):
-        S[:, i + 1] += _dot(S[:, i], pre_T if i < pre else post_T)
-    return S
+def _step_major(trials: int, horizon: int, dim: int):
+    """Zeroed W (horizon, dim, lanes) for _advance and its (trials, horizon, dim) view."""
+    W = np.zeros((horizon, dim, max(trials, 2)))
+    return W, W[:, :, :trials].transpose(2, 0, 1)
+
+
+def _advance(model: PlantModel, W, pre: int, start: int = 0):
+    """Run one part's recursion in place on W from _step_major: for i = start ..
+    horizon - 2, add A_i W[i] into W[i + 1], which held the input of step i + 1.
+    A_i is the trailing dim x dim block ([x, e], or e alone) of x' = (F + G K) x - G K e
+    with e' = (F - L C) e for i < pre (before k* the noise residual feeds back through -L)
+    and e' = F e after (the attacker cancels it).  einsum loops along the contiguous lanes,
+    so each lane sums in order over j; a lone lane would not, so _step_major pads it."""
+    n, lo, post = model.n, 2 * model.n - W.shape[1], model.joint_transition
+    pre_A = post.copy()
+    pre_A[n:, n:] -= model.L @ model.C
+    for i in range(start, W.shape[0] - 1):
+        W[i + 1] += np.einsum("ij,jt->it", (pre_A if i < pre else post)[lo:, lo:], W[i])
 
 
 def noise_part(model: PlantModel, vs, etas, kstar: int | None = None,
@@ -335,28 +340,35 @@ def noise_part(model: PlantModel, vs, etas, kstar: int | None = None,
     """[x_v, e_v] per step, (trials, horizon, 2n), driven by the initial
     state and the noise: v enters both blocks, and -L eta the e-block
     before k*."""
-    n = model.n
-    T, N = vs.shape[:2]
+    n, (T, N) = model.n, vs.shape[:2]
     x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
     if x0.shape != (n,):
         raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
     pre = N - 1 if kstar is None else kstar - 1  # steps before k*
-    S = np.empty((T, N, 2 * n))
-    S[:, 0, :n], S[:, 0, n:] = x0, 0.0
+    W, S = _step_major(T, N, 2 * n)
+    S[:, 0, :n] = x0
     S[:, 1:, :n] = S[:, 1:, n:] = vs[:, :-1]
-    S[:, 1:pre + 1, n:] -= _dot(etas, model.L.T)[:, :pre]
-    return _advance(model, S, pre)
+    S[:, 1:pre + 1, n:] = vs[:, :pre] - _dot(etas, model.L.T)[:, :pre]
+    _advance(model, W, pre)
+    return S
+
+
+def noise_error(model: PlantModel, vs, etas) -> np.ndarray:
+    """e_v of an attack-free run by the e-recursion alone: noise_part's e-block bit for bit."""
+    W, e_v = _step_major(*vs.shape)
+    e_v[:, 1:] = vs[:, :-1] - _dot(etas, model.L.T)[:, :-1]
+    _advance(model, W, vs.shape[1] - 1)
+    return e_v
 
 
 def attack_part(model: PlantModel, dbar, kstar: int | None) -> np.ndarray:
     """[x_delta, e_delta] per step, (trials, horizon, 2n), driven by
     -L SigmaSqrt dbar in the e-block; zero up to step k* (throughout when
     kstar is None), so its recursion starts after it."""
-    n = model.n
-    S = np.zeros(dbar.shape[:2] + (2 * n,))
+    W, S = _step_major(*dbar.shape[:2], 2 * model.n)
     if kstar is not None:
-        S[:, kstar:, n:] = _dot(dbar, -(model.L @ model.SigmaSqrt).T)[:, kstar - 1:-1]
-        _advance(model, S, 0, start=kstar)
+        S[:, kstar:, model.n:] = _dot(dbar, -(model.L @ model.SigmaSqrt).T)[:, kstar - 1:-1]
+        _advance(model, W, 0, start=kstar)
     return S
 
 

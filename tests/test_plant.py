@@ -19,7 +19,8 @@ from stealthreach.errors import (
     UnstableFilter,
 )
 from stealthreach.montecarlo import alarm_counts
-from stealthreach.plant import _draw_system_noise, draw_inputs
+from stealthreach.plant import (_draw_system_noise, attack_part, draw_inputs, noise_error,
+                                noise_part, noise_residual)
 from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, batch_parts, plant_4d
@@ -268,6 +269,46 @@ class TestBatchInvariance:
         )
         for name in COLUMNS:
             assert np.array_equal(single[name][0], batch[name][0]), name
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_every_lane_count_and_offset_equals_rows_of_one_batch(self, bench_model, n):
+        # the recursion runs along the trial axis, so the lane count is the
+        # batch width: one lane (padded to two), small widths, and widths
+        # around 64 and BATCH_TRIALS, at the start, inside and at the end
+        model = bench_model if n == 2 else plant_4d()
+        a = chi2_quantile(0.95, model.p)
+        x0 = np.linspace(-1.0, 1.0, n)
+        trials, kstar = 300, 15
+        cfg = SimConfig(horizon=40, attack_start=kstar, master_seed=9, trials=trials)
+        vs, etas, dbar = draw_inputs(model, cfg, named_spec("H.B", a))
+
+        def parts(rows):
+            free = noise_part(model, vs[rows], etas[rows], None, x0)
+            e_v = noise_error(model, vs[rows], etas[rows])
+            return {"noise": free, "noise-kstar": noise_part(model, vs[rows], etas[rows], kstar, x0),
+                    "attack": attack_part(model, dbar[rows], kstar), "noise_error": e_v,
+                    "residual": noise_residual(model, free[..., n:], etas[rows]),
+                    "residual-e": noise_residual(model, e_v, etas[rows])}
+
+        whole = parts(slice(None))
+        for width in [*range(1, 21), 63, 64, 65, 127, 128, 129]:
+            for lo in (0, 3, trials - width):
+                for name, got in parts(slice(lo, lo + width)).items():
+                    assert np.array_equal(got, whole[name][lo:lo + width]), (name, width, lo)
+
+
+class TestNoiseError:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_equals_e_block_of_noise_part(self, bench_model, n):
+        # attack-free alarm counts propagate e alone; the x-block and the
+        # initial state do not reach it
+        model = bench_model if n == 2 else plant_4d()
+        cfg = SimConfig(horizon=300, master_seed=12, trials=70, vbar=chi2_quantile(0.95, n),
+                        initial_state=np.linspace(-1.0, 1.0, n))
+        vs, etas, _ = draw_inputs(model, cfg)
+        e_v = noise_error(model, vs, etas)
+        assert e_v.shape == vs.shape
+        assert np.array_equal(e_v, noise_part(model, vs, etas, None, cfg.initial_state)[..., n:])
 
 
 def full_recheck_draw(rng, count, chol, vbar):

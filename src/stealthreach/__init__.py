@@ -33,7 +33,6 @@ from .plant import (
 )
 from .reach_common import ReachBound
 from .reach_geom import (
-    GeomSumConfig,
     geom_bound,
     reach_bounds_geom,
     reach_targets,
@@ -53,7 +52,7 @@ __all__ = [
     "fit_ellipsoid_moment", "volume_heatmap",
     "PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman",
     "ReachBound",
-    "GeomSumConfig", "geom_bound", "reach_bounds_geom", "reach_targets",
+    "geom_bound", "reach_bounds_geom", "reach_targets",
     "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
     "Scenario", "load_scenario", "parse_scenario",
 ]

@@ -95,8 +95,7 @@ def _compute_bounds(scenario: Scenario, method: str):
     model = scenario.model
     out = {}
     if method in ("geom", "both"):
-        out["geometric"] = list(reach_bounds_geom(model, scenario.alpha, scenario.vbar,
-                                                  scenario.geom_config))
+        out["geometric"] = list(reach_bounds_geom(model, scenario.alpha, scenario.vbar))
     if method in ("lmi", "both"):
         out["lmi"] = list(reach_bounds_lmi(model, scenario.alpha, scenario.vbar))
     return out

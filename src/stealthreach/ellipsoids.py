@@ -24,6 +24,7 @@ from .errors import (
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 RANGE_TOL = 1e-9
+DEGENERATE_RTOL = 1e-12  # smallest over largest eigenvalue of a degenerate shape
 BLOCK_ROWS = 4096  # rows per block of Ellipsoid.membership
 # Cap on fixed-point weight steps in minkowski_sum_many.  On 300 seeded
 # random instances (n = 2-5, 2-24 terms) and the bundled series the map
@@ -91,9 +92,9 @@ class Ellipsoid:
     def volume(self) -> float:
         return volume(self)
 
-    def is_degenerate(self, rel: float = 1e-12) -> bool:
+    def is_degenerate(self) -> bool:
         w = np.linalg.eigvalsh(self.Q)
-        return w[0] <= rel * max(w[-1], 0.0)
+        return w[0] <= DEGENERATE_RTOL * max(w[-1], 0.0)
 
     def membership(self, x: np.ndarray) -> float:
         """Quadratic membership value x^T Q^+ x; inf when x leaves range(Q),
@@ -181,8 +182,9 @@ def minkowski_sum_many(terms) -> Ellipsoid:
     Every shape Q(w) = sum_i Q_i / w_i with weights w on the simplex
     contains the sum (Kurzhanski and Valyi 1997).  Starting from uniform
     weights, the fixed-point map w <- stationary_weights(Q(w)) descends to
-    the minimum of log det Q(w); it stops when no weight moves by 1e-14 or
-    after MAX_WEIGHT_ITERS steps, and every iterate is a valid outer bound.
+    the minimum of log det Q(w); it stops when no weight moves by more than
+    1e-12 of the largest weight or after MAX_WEIGHT_ITERS steps, and every
+    iterate is a valid outer bound.
     Zero terms are identities.  A degenerate uniform-weight shape (the
     terms do not span R^n) is returned as it is, since the map needs
     Q(w)^-1.
@@ -203,7 +205,7 @@ def minkowski_sum_many(terms) -> Ellipsoid:
     for _ in range(MAX_WEIGHT_ITERS):
         w_new = stationary_weights(Q, Qs)
         Q = weighted_shape(Qs, w_new)
-        if np.max(np.abs(w_new - w)) < 1e-14:
+        if np.max(np.abs(w_new - w)) <= 1e-12 * np.max(w):
             break
         w = w_new
     return Ellipsoid(Q)

@@ -23,6 +23,10 @@ SOURCE_NOISE = "noise"
 SOURCE_ATTACK = "attack"
 SOURCE_TOTAL = "total"
 
+# Membership slacks s of containment_report: a point counts as inside at
+# membership <= 1 + s.
+CONTAINMENT_SLACKS = (0.0, 1e-6, 1e-2)
+
 # Trials are drawn and propagated in batches of at most this many: a cloud's
 # or alarm count's trials in consecutive chunks, and the heatmap's cells stacked
 # along the trial axis, spread over the usable CPUs (workers.ordered_map).  Per
@@ -253,9 +257,8 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
     return HeatmapResult(grid=grid, alpha=alpha, resolution=(grid_res, grid_res))
 
 
-def containment_report(cloud: PointCloud, bounds: list[ReachBound],
-                       slacks=(0.0, 1e-6, 1e-2)) -> dict:
-    """Fraction of cloud points inside each bound at several slacks.
+def containment_report(cloud: PointCloud, bounds: list[ReachBound]) -> dict:
+    """Fraction of cloud points inside each bound at each of CONTAINMENT_SLACKS.
 
     Also reports the worst membership value and the bound/fit volume ratio.
     """
@@ -283,7 +286,7 @@ def containment_report(cloud: PointCloud, bounds: list[ReachBound],
             "max_membership": float(np.max(memberships)) if len(X) else 0.0,
             "volume_ratio_vs_fit": (bound.volume / fit_volume) if fit_volume > 0.0 else math.inf,
             "contained_fraction": {
-                str(s): float(np.mean(memberships <= 1.0 + s)) for s in slacks
+                str(s): float(np.mean(memberships <= 1.0 + s)) for s in CONTAINMENT_SLACKS
             },
         })
         del memberships  # one cloud-length array at a time

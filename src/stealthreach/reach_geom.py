@@ -12,8 +12,9 @@ methods read:
 The attack state is the x block of the joint [x, e] recursion.  From zero
 the recursion unrolls into a sum of independent per-step ellipsoids
 E(C A^k B S B^T A^k^T C^T), which series_terms yields.  truncated_terms
-stops the series once the terms' determinant and trace mass have both
-decayed below a relative tolerance, and fit_bound fits one ellipsoid
+stops the series at the first term, after the first dim(A), whose size
+tr(R^+ T_k) against the sum R of those first terms is below TAIL_TOL, a
+test that no change of units moves, and fit_bound fits one ellipsoid
 around the finite Minkowski sum with minkowski_sum_many and reports the
 stationarity gap of the fitted weights.
 
@@ -22,9 +23,7 @@ its bound is one fit over both rows' terms.  A pair sum of two fitted
 bounds, the LMI total included, is a member of its weighted family.
 """
 
-import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -42,24 +41,9 @@ from .reach_common import (
 )
 
 
-@dataclass(frozen=True)
-class GeomSumConfig:
-    """Truncation rule for the limiting sums.
-
-    Terms stop at the first index where both sqrt(det Q_k / det Q_first)
-    and trace(Q_k)/trace(Q_first) fall below tail_tol; the trace guard
-    matters because rank-deficient terms have zero determinant while still
-    carrying mass.
-    """
-
-    tail_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail_tol must be in (0,1), got {self.tail_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+# truncated_terms' tail test and its cap on the number of terms
+TAIL_TOL = 1e-13
+MAX_TERMS = 500
 
 
 def reach_targets(model: PlantModel, alpha: float, vbar: float) -> dict[str, tuple]:
@@ -84,38 +68,27 @@ def series_terms(A: np.ndarray, B: np.ndarray, S: np.ndarray,
         X = A @ X
 
 
-def truncated_terms(A, B, S, C=None, cfg: GeomSumConfig | None = None) -> list[np.ndarray]:
-    """The series C A^k B S B^T A^k^T C^T until the decay rule of cfg fires.
+def truncated_terms(A, B, S, C=None) -> list[np.ndarray]:
+    """The series C A^k B S B^T A^k^T C^T for k = 0 ... K-1, zero terms included.
 
-    Exactly zero leading terms (C A^k B = 0, as for the attack state, whose
-    input reaches x one step late or later) are dropped, up to dim(A) of
-    them, and the decay is measured against the first nonzero term.  A
-    series whose first dim(A) terms are zero is zero throughout
-    (Cayley-Hamilton), and the zero term is returned.
+    K is the first index from dim(A) on with tr(R^+ T_K) < TAIL_TOL, where
+    R is the sum of the first dim(A) terms.  Every term lies in range(R)
+    (Cayley-Hamilton), so the ratio sees every direction the series
+    reaches, and it does not change under y -> M y for invertible M.
+    Raises MaxTermsExceeded when no K <= MAX_TERMS qualifies.
     """
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise UnstableF(f"reach series needs rho(A) < 1, got {rho:.4f}")
-    cfg = cfg or GeomSumConfig()
     series = series_terms(A, B, S, C)
-    for _ in range(len(A)):
-        first = next(series)
-        if first.any():
-            break
-    d_ref = float(np.linalg.det(first))
-    t_ref = float(np.trace(first))
-    if t_ref <= 0.0:
-        return [first]
-    terms = [first]
-    for Qk in islice(series, cfg.max_terms - 1):
-        det_ratio = math.sqrt(max(float(np.linalg.det(Qk)), 0.0) / d_ref) if d_ref > 0.0 else 0.0
-        trace_ratio = float(np.trace(Qk)) / t_ref
-        if det_ratio < cfg.tail_tol and trace_ratio < cfg.tail_tol:
+    terms = list(islice(series, len(A)))
+    R_pinv = np.linalg.pinv(sum(terms), hermitian=True)
+    for T in islice(series, MAX_TERMS - len(terms)):
+        if np.vdot(R_pinv, T) < TAIL_TOL:
             return terms
-        terms.append(Qk)
-    raise MaxTermsExceeded(
-        f"term decay rule not met within {cfg.max_terms} terms (tail_tol={cfg.tail_tol:g})"
-    )
+        terms.append(T)
+    raise MaxTermsExceeded(f"term decay rule not met within {MAX_TERMS} terms "
+                           f"(TAIL_TOL={TAIL_TOL:g})")
 
 
 def fit_bound(terms, target: str, method: str = METHOD_GEOMETRIC,
@@ -130,18 +103,16 @@ def fit_bound(terms, target: str, method: str = METHOD_GEOMETRIC,
                                    "stationarity_gap": stationarity_gap(E, terms)})
 
 
-def geom_bound(A, B, S, C=None, target: str = "bound",
-               cfg: GeomSumConfig | None = None) -> ReachBound:
+def geom_bound(A, B, S, C=None, target: str = "bound") -> ReachBound:
     """Outer bound of the truncated Minkowski sum of the series C A^k B S B^T A^k^T C^T."""
-    return fit_bound(truncated_terms(A, B, S, C, cfg), target)
+    return fit_bound(truncated_terms(A, B, S, C), target)
 
 
-def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float,
-                      cfg: GeomSumConfig | None = None):
+def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float):
     """The three geometric bounds and the total-state bound, one fit over the
     noise and attack-state terms.  Each of the three carries its input
     scale, vbar or alpha, in its diagnostics."""
-    terms = {target: truncated_terms(*inputs, cfg=cfg)
+    terms = {target: truncated_terms(*inputs)
              for target, inputs in reach_targets(model, alpha, vbar).items()}
     noise, att_err, att_state = (fit_bound(t, target) for target, t in terms.items())
     noise.diagnostics["vbar"] = vbar

@@ -116,8 +116,8 @@ def solve_logdet_sdp(A, B, S, a: float, C=None) -> tuple[np.ndarray, dict]:
     Returns (C Q C^T, diagnostics) with Q = P^-1 the Lyapunov fixed point
     (C = I if None); diagnostics carry the unit-free certificate
     lmi_min_eig of P, the relative Lyapunov residual
-    ||Q - A Q A^T/a - W0/(1-a)|| / ||Q||, the slope d log det C Q C^T / da
-    and a.  Raises Infeasible when a is not in
+    ||Q - A Q A^T/a - W0/(1-a)|| / ||Q|| and the slope d log det C Q C^T / da.
+    Raises Infeasible when a is not in
     (rho(A)^2, 1) (no P > 0 can satisfy the top-left block, and the vec Q
     system is singular at a = rho(A)^2), when Q is not positive definite
     (the input cannot reach every direction, so no bounded P exists) or
@@ -133,7 +133,7 @@ def solve_logdet_sdp(A, B, S, a: float, C=None) -> tuple[np.ndarray, dict]:
         raise Infeasible(f"certificate min eig {min_eig:.2e} < -{LMI_CERT_TOL:g} at a={a:.4f}")
     residual = float(np.linalg.norm(Q - A @ Q @ A.T / a - W0 / (1.0 - a)) / np.linalg.norm(Q))
     return _project(C, Q), {"lmi_min_eig": min_eig, "lyapunov_residual": residual,
-                            "logdet_slope": slope, "a": a}
+                            "logdet_slope": slope}
 
 
 def min_volume_over_a(A, B, S, C=None, target: str = "bound") -> ReachBound:

@@ -20,7 +20,6 @@ from .attacks import HIDDEN, UNIFORM_SPHERE, ZERO_ALARM, AttackSpec, _resolve_al
 from .detector import chi2_quantile
 from .errors import DimensionMismatch, InvalidSpec, SchemaError
 from .plant import PlantModel, SimConfig, build_model
-from .reach_geom import GeomSumConfig
 
 _MODEL_KEYS = {"F", "G", "C", "K", "R1", "R2", "L"}
 _MODEL_REQUIRED = {"F", "G", "C", "K", "R1", "R2"}
@@ -28,8 +27,7 @@ _DETECTOR_KEYS = {"A", "alpha"}
 _ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2", "A", "direction_mode"}
 _SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "initial_state", "truncate_noise"}
 _SIM_REQUIRED = {"horizon", "master_seed", "trials"}
-_BOUNDS_KEYS = {"method", "geom"}
-_GEOM_KEYS = {"tail_tol", "max_terms"}
+_BOUNDS_KEYS = {"method"}
 _OUTPUT_KEYS = {"dir", "formats"}
 _TOP_KEYS = {"model", "detector", "attack", "sim", "bounds", "output"}
 
@@ -106,7 +104,6 @@ class Scenario:
     attack: AttackSpec | None
     sim: SimConfig
     bounds_method: str
-    geom_config: GeomSumConfig
     output_dir: str
     output_formats: tuple
 
@@ -204,15 +201,6 @@ def parse_scenario(raw: dict) -> Scenario:
     method = bblock.get("method", "both")
     if method not in ("lmi", "geom", "both"):
         raise SchemaError("scenario.bounds.method", "must be 'lmi', 'geom', or 'both'")
-    gblock = bblock.get("geom", {})
-    _check_keys(gblock, _GEOM_KEYS, set(), "scenario.bounds.geom")
-    tail_tol = _scalar(gblock.get("tail_tol", 1e-12), "scenario.bounds.geom.tail_tol")
-    if not 0.0 < tail_tol < 1.0:
-        raise SchemaError("scenario.bounds.geom.tail_tol", f"must be in (0,1), got {tail_tol}")
-    max_terms = _scalar(gblock.get("max_terms", 500), "scenario.bounds.geom.max_terms", int)
-    if max_terms < 1:
-        raise SchemaError("scenario.bounds.geom.max_terms", f"must be >= 1, got {max_terms}")
-    geom_cfg = GeomSumConfig(tail_tol=tail_tol, max_terms=max_terms)
 
     oblock = raw.get("output", {})
     _check_keys(oblock, _OUTPUT_KEYS, set(), "scenario.output")
@@ -224,7 +212,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     return Scenario(
         raw=raw, model=model, target_rate=rate, alpha=alpha, vbar=vbar,
-        attack=attack, sim=sim, bounds_method=method, geom_config=geom_cfg,
+        attack=attack, sim=sim, bounds_method=method,
         output_dir=out_dir, output_formats=formats,
     )
 

@@ -11,7 +11,6 @@ import pytest
 
 from stealthreach import (
     Ellipsoid,
-    GeomSumConfig,
     SimConfig,
     build_model,
     chi2_cdf,
@@ -59,7 +58,7 @@ def tuned(model):
 @pytest.fixture(scope="module")
 def geom_bounds(model, tuned):
     alpha, vbar = tuned
-    return reach_bounds_geom(model, alpha, vbar, GeomSumConfig())
+    return reach_bounds_geom(model, alpha, vbar)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,20 @@ class TestScenarioSchema:
         assert scn.model.n == 2
         assert scn.hash == load_scenario("benchmark2d").hash
 
+    def test_readme_example_parses(self):
+        # the README's "Scenario format" example, with benchmark2d's matrices
+        # in its [[...]] slots and the optional L dropped, is a valid scenario
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("### Scenario format")[1].split("```json")[1].split("```")[0]
+        bench = load_scenario("benchmark2d").raw["model"]
+        example = re.sub(r'"(\w+)": \[\[\.\.\.\]\]',
+                         lambda m: f'"{m[1]}": {json.dumps(bench.get(m[1]))}', example)
+        raw = json.loads(example)
+        assert raw["model"].pop("L") is None
+        assert set(raw["model"]) == set(bench)
+        scn = parse_scenario(raw)
+        assert (scn.bounds_method, scn.attack.c1) == ("both", scn.alpha)
+
 
 class TestCliExitCodes:
     def test_tune_success(self, tmp_path, capsys):
@@ -139,10 +154,9 @@ class TestCliExitCodes:
     def test_malformed_bound_setting_exit_2(self, tmp_path, capsys, block, key, value, command):
         path = write_scenario(tmp_path, base_raw(bounds={block: {key: value}}))
         assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
-        # the decay-scalar search has no setting, so a bounds.lmi block is unknown as a whole
-        expected = ("scenario.bounds.lmi: unknown key" if block == "lmi"
-                    else f"scenario.bounds.{block}.{key}")
-        assert expected in capsys.readouterr().err
+        # neither bound method has a setting, so a bounds.geom or bounds.lmi
+        # block is unknown as a whole
+        assert f"scenario.bounds.{block}: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block,key,value,path", [
         ("attack", "preset", "ZZ", "scenario.attack: unknown preset"),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stealthreach import (
-    GeomSumConfig,
     Ellipsoid,
     SimConfig,
     build_model,
@@ -23,7 +22,9 @@ from stealthreach import (
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
 from stealthreach.montecarlo import SOURCE_ATTACK, SOURCE_TOTAL
-from stealthreach.reach_geom import fit_bound, series_terms, truncated_terms
+from stealthreach import ellipsoids, reach_geom
+from stealthreach.ellipsoids import stationarity_gap
+from stealthreach.reach_geom import TAIL_TOL, fit_bound, series_terms, truncated_terms
 from stealthreach.reach_lmi import LMI_CERT_TOL
 from stealthreach.seeding import stream
 
@@ -33,10 +34,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
-def geom(model, target, scale, cfg=None):
+def geom(model, target, scale):
     """The geometric bound of one reach target at input scale vbar (noise)
     or alpha (attack error and state)."""
-    return geom_bound(*reach_targets(model, scale, scale)[target], target=target, cfg=cfg)
+    return geom_bound(*reach_targets(model, scale, scale)[target], target=target)
 
 
 def noise_terms(model, vbar, count):
@@ -63,15 +64,18 @@ def diag_model(f_scale, r1=None, k=None, g=None):
 class TestNoiseReach:
     def test_nilpotent_single_term(self, vbar):
         model = diag_model(0.0)
+        # the first dim(A) = 2 terms are read, and the second is already zero
         bound = geom(model, "noise", vbar)
-        assert bound.terms_used == 1
+        assert bound.terms_used == 2
         assert np.max(np.abs(bound.shape.Q - vbar * model.R1)) <= 1e-12
 
     def test_concentric_ball_series(self):
-        # F = 0.5 I, R1 = I, vbar = 1: ball radii (0.5)^k sum to 2, shape 4 I
+        # F = 0.5 I, R1 = I, vbar = 1: ball radii (0.5)^k, k < K, sum to
+        # 2 (1 - 0.5^K), so the shape is that radius squared times I
         model = diag_model(0.5)
-        bound = geom(model, "noise", 1.0, GeomSumConfig(tail_tol=1e-14))
-        assert np.max(np.abs(bound.shape.Q - 4.0 * np.eye(2))) <= 1e-6
+        bound = geom(model, "noise", 1.0)
+        radius = 2.0 * (1.0 - 0.5**bound.terms_used)
+        assert np.max(np.abs(bound.shape.Q - radius**2 * np.eye(2))) <= 1e-12
 
     def test_determinant_decay_law(self, bench_model, vbar):
         # det(Q_k) = vbar^n det(R1) det(F)^(2k)
@@ -82,9 +86,10 @@ class TestNoiseReach:
             expected = vbar**2 * det_r1 * det_f ** (2 * k)
             assert np.linalg.det(Q) == pytest.approx(expected, rel=1e-9)
 
-    def test_max_terms_exceeded(self, bench_model, vbar):
+    def test_max_terms_exceeded(self, bench_model, vbar, monkeypatch):
+        monkeypatch.setattr(reach_geom, "MAX_TERMS", 5)
         with pytest.raises(MaxTermsExceeded):
-            geom(bench_model, "noise", vbar, GeomSumConfig(tail_tol=1e-12, max_terms=5))
+            geom(bench_model, "noise", vbar)
 
 
 class TestAttackStateReach:
@@ -112,7 +117,7 @@ class TestAttackStateReach:
 
     def test_first_term_is_gk_image(self, bench_model, alpha):
         # the attack reaches x one step late: the k = 0 term is exactly zero,
-        # the bound starts at k = 1 and k = 1 is the G K image
+        # counted in terms_used, and k = 1 is the G K image
         terms = attack_state_terms(bench_model, alpha, 3)
         GK = bench_model.G @ bench_model.K
         core = bench_model.L @ bench_model.Sigma @ bench_model.L.T
@@ -120,7 +125,7 @@ class TestAttackStateReach:
         assert np.max(np.abs(terms[1] - alpha * GK @ core @ GK.T)) <= 1e-12
         bound = geom(bench_model, "attack_state", alpha)
         assert np.array_equal(minkowski_sum_many(
-            attack_state_terms(bench_model, alpha, bound.terms_used + 1)[1:]).Q, bound.shape.Q)
+            attack_state_terms(bench_model, alpha, bound.terms_used)).Q, bound.shape.Q)
 
     def test_containment_of_simulated_error_and_state(self, bench_model, alpha):
         # simulation oracle: boundary-magnitude attack draws stay inside
@@ -163,14 +168,13 @@ class TestAttackStateReach:
 
 class TestTruncationAndScaling:
     def test_truncation_soundness(self, bench_model, vbar):
-        # trace is quadratic in the semiaxes, so the tail mass discarded by a
-        # trace-ratio rule at tail_tol scales as sqrt(tail_tol)
-        cfg = GeomSumConfig(tail_tol=1e-12)
-        bound = geom(bench_model, "noise", vbar, cfg)
+        # the trace is quadratic in the semiaxes, so the tail mass discarded
+        # by a trace-ratio rule at TAIL_TOL scales as sqrt(TAIL_TOL)
+        bound = geom(bench_model, "noise", vbar)
         doubled = minkowski_sum_many(noise_terms(bench_model, vbar, 2 * bound.terms_used))
         import math
 
-        assert abs(doubled.volume - bound.volume) <= 10.0 * math.sqrt(cfg.tail_tol) * bound.volume
+        assert abs(doubled.volume - bound.volume) <= 10.0 * math.sqrt(TAIL_TOL) * bound.volume
 
     def test_alpha_scaling_linearity(self, bench_model, alpha):
         b1 = geom(bench_model, "attack_state", alpha)
@@ -216,7 +220,7 @@ class TestTotalBound:
         assert np.array_equal(total.shape.Q, minkowski_sum_many(terms).Q)
         assert total.terms_used == noise.terms_used + att_state.terms_used == len(terms)
         assert total.diagnostics["from"] == ["noise", "attack_state"]
-        assert total.volume == pytest.approx(8.650637415604, rel=1e-10)
+        assert total.volume == pytest.approx(8.650643870489, rel=1e-10)
 
     @pytest.mark.parametrize("plant", ["benchmark2d", 0, 1, 2])
     def test_total_at_most_pair_sum_and_lmi_total(self, bench_model, plant):
@@ -253,6 +257,12 @@ def scaled_model(m, scale):
     return build_model(m.F, scale * m.G, m.C / scale, m.K / scale, scale**2 * m.R1, m.R2)
 
 
+def transformed_model(m, T):
+    """The loop in the state units x -> T x: T F T^-1, T G, C T^-1, K T^-1, T R1 T^T."""
+    T_inv = np.linalg.inv(T)
+    return build_model(T @ m.F @ T_inv, T @ m.G, m.C @ T_inv, m.K @ T_inv, T @ m.R1 @ T.T, m.R2)
+
+
 class TestUnitChange:
     @pytest.mark.parametrize("scale", [1e-5, 0.01, 100.0, 1000.0, 1e5])
     def test_volumes_follow_state_scaling(self, bench_model, alpha, vbar, scale):
@@ -271,6 +281,18 @@ class TestUnitChange:
         for ref, got in zip(ref_lmi[:3], got_lmi[:3]):
             assert abs(got.a_star - ref.a_star) <= 1e-12, ref.target
             assert got.diagnostics["lmi_min_eig"] >= -LMI_CERT_TOL, ref.target
+
+    @pytest.mark.parametrize("factors", [(1e3, 1.0), (0.25, 4.0), (1e-3, 7.0)])
+    def test_truncation_and_volumes_follow_diagonal_units(self, bench_model, alpha, vbar,
+                                                            factors):
+        # tr(R^+ T_k) does not change under x -> T x, so every row keeps its
+        # number of terms, and each volume / |det T| stays the unscaled one
+        T = np.diag(factors)
+        ref = reach_bounds_geom(bench_model, alpha, vbar)
+        got = reach_bounds_geom(transformed_model(bench_model, T), alpha, vbar)
+        for r, g in zip(ref, got):
+            assert g.terms_used == r.terms_used, r.target
+            assert abs(g.volume / abs(np.linalg.det(T)) - r.volume) <= 1e-12 * r.volume, r.target
 
     def test_cli_lmi_bound_at_large_scale(self, bench_model, tmp_path, capsys):
         m = scaled_model(bench_model, 1e5)
@@ -314,3 +336,21 @@ class TestWeightedSeries:
     def test_stationarity_gap_none_when_degenerate(self, alpha):
         bound = geom(diag_model(0.5, k=np.zeros((2, 2))), "attack_state", alpha)
         assert bound.diagnostics["stationarity_gap"] is None
+
+
+def test_weight_iteration_stops_when_weights_settle(monkeypatch):
+    # on this n = 4 plant the weights settle near 1e-13 of the largest, so an
+    # absolute step test never fires on the attack-error row; the relative
+    # one stops the fixed-point map long before MAX_WEIGHT_ITERS on each row
+    model = build_model(**workloads.draw_plant(np.random.default_rng(2))[0])
+    alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
+    real = ellipsoids.stationary_weights
+    for target, inputs in reach_targets(model, alpha, vbar).items():
+        terms = truncated_terms(*inputs)
+        calls = []
+        monkeypatch.setattr(ellipsoids, "stationary_weights",
+                            lambda Q, Qs: calls.append(1) or real(Q, Qs))
+        E = minkowski_sum_many(terms)
+        monkeypatch.undo()
+        assert len(calls) <= 50, target
+        assert stationarity_gap(E, terms) < 1e-10, target

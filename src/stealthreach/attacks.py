@@ -117,18 +117,23 @@ def _resolve_alpha_token(value, alpha: float) -> float:
     raise InvalidSpec(f"cannot resolve alpha expression {value!r}")
 
 
+def attack_spec(block: dict, alpha: float, rate_above: float,
+                direction_mode=UNIFORM_SPHERE) -> AttackSpec:
+    """Build the mixture of a {kind, c1, w1, c2, w2} block at threshold alpha.
+    Values are numbers or alpha expressions ("alpha", "2*alpha", "alpha/8");
+    w1 defaults to 0, and a hidden attack puts mass rate_above above alpha."""
+    kind = block.get("kind")
+    values = {k: _resolve_alpha_token(v, alpha) for k, v in block.items() if k != "kind"}
+    return AttackSpec(kind=kind, alpha=alpha, direction_mode=direction_mode,
+                      rate_above=rate_above if kind == HIDDEN else None, **values)
+
+
 def named_spec(name: str, alpha: float, rate_above: float = 0.05,
                direction_mode=UNIFORM_SPHERE) -> AttackSpec:
     """Build one of the seven named mixtures (ZA.A..ZA.C, H.A..H.D)."""
     if not isinstance(name, str) or name not in TABLE_PRESETS:
         raise InvalidSpec(f"unknown preset {name!r}; options: {sorted(TABLE_PRESETS)}")
-    raw = TABLE_PRESETS[name]
-    kwargs = {k: _resolve_alpha_token(v, alpha) for k, v in raw.items() if k != "kind"}
-    kind = raw["kind"]
-    return AttackSpec(
-        kind=kind, alpha=alpha, direction_mode=direction_mode,
-        rate_above=rate_above if kind == HIDDEN else None, **kwargs,
-    )
+    return attack_spec(TABLE_PRESETS[name], alpha, rate_above, direction_mode)
 
 
 def _uniform_rows(spec: AttackSpec) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .attacks import ZERO_ALARM
 from .csvout import write_csv
-from .detector import chi2_quantile
+from .detector import chi2_cdf
 from .errors import SchemaError, StealthreachError, UsageError
 from .montecarlo import (
     SOURCE_ATTACK,
@@ -52,11 +52,10 @@ def _write_json(path: Path, payload: dict, scenario: Scenario) -> None:
     print(f"wrote {path}")
 
 
-def _write_text(path: Path, text: str, scenario: Scenario | None = None) -> None:
+def _write_text(path: Path, text: str, scenario: Scenario) -> None:
+    pairs = " ".join(f"{k}={v}" for k, v in _meta(scenario).items())
     with open(path, "w") as fh:
-        if scenario is not None:
-            pairs = " ".join(f"{k}={v}" for k, v in _meta(scenario).items())
-            fh.write(f"<!-- {pairs} -->\n")
+        fh.write(f"<!-- {pairs} -->\n")
         fh.write(text)
     print(f"wrote {path}")
 
@@ -208,14 +207,14 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
-    residual = abs(chi2_quantile(1.0 - scenario.target_rate, model.p) - scenario.alpha)
-    check("threshold tuning round-trip", residual <= 1e-6 * max(scenario.alpha, 1.0),
-          f"|alpha - quantile| = {residual:.2e}")
+    seed, target = scenario.sim.master_seed, scenario.target_rate
+    residual = abs(1.0 - chi2_cdf(scenario.alpha, model.p) - target)
+    check("threshold tuning round-trip", residual <= 1e-9 * target,
+          f"|false-alarm rate at alpha - A| = {residual:.2e}")
     riccati, p_max = model.diagnostics["riccati_residual"], float(np.max(np.abs(model.P)))
     check("riccati fixed point", riccati <= 1e-10 * p_max,
           f"residual {riccati:.2e} vs max|P| {p_max:.2e}")
 
-    seed, target = scenario.sim.master_seed, scenario.target_rate
     runs = [(SimConfig(horizon=1000, master_seed=seed, trials=100), None)]
     if scenario.attack is not None:
         runs.append((SimConfig(horizon=1000, attack_start=1, master_seed=seed + 1, trials=100),

@@ -24,7 +24,7 @@ from .errors import (
 SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 RANGE_TOL = 1e-9
-DEGENERATE_RTOL = 1e-12  # smallest over largest eigenvalue of a degenerate shape
+DEGENERATE_RTOL = 1e-12  # a direction whose eigenvalue is at most this times the largest is flat
 BLOCK_ROWS = 4096  # rows per block of Ellipsoid.membership
 # Cap on fixed-point weight steps in minkowski_sum_many.  On 300 seeded
 # random instances (n = 2-5, 2-24 terms) and the bundled series the map
@@ -109,8 +109,7 @@ class Ellipsoid:
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"point dim {x.shape[-1]} vs ellipsoid dim {self.dim}")
         w, V = np.linalg.eigh(self.Q)
-        cutoff = max(w[-1], 0.0) * 1e-12
-        live = w > cutoff
+        live = w > DEGENERATE_RTOL * max(w[-1], 0.0)
         m = np.empty(x.shape[0])
         block = np.empty((BLOCK_ROWS, self.dim))
         for lo in range(0, x.shape[0], BLOCK_ROWS):

@@ -26,10 +26,13 @@ class ReachBound:
     shape: Ellipsoid
     method: str
     target: str
-    volume: float
     a_star: float | None = None
     terms_used: int | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def volume(self) -> float:
+        return self.shape.volume
 
     @property
     def quad_matrix(self) -> np.ndarray | None:

@@ -97,7 +97,7 @@ def fit_bound(terms, target: str, method: str = METHOD_GEOMETRIC,
     the stationarity gap of its weights added to diagnostics; a geometric
     bound counts its terms."""
     E = minkowski_sum_many(terms)
-    return ReachBound(shape=E, method=method, target=target, volume=E.volume,
+    return ReachBound(shape=E, method=method, target=target,
                       terms_used=len(terms) if method == METHOD_GEOMETRIC else None,
                       diagnostics={**(diagnostics or {}),
                                    "stationarity_gap": stationarity_gap(E, terms)})

@@ -190,8 +190,7 @@ def min_volume_over_a(A, B, S, C=None, target: str = "bound") -> ReachBound:
         Q, diag = solve_logdet_sdp(A, B, S, a_star, C)
     except Infeasible as exc:
         raise AllInfeasible(f"no feasible decay scalar: {exc}") from None
-    E = Ellipsoid(Q)
-    return ReachBound(shape=E, method=METHOD_LMI, target=target, volume=E.volume,
+    return ReachBound(shape=Ellipsoid(Q), method=METHOD_LMI, target=target,
                       a_star=a_star, diagnostics={**diag, "a_evaluations": evaluations})
 
 

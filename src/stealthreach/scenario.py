@@ -1,10 +1,11 @@
 """Scenario files: strict-schema JSON describing model, detector, attack, run.
 
 Unknown keys are rejected with the offending path named, so typos fail
-loudly instead of silently running defaults.  Attack parameters may be
-written in terms of the threshold ("alpha", "2*alpha", "alpha/8"); they
-resolve after detector tuning, since the threshold depends on the
-false-alarm rate and sensor count.
+loudly instead of silently running defaults.  The detector takes the
+false-alarm rate A alone: the threshold alpha and the noise truncation level
+vbar are its chi-square quantiles, and a hidden attack's mass above alpha is
+A.  Attack parameters may be written in terms of the threshold ("alpha",
+"2*alpha", "alpha/8"); they resolve after detector tuning.
 """
 
 import hashlib
@@ -16,15 +17,15 @@ from importlib import resources
 
 import numpy as np
 
-from .attacks import HIDDEN, UNIFORM_SPHERE, ZERO_ALARM, AttackSpec, _resolve_alpha_token, named_spec
+from .attacks import UNIFORM_SPHERE, AttackSpec, attack_spec, named_spec
 from .detector import chi2_quantile
 from .errors import DimensionMismatch, InvalidSpec, SchemaError
 from .plant import PlantModel, SimConfig, build_model
 
 _MODEL_KEYS = {"F", "G", "C", "K", "R1", "R2", "L"}
 _MODEL_REQUIRED = {"F", "G", "C", "K", "R1", "R2"}
-_DETECTOR_KEYS = {"A", "alpha"}
-_ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2", "A", "direction_mode"}
+_DETECTOR_KEYS = {"A"}
+_ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2", "direction_mode"}
 _SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "initial_state", "truncate_noise"}
 _SIM_REQUIRED = {"horizon", "master_seed", "trials"}
 _BOUNDS_KEYS = {"method"}
@@ -113,38 +114,20 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_attack(block, alpha, default_rate, p, path) -> AttackSpec:
-    _check_keys(block, _ATTACK_KEYS, set(), path)
-    rate = _scalar(block["A"], f"{path}.A") if "A" in block else default_rate
-    direction = block.get("direction_mode", UNIFORM_SPHERE)
+def _parse_attack(block, alpha, rate, p, path) -> AttackSpec:
+    _check_keys(block, _ATTACK_KEYS, set() if "preset" in block else {"kind", "c1"}, path)
+    mixture = dict(block)
+    direction = mixture.pop("direction_mode", UNIFORM_SPHERE)
     if isinstance(direction, list):
         direction = tuple(_vector(direction, p, f"{path}.direction_mode"))
     elif not isinstance(direction, str):
         raise SchemaError(f"{path}.direction_mode", "expected a mode name or a list of numbers")
-    if "preset" in block:
-        extra = set(block) - {"preset", "A", "direction_mode"}
+    if "preset" in mixture:
+        extra = set(mixture) - {"preset"}
         if extra:
             raise SchemaError(f"{path}.{sorted(extra)[0]}", "preset excludes explicit mixture keys")
-        return named_spec(block["preset"], alpha, rate_above=rate, direction_mode=direction)
-    for key in ("kind", "c1"):
-        if key not in block:
-            raise SchemaError(f"{path}.{key}", "missing required key")
-    kind = block["kind"]
-    if kind not in (ZERO_ALARM, HIDDEN):
-        raise SchemaError(f"{path}.kind", f"must be '{ZERO_ALARM}' or '{HIDDEN}'")
-    resolve = lambda key, default=None: (
-        _resolve_alpha_token(block[key], alpha) if key in block else default
-    )
-    return AttackSpec(
-        kind=kind,
-        alpha=alpha,
-        c1=resolve("c1"),
-        w1=resolve("w1", 0.0),
-        c2=resolve("c2"),
-        w2=resolve("w2"),
-        rate_above=rate if kind == HIDDEN else None,
-        direction_mode=direction,
-    )
+        return named_spec(mixture["preset"], alpha, rate, direction)
+    return attack_spec(mixture, alpha, rate, direction)
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -163,10 +146,7 @@ def parse_scenario(raw: dict) -> Scenario:
     rate = _scalar(dblock["A"], "scenario.detector.A")
     if not 0.0 < rate < 1.0:
         raise SchemaError("scenario.detector.A", f"must be in (0,1), got {rate}")
-    alpha = (_scalar(dblock["alpha"], "scenario.detector.alpha")
-             if "alpha" in dblock else chi2_quantile(1.0 - rate, model.p))
-    if not alpha > 0.0:
-        raise SchemaError("scenario.detector.alpha", f"must be positive, got {alpha}")
+    alpha = chi2_quantile(1.0 - rate, model.p)
     vbar = chi2_quantile(1.0 - rate, model.n)
 
     sblock = raw["sim"]

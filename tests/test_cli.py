@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from stealthreach import (
-    SimConfig, __version__, cli, distance, empirical_cloud, errors, load_scenario, parse_scenario,
+    SimConfig, __version__, chi2_quantile, cli, distance, empirical_cloud, errors, load_scenario,
+    parse_scenario,
 )
 from stealthreach.cli import main
 from stealthreach.csvout import BLOCK_ROWS
@@ -104,6 +106,48 @@ class TestScenarioSchema:
         scn = parse_scenario(raw)
         assert (scn.bounds_method, scn.attack.c1) == ("both", scn.alpha)
 
+    # each preset's explicit {kind, c1, w1, c2, w2} block
+    EXPLICIT_PRESETS = {
+        "ZA.A": {"kind": "zero_alarm", "c1": "alpha/8", "w1": "alpha/10"},
+        "ZA.B": {"kind": "zero_alarm", "c1": "alpha/2", "w1": "alpha"},
+        "ZA.C": {"kind": "zero_alarm", "c1": "alpha"},
+        "H.A": {"kind": "hidden", "c1": "alpha", "c2": "1.5*alpha", "w2": "alpha"},
+        "H.B": {"kind": "hidden", "c1": "alpha", "w1": 0, "c2": "2*alpha", "w2": 0},
+        "H.C": {"kind": "hidden", "c1": "alpha", "c2": "10*alpha", "w2": 0},
+        "H.D": {"kind": "hidden", "c1": "alpha", "c2": "100*alpha", "w2": 0.0},
+    }
+
+    @pytest.mark.parametrize("direction", [None, [0.6, 0.8]])
+    @pytest.mark.parametrize("preset", sorted(EXPLICIT_PRESETS))
+    def test_preset_equals_its_explicit_block(self, preset, direction):
+        blocks = [{"preset": preset}, dict(self.EXPLICIT_PRESETS[preset])]
+        if direction is not None:
+            for block in blocks:
+                block["direction_mode"] = direction
+        by_preset, explicit = (parse_scenario(base_raw(attack=b)).attack for b in blocks)
+        assert by_preset == explicit
+        assert explicit.direction_mode == ("uniform_sphere" if direction is None
+                                           else tuple(direction))
+
+    @pytest.mark.parametrize("attack", [{"preset": "H.A"}, {"preset": "H.D"},
+                                        EXPLICIT_PRESETS["H.B"]])
+    def test_hidden_mass_above_threshold_is_the_false_alarm_rate(self, attack):
+        scn = parse_scenario(base_raw(detector={"A": 0.01}, attack=attack))
+        assert scn.alpha == chi2_quantile(0.99, 2)
+        assert scn.attack.rate_above == 0.01
+
+
+def test_readme_library_example_runs():
+    # the README's Library snippet, run on benchmark2d's matrices, gives what
+    # its comments say: a 5% attack-free alarm rate and no alarm under ZA.C
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library")[1].split("```python")[1].split("```")[0]
+    names = {k: np.array(v) for k, v in load_scenario("benchmark2d").raw["model"].items()}
+    exec(snippet, names)
+    assert names["rate"] == pytest.approx(0.05, rel=1e-9)
+    assert names["alarms"] == 0 and names["steps"] == 200 * 550
+    assert names["report"]["bounds"][0]["target"] == "attack_state"
+
 
 class TestCliExitCodes:
     def test_tune_success(self, tmp_path, capsys):
@@ -180,6 +224,19 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"schema error: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key,value", [("detector", "alpha", 6.5), ("attack", "A", 0.2)])
+    @pytest.mark.parametrize("command", ["bound", "montecarlo", "verify"])
+    def test_derived_rate_and_threshold_are_not_settings(self, tmp_path, capsys, block, key,
+                                                         value, command):
+        # alpha is the detector's (1 - A)-quantile and a hidden attack's mass
+        # above it is A, so neither is a key of its own
+        raw = base_raw()
+        raw[block][key] = value
+        code = main([command, "--scenario", write_scenario(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"schema error: scenario.{block}.{key}: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,value,message", [
         (("model", "F", 0, 0), math.nan, "scenario.model.F: expected finite numbers"),
@@ -397,6 +454,20 @@ class TestVerifyCommand:
         assert report["all_pass"]
         stdout = capsys.readouterr().out
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
+
+    def test_threshold_round_trip_fails_off_the_quantile(self, tmp_path, monkeypatch, capsys):
+        # the round trip reads the detector's false-alarm rate at alpha, so a
+        # threshold that is not the (1 - A)-quantile fails it
+        scenario = parse_scenario(base_raw())
+        monkeypatch.setattr(cli, "load_scenario",
+                            lambda _: dataclasses.replace(scenario, alpha=6.5))
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", "unused", "--out", str(out)]) == 4
+        checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+        round_trip = checks["threshold tuning round-trip"]
+        assert not round_trip["pass"]
+        assert round_trip["detail"] == (
+            f"|false-alarm rate at alpha - A| = {abs(math.exp(-3.25) - 0.05):.2e}")
 
     def test_verify_passes_on_4d_plant(self, tmp_path, capsys):
         model = plant_4d()

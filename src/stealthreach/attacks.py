@@ -102,6 +102,8 @@ TABLE_PRESETS = {
 
 
 def _resolve_alpha_token(value, alpha: float) -> float:
+    if isinstance(value, bool):  # a JSON true/false is not a number
+        raise InvalidSpec(f"expected a number or an alpha expression, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     expr = str(value).replace(" ", "")
@@ -157,6 +159,19 @@ def _mixture_z(spec: AttackSpec, u: np.ndarray) -> np.ndarray:
     return z
 
 
+def _norms(g: np.ndarray) -> np.ndarray:
+    """|g| over the last axis.  The squares are written component-major, so
+    the sum runs one call per component along the contiguous trials x steps
+    axis, in component order: np.linalg.norm's bits up to width 7.  A step
+    slice is copied first, as numpy writes it across the components."""
+    g = np.ascontiguousarray(g)
+    sq = np.empty((g.shape[-1],) + g.shape[:-1])
+    np.multiply(g, g, out=sq.transpose(*range(1, g.ndim), 0))
+    for k in range(1, len(sq)):
+        sq[0] += sq[k]
+    return np.sqrt(sq[0], out=sq[0])
+
+
 class AttackDraws:
     """Raw draws of attack vectors for a batch of trials, and their transform.
 
@@ -190,12 +205,12 @@ class AttackDraws:
         if self.fixed:
             return
         g = self.out
-        norms = np.linalg.norm(g, axis=-1, keepdims=True)
-        degenerate = norms[..., 0] < 1e-300
+        norms = _norms(g)
+        degenerate = norms < 1e-300
         if degenerate.any():
             g[degenerate] = np.eye(g.shape[-1])[0]
-            norms = np.linalg.norm(g, axis=-1, keepdims=True)
-        g /= norms
+            norms = _norms(g)
+        g /= norms[..., None]
 
     def scale(self, spec: AttackSpec, dbar: np.ndarray) -> np.ndarray:
         """Write dbar = sqrt(z) * u and return it: z is spec's mixture of the

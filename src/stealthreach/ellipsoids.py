@@ -103,23 +103,27 @@ class Ellipsoid:
         Rows go BLOCK_ROWS at a time through one buffer: the temporaries stay
         O(block), and as numpy and BLAS pick kernels (and rounding) by shape,
         one shape for every block makes each row's value bitwise the same
-        alone or in any batch.
+        alone or in any batch.  The sums over directions run one call per
+        direction along the block's rows, in direction order.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"point dim {x.shape[-1]} vs ellipsoid dim {self.dim}")
         w, V = np.linalg.eigh(self.Q)
         live = w > DEGENERATE_RTOL * max(w[-1], 0.0)
+        live_at, flat_at = np.flatnonzero(live), np.flatnonzero(~live)
         m = np.empty(x.shape[0])
         block = np.empty((BLOCK_ROWS, self.dim))
         for lo in range(0, x.shape[0], BLOCK_ROWS):
             rows = min(BLOCK_ROWS, x.shape[0] - lo)
             block[:rows], block[rows:] = x[lo:lo + rows], 0.0
-            proj = block @ V
-            mb = np.sum(proj[:, live] ** 2 / w[live], axis=1)
+            sq = (block @ V) ** 2
+            mb = np.zeros(BLOCK_ROWS)
+            for i in live_at:
+                mb += sq[:, i] / w[i]
             if not live.all():
-                resid = np.sqrt(np.sum(proj[:, ~live] ** 2, axis=1))
-                mb[resid > RANGE_TOL * np.linalg.norm(block, axis=1)] = np.inf
+                resid = np.sqrt(sum(sq[:, i] for i in flat_at))
+                mb[resid > RANGE_TOL * np.sqrt(sum((block ** 2).T))] = np.inf
             m[lo:lo + rows] = mb[:rows]
         return m if m.shape[0] > 1 else float(m[0])
 

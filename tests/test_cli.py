@@ -225,6 +225,22 @@ class TestCliExitCodes:
         assert code == 2
         assert f"schema error: {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("attack", [
+        {"kind": "zero_alarm", "c1": True, "w1": False},
+        {"kind": "zero_alarm", "c1": "alpha/2", "w1": True},
+        {"kind": "hidden", "c1": "alpha", "c2": "2*alpha", "w2": False},
+        {"kind": "hidden", "c1": False, "w1": 0, "c2": "2*alpha", "w2": 0},
+    ])
+    def test_boolean_mixture_value_exit_2(self, tmp_path, capsys, attack):
+        # JSON true/false are not numbers, in an explicit block as everywhere else
+        with pytest.raises(SchemaError, match="got (True|False)"):
+            parse_scenario(base_raw(attack=attack))
+        code = main(["bound", "--scenario", write_scenario(tmp_path, base_raw(attack=attack)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("schema error: scenario.attack: expected a number or an alpha expression"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("block,key,value", [("detector", "alpha", 6.5), ("attack", "A", 0.2)])
     @pytest.mark.parametrize("command", ["bound", "montecarlo", "verify"])
     def test_derived_rate_and_threshold_are_not_settings(self, tmp_path, capsys, block, key,

@@ -1,13 +1,28 @@
-"""The benchmark's own output checks and probes, run on the program as it is.
+"""The benchmark's own output checks and probes, run on the program as it is,
+and the digests of every file its workloads' commands write.
 
 perfbench/spans.py wraps the program's entry points by module attribute and
 perfbench/workloads.py checks each command's outputs; both are imported
-the way perfbench/selftest.py imports them.
+the way perfbench/selftest.py imports them.  Each workload command runs once
+per session at SEED, into a directory of its own, as perfbench/run.py runs it.
+
+output_digests.json holds the SHA-256 of each of those files, every bound
+volume as %.17g, and the numpy and BLAS that wrote them.  On that numpy and
+BLAS the files must match byte for byte; elsewhere the volumes must match to
+VOLUME_RTOL.  A change that moves an output rewrites the manifest with
+
+    PYTHONPATH=src python tests/test_benchmark_checks.py
 """
 
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+import pytest
 
 from stealthreach.cli import main
 
@@ -18,6 +33,10 @@ sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
+SEED = 21
+MANIFEST = Path(__file__).with_name("output_digests.json")
+VOLUME_RTOL = 1e-12
+
 # the probes the bound workload's per-layer metrics and gated volumes read
 BOUND_PROBES = ("cli.reach_bounds_geom", "cli.reach_bounds_lmi", "reach_lmi.min_volume_over_a",
                 "reach_lmi.solve_logdet_sdp", "reach_geom.minkowski_sum_many")
@@ -26,13 +45,77 @@ MONTECARLO_PROBES = ("cli.reach_bounds_geom", "cli.empirical_cloud", "cli.contai
                      "cli.volume_heatmap")
 
 
-def test_bound_both_passes_check_bounds_with_every_probe(tmp_path, capsys):
-    out = tmp_path / "out"
-    rec = spans.Recorder()
-    with spans.instrumented(rec) as absent:
-        assert main(["bound", "--scenario", workloads.BUNDLED_2D, "--out", str(out),
-                     "--method", "both"]) == 0
-    assert not set(BOUND_PROBES) & set(absent)
+class Run(NamedTuple):
+    out: Path
+    recorder: spans.Recorder
+    absent: frozenset
+    exit_code: int
+
+
+def run_workloads(work: Path) -> dict:
+    """Run every workload command at SEED, traced, each into work/<workload>/<i>-<command>.
+    Returns {(workload, command label): Run}."""
+    runs = {}
+    for wl in workloads.WORKLOADS.values():
+        (work / wl.name).mkdir(parents=True)
+        scenario, _ = wl.prepare(ROOT, work / wl.name, SEED)
+        for index, cmd in enumerate(wl.commands):
+            out = work / wl.name / f"{index}-{cmd.name}"
+            rec = spans.Recorder()
+            with spans.instrumented(rec) as absent:
+                code = main([cmd.name, "--scenario", scenario, "--out", str(out), *cmd.args])
+            runs[wl.name, cmd.label] = Run(out, rec, frozenset(absent), code)
+    return runs
+
+
+def output_files(runs: dict) -> dict:
+    """{workload/<i>-<command>/file name: path} over every file the commands wrote."""
+    return {f"{key[0]}/{run.out.name}/{path.name}": path
+            for key, run in runs.items() for path in sorted(run.out.iterdir())}
+
+
+def bound_volumes(files: dict) -> dict:
+    """Every bound volume in the JSON outputs, as %.17g: a bound file's own, and
+    each bound that containment.json scores, keyed file#method/target."""
+    volumes = {}
+    for key, path in files.items():
+        if path.suffix != ".json":
+            continue
+        payload = json.loads(path.read_text())
+        if "volume" in payload:
+            volumes[key] = "%.17g" % payload["volume"]
+        for entry in payload.get("bounds", []):
+            volumes[f"{key}#{entry['method']}/{entry['target']}"] = "%.17g" % entry["volume"]
+    return volumes
+
+
+def platform() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": " ".join(str(blas.get(k)) for k in ("name", "version",
+                                                        "openblas configuration"))}
+
+
+def manifest(runs: dict) -> dict:
+    files = output_files(runs)
+    return {
+        "seed": SEED,
+        "platform": platform(),
+        "sha256": {key: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for key, path in files.items()},
+        "volumes": bound_volumes(files),
+    }
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return run_workloads(tmp_path_factory.mktemp("workloads"))
+
+
+def test_bound_both_passes_check_bounds_with_every_probe(runs):
+    out, rec, absent, code = runs["bound-2d", "bound --method both"]
+    assert code == 0
+    assert not set(BOUND_PROBES) & absent
     probe = {}
     for layer, method in (("reach_geom", "geometric"), ("reach_lmi", "lmi")):
         probe.update(((method, t), v)
@@ -46,28 +129,47 @@ def test_bound_both_passes_check_bounds_with_every_probe(tmp_path, capsys):
         for t in spans.TARGETS}
 
 
-def test_verify_4d_passes_check_verify(tmp_path, capsys):
-    raw, _ = workloads.scenario_4d(21)
-    path = tmp_path / "verify4d.json"
-    path.write_text(workloads.scenario_json(raw))
-    out = tmp_path / "out"
-    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+def test_verify_4d_passes_check_verify(runs):
+    out, _, _, code = runs["verify-4d", "verify"]
+    assert code == 0
     assert workloads.check_verify(out) == []
 
 
-def test_montecarlo_2d_passes_its_checks_with_every_probe(tmp_path, capsys):
-    path = tmp_path / "montecarlo2d.json"
-    path.write_text(workloads.scenario_json(workloads.scenario_2d_geom(ROOT, 21)))
-    out = tmp_path / "out"
-    rec = spans.Recorder()
-    with spans.instrumented(rec) as absent:
-        assert main(["montecarlo", "--scenario", str(path), "--out", str(out),
-                     "--cloud", "total"]) == 0
-        assert main(["heatmap", "--scenario", str(path), "--out", str(out), "--res", "16"]) == 0
-    assert not set(MONTECARLO_PROBES) & set(absent)
-    probe = {("geometric", t): v
-             for t, v in spans.bound_volumes(rec, "reach_geom.bounds").items() if v}
-    assert len(probe) == 4
-    # every geometric bound contains the cloud, and the heatmap peaks at its corner
-    assert workloads.check_containment(out, probe) == []
+def test_montecarlo_2d_passes_its_checks_with_every_probe(runs):
+    for label in ("montecarlo --cloud total", "montecarlo --cloud attack --trials 1000"):
+        out, rec, absent, code = runs["montecarlo-2d", label]
+        assert code == 0
+        assert not set(MONTECARLO_PROBES) & absent
+        probe = {("geometric", t): v
+                 for t, v in spans.bound_volumes(rec, "reach_geom.bounds").items() if v}
+        assert len(probe) == 4
+        # every geometric bound contains the cloud
+        assert workloads.check_containment(out, probe) == []
+    out, _, _, code = runs["montecarlo-2d", "heatmap --res 16"]
+    assert code == 0
+    # the heatmap peaks at its corner
     assert workloads.check_heatmap(out, workloads.ALPHA_2D) == []
+
+
+def test_outputs_match_the_digest_manifest(runs):
+    want = json.loads(MANIFEST.read_text())
+    got = manifest(runs)
+    assert got["seed"] == want["seed"]
+    assert len(got["sha256"]) == 18
+    assert sorted(got["sha256"]) == sorted(want["sha256"])
+    assert sorted(got["volumes"]) == sorted(want["volumes"])
+    if got["platform"] == want["platform"]:
+        changed = [key for key, digest in got["sha256"].items() if digest != want["sha256"][key]]
+        assert changed == [], "outputs differ from the manifest's bytes"
+    else:
+        for key, volume in want["volumes"].items():
+            assert float(got["volumes"][key]) == pytest.approx(float(volume), rel=VOLUME_RTOL,
+                                                               abs=0.0), key
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        payload = manifest(run_workloads(Path(work)))
+    MANIFEST.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST.relative_to(ROOT)}: {len(payload['sha256'])} files, "
+          f"{len(payload['volumes'])} volumes", file=sys.stderr)

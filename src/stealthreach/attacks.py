@@ -7,6 +7,9 @@ attacker's distance-measure distribution:
 * hidden: mass 1-A on [0, alpha] and mass A above alpha, so the alarm
   rate during the attack equals the attack-free false-alarm rate.
 
+Each attack vector is sqrt(z) times a direction drawn uniformly from the
+unit sphere, with z drawn from the mixture.
+
 Below-threshold draws are capped at alpha*(1 - 1e-12): an attacker that
 must guarantee z <= alpha in finite precision backs off the boundary by a
 hair, otherwise round-off in the detector's quadratic form flips the
@@ -18,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import InvalidSpec
 
 BOUNDARY_BACKOFF = 1e-12
 
 ZERO_ALARM = "zero_alarm"
 HIDDEN = "hidden"
-
-UNIFORM_SPHERE = "uniform_sphere"
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class AttackSpec:
     c2: float | None = None
     w2: float | None = None
     rate_above: float | None = None
-    direction_mode: str | tuple = UNIFORM_SPHERE
 
     def __post_init__(self):
         a = self.alpha
@@ -80,14 +80,6 @@ class AttackSpec:
         else:
             if self.c2 is not None or self.w2 is not None:
                 raise InvalidSpec("zero-alarm attack takes no above-threshold segment")
-        if isinstance(self.direction_mode, str):
-            if self.direction_mode != UNIFORM_SPHERE:
-                raise InvalidSpec(f"unknown direction mode {self.direction_mode!r}")
-        else:
-            u = np.asarray(self.direction_mode, dtype=float)
-            if u.ndim != 1 or abs(np.linalg.norm(u) - 1.0) > 1e-9:
-                raise InvalidSpec("fixed direction must be a unit vector")
-            object.__setattr__(self, "direction_mode", tuple(float(v) for v in u))
 
 
 TABLE_PRESETS = {
@@ -119,23 +111,21 @@ def _resolve_alpha_token(value, alpha: float) -> float:
     raise InvalidSpec(f"cannot resolve alpha expression {value!r}")
 
 
-def attack_spec(block: dict, alpha: float, rate_above: float,
-                direction_mode=UNIFORM_SPHERE) -> AttackSpec:
+def attack_spec(block: dict, alpha: float, rate_above: float) -> AttackSpec:
     """Build the mixture of a {kind, c1, w1, c2, w2} block at threshold alpha.
     Values are numbers or alpha expressions ("alpha", "2*alpha", "alpha/8");
     w1 defaults to 0, and a hidden attack puts mass rate_above above alpha."""
     kind = block.get("kind")
     values = {k: _resolve_alpha_token(v, alpha) for k, v in block.items() if k != "kind"}
-    return AttackSpec(kind=kind, alpha=alpha, direction_mode=direction_mode,
-                      rate_above=rate_above if kind == HIDDEN else None, **values)
+    return AttackSpec(kind=kind, alpha=alpha, rate_above=rate_above if kind == HIDDEN else None,
+                      **values)
 
 
-def named_spec(name: str, alpha: float, rate_above: float = 0.05,
-               direction_mode=UNIFORM_SPHERE) -> AttackSpec:
+def named_spec(name: str, alpha: float, rate_above: float = 0.05) -> AttackSpec:
     """Build one of the seven named mixtures (ZA.A..ZA.C, H.A..H.D)."""
     if not isinstance(name, str) or name not in TABLE_PRESETS:
         raise InvalidSpec(f"unknown preset {name!r}; options: {sorted(TABLE_PRESETS)}")
-    return attack_spec(TABLE_PRESETS[name], alpha, rate_above, direction_mode)
+    return attack_spec(TABLE_PRESETS[name], alpha, rate_above)
 
 
 def _uniform_rows(spec: AttackSpec) -> int:
@@ -178,32 +168,26 @@ class AttackDraws:
     out is the (trials, count, p) array that receives dbar.  Each trial's
     stream fills its row in stream order (pull): count segment-1 uniforms,
     for a hidden attack count segment picks and count segment-2 uniforms,
-    then count x p direction normals, drawn into out (none for a fixed
-    direction).  transform then maps the whole batch in place: normalise
-    turns the normals into unit directions, and scale multiplies them by
-    sqrt(z).  Every operation is elementwise or per step, so a trial's rows
-    do not depend on the batch they are transformed in.
+    then count x p direction normals, drawn into out.  transform then maps
+    the whole batch in place: normalise turns the normals into unit
+    directions, and scale multiplies them by sqrt(z).  Every operation is
+    elementwise or per step, so a trial's rows do not depend on the batch
+    they are transformed in.
     """
 
     def __init__(self, spec: AttackSpec, out: np.ndarray):
-        trials, count, p = out.shape
+        trials, count, _ = out.shape
         self.spec, self.out = spec, out
         self.uniforms = np.empty((trials, _uniform_rows(spec), count))
-        self.fixed = isinstance(spec.direction_mode, tuple)
-        if self.fixed and len(spec.direction_mode) != p:
-            raise DimensionMismatch(f"fixed direction dim {len(spec.direction_mode)} vs sensors {p}")
 
     def pull(self, i: int, rng: np.random.Generator) -> None:
         """Fill trial row i from rng."""
         rng.random(out=self.uniforms[i])
-        if not self.fixed:
-            rng.standard_normal(out=self.out[i])
+        rng.standard_normal(out=self.out[i])
 
     def normalise(self) -> None:
         """Turn the normals in out into unit directions, in place; a normal of
         norm below 1e-300 becomes the first basis vector."""
-        if self.fixed:
-            return
         g = self.out
         norms = _norms(g)
         degenerate = norms < 1e-300
@@ -214,11 +198,10 @@ class AttackDraws:
 
     def scale(self, spec: AttackSpec, dbar: np.ndarray) -> np.ndarray:
         """Write dbar = sqrt(z) * u and return it: z is spec's mixture of the
-        pulled uniforms, u the fixed direction or the normalised out.  Any
-        spec with this batch's uniform count and directions can reuse one pull."""
+        pulled uniforms, u the normalised out.  Any spec with this batch's
+        uniform count can reuse one pull."""
         root_z = np.sqrt(_mixture_z(spec, self.uniforms.swapaxes(0, 1)))[..., None]
-        u = np.asarray(self.spec.direction_mode, dtype=float) if self.fixed else self.out
-        return np.multiply(root_z, u, out=dbar)
+        return np.multiply(root_z, self.out, out=dbar)
 
     def transform(self) -> np.ndarray:
         """Turn out into dbar = sqrt(z) * u of the batch's own spec, and return it."""

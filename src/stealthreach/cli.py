@@ -21,6 +21,7 @@ from .errors import SchemaError, StealthreachError, UsageError
 from .montecarlo import (
     SOURCE_ATTACK,
     SOURCE_NOISE,
+    SOURCE_TARGET,
     SOURCE_TOTAL,
     CloudRows,
     alarm_counts,
@@ -29,6 +30,7 @@ from .montecarlo import (
     volume_heatmap,
 )
 from .plant import SimConfig
+from .reach_common import TARGET_TOTAL_STATE
 from .reach_geom import reach_bounds_geom
 from .reach_lmi import LMI_CERT_TOL, reach_bounds_lmi
 from .scenario import Scenario, load_scenario
@@ -145,15 +147,8 @@ def cmd_montecarlo(args) -> int:
     cloud = empirical_cloud(scenario.model, cfg, spec, source=source, burn_in=args.burn_in)
 
     out_dir = Path(scenario.output_dir)
-    bounds = []
-    for blist in _compute_bounds(scenario, scenario.bounds_method).values():
-        for bound in blist:
-            if (source, bound.target) in (
-                (SOURCE_NOISE, "noise"),
-                (SOURCE_ATTACK, "attack_state"),
-                (SOURCE_TOTAL, "total_state"),
-            ):
-                bounds.append(bound)
+    bounds = [bound for blist in _compute_bounds(scenario, scenario.bounds_method).values()
+              for bound in blist if bound.target == SOURCE_TARGET[source]]
     report = containment_report(cloud, bounds)
     report["cloud"] = {
         "source": source,
@@ -231,11 +226,14 @@ def cmd_verify(args) -> int:
                   f"{rate:.4f} vs target {target} {counts}")
 
     bounds = _compute_bounds(scenario, "both")
-    for bound in bounds["lmi"][:3]:
+    by_target = {name: {bound.target: bound for bound in blist} for name, blist in bounds.items()}
+    # the total-state bound is the fitted sum of two others and has no certificate of its own
+    for bound in (b for b in bounds["lmi"] if b.target != TARGET_TOTAL_STATE):
         ok = bound.diagnostics.get("lmi_min_eig", -1.0) >= -LMI_CERT_TOL
         check(f"lmi certificate ({bound.target})", ok,
               f"min eig {bound.diagnostics.get('lmi_min_eig'):.2e}")
-    for geom, lmi in zip(bounds["geometric"], bounds["lmi"]):
+    for geom in bounds["geometric"]:
+        lmi = by_target["lmi"][geom.target]
         check(f"volume ordering ({geom.target})", lmi.volume >= geom.volume,
               f"lmi {lmi.volume:.6g} >= geom {geom.volume:.6g}")
 
@@ -245,7 +243,7 @@ def cmd_verify(args) -> int:
                               master_seed=scenario.sim.master_seed + 2,
                               trials=100, vbar=scenario.vbar)
         cloud = empirical_cloud(model, cfg_cloud, spec, source=SOURCE_TOTAL, burn_in=50)
-        total_geom = bounds["geometric"][3]
+        total_geom = by_target["geometric"][TARGET_TOTAL_STATE]
         memb = np.atleast_1d(total_geom.shape.membership(cloud.points))
         check("total-state containment (geometric)", float(memb.max()) <= 1.0 + 1e-6,
               f"worst membership {memb.max():.4f} over {len(cloud)} points")

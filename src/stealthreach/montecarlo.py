@@ -16,12 +16,15 @@ from .errors import DegenerateCloud, DimensionMismatch
 from .detector import distance
 from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_error,
                     noise_part, noise_residual, pull_inputs)
-from .reach_common import ReachBound
+from .reach_common import TARGET_ATTACK_STATE, TARGET_NOISE, TARGET_TOTAL_STATE, ReachBound
 from .workers import ordered_map
 
 SOURCE_NOISE = "noise"
 SOURCE_ATTACK = "attack"
 SOURCE_TOTAL = "total"
+# the reach-bound target each cloud source samples
+SOURCE_TARGET = {SOURCE_NOISE: TARGET_NOISE, SOURCE_ATTACK: TARGET_ATTACK_STATE,
+                 SOURCE_TOTAL: TARGET_TOTAL_STATE}
 
 # Membership slacks s of containment_report: a point counts as inside at
 # membership <= 1 + s.

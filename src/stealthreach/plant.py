@@ -57,14 +57,19 @@ class KalmanSolution(NamedTuple):
     iterations: int
 
 
-def solve_steady_state_kalman(F, C, R1, R2, tol: float = 1e-12, max_iter: int = 100_000) -> KalmanSolution:
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITER = 100_000
+
+
+def solve_steady_state_kalman(F, C, R1, R2) -> KalmanSolution:
     """Steady-state predictor-form filter gain and error covariance.
 
     Iterates P <- F P F^T + R1 - F P C^T (C P C^T + R2)^+ C P F^T from
-    P0 = R1 until the largest entry of the update is at most tol times the
-    largest entry of P, so scaling the state by a constant does not move the
-    stopping point; then L = F P C^T (C P C^T + R2)^+.  The final update size
-    (absolute) is returned as a diagnostic residual.
+    P0 = R1 until the largest entry of the update is at most RICCATI_TOL
+    times the largest entry of P, so scaling the state by a constant does not
+    move the stopping point; then L = F P C^T (C P C^T + R2)^+.  The final
+    update size (absolute) is returned as a diagnostic residual.
+    RICCATI_MAX_ITER updates without meeting the test raise NoConvergence.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -77,17 +82,18 @@ def solve_steady_state_kalman(F, C, R1, R2, tol: float = 1e-12, max_iter: int = 
 
     P = (R1 + R1.T) / 2.0
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, RICCATI_MAX_ITER + 1):
         S = C @ P @ C.T + R2
         gain_term = F @ P @ C.T @ np.linalg.pinv(S, hermitian=True)
         P_next = F @ P @ F.T + R1 - gain_term @ C @ P @ F.T
         P_next = (P_next + P_next.T) / 2.0
         residual = float(np.max(np.abs(P_next - P)))
         P = P_next
-        if residual <= tol * np.max(np.abs(P)):
+        if residual <= RICCATI_TOL * np.max(np.abs(P)):
             break
     else:
-        raise NoConvergence(f"Riccati iteration residual {residual:.3e} after {max_iter} iterations")
+        raise NoConvergence(f"Riccati iteration residual {residual:.3e} "
+                            f"after {RICCATI_MAX_ITER} iterations")
     S = C @ P @ C.T + R2
     L = F @ P @ C.T @ np.linalg.pinv(S, hermitian=True)
     return KalmanSolution(P=P, L=L, residual=residual, iterations=it)
@@ -98,9 +104,9 @@ class PlantModel:
     """Validated plant + filter + controller with derived covariances.
 
     Stability requirements: rho(F) < 1, rho(F + G K) < 1, rho(F - L C) < 1.
-    Sigma is the steady-state residual covariance C P C^T + R2 from the
-    Riccati fixed point (even when the observer gain is user-supplied;
-    the gap to the optimal gain is reported in diagnostics, not an error).
+    L is the steady-state Kalman gain and Sigma the residual covariance
+    C P C^T + R2 at the Riccati fixed point, the covariance the detector
+    and the reach bounds are tuned to.
     """
 
     F: np.ndarray
@@ -141,15 +147,11 @@ class PlantModel:
         return np.block([[self.F + GK, -GK], [np.zeros((self.n, self.n)), self.F]])
 
 
-def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
-    """Validate matrices, solve the filter Riccati equation, derive Sigma.
+def build_model(F, G, C, K, R1, R2) -> PlantModel:
+    """Validate matrices, solve the filter Riccati equation, derive L and Sigma.
 
     R1 and R2 must pass the ellipsoid checks (NonSymmetric, NotPSD); a
     rank-deficient covariance is accepted.
-
-    When L is omitted it is the optimal steady-state gain; a supplied L is
-    used in the dynamics while P and Sigma still come from the Riccati
-    fixed point (discrepancy reported as diagnostics['gain_gap']).
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -177,13 +179,7 @@ def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
         raise UnstableClosedLoop(f"spectral radius of F + G K is {rho_cl:.4f} >= 1")
 
     sol = solve_steady_state_kalman(F, C, R1, R2)
-    gain_gap = 0.0
-    if L is None:
-        L_used = sol.L
-    else:
-        L_used = _as_matrix(L, n, p, "L")
-        gain_gap = float(np.max(np.abs(L_used - sol.L)))
-    rho_filt = spectral_radius(F - L_used @ C)
+    rho_filt = spectral_radius(F - sol.L @ C)
     if rho_filt >= 1.0:
         raise UnstableFilter(f"spectral radius of F - L C is {rho_filt:.4f} >= 1")
 
@@ -195,12 +191,11 @@ def build_model(F, G, C, K, R1, R2, L=None) -> PlantModel:
     else:
         SigmaInv = np.linalg.pinv(Sigma, hermitian=True)
     return PlantModel(
-        F=F, G=G, C=C, K=K, R1=R1, R2=R2, L=L_used, P=sol.P,
+        F=F, G=G, C=C, K=K, R1=R1, R2=R2, L=sol.L, P=sol.P,
         Sigma=Sigma, SigmaSqrt=sym_sqrt(Sigma), SigmaInv=SigmaInv,
         diagnostics={
             "riccati_residual": sol.residual,
             "riccati_iterations": sol.iterations,
-            "gain_gap": gain_gap,
             "rho_F": rho_f,
             "rho_closed_loop": rho_cl,
             "rho_filter": rho_filt,

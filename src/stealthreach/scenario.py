@@ -17,15 +17,14 @@ from importlib import resources
 
 import numpy as np
 
-from .attacks import UNIFORM_SPHERE, AttackSpec, attack_spec, named_spec
+from .attacks import AttackSpec, attack_spec, named_spec
 from .detector import chi2_quantile
-from .errors import DimensionMismatch, InvalidSpec, SchemaError
+from .errors import DimensionMismatch, DomainError, InvalidSpec, SchemaError
 from .plant import PlantModel, SimConfig, build_model
 
-_MODEL_KEYS = {"F", "G", "C", "K", "R1", "R2", "L"}
-_MODEL_REQUIRED = {"F", "G", "C", "K", "R1", "R2"}
+_MODEL_KEYS = {"F", "G", "C", "K", "R1", "R2"}
 _DETECTOR_KEYS = {"A"}
-_ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2", "direction_mode"}
+_ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2"}
 _SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "initial_state", "truncate_noise"}
 _SIM_REQUIRED = {"horizon", "master_seed", "trials"}
 _BOUNDS_KEYS = {"method"}
@@ -86,10 +85,10 @@ def _scalar(obj, path, kind=float):
 
 @contextmanager
 def _at(path):
-    """Report a setting that the attack or run checks reject as a SchemaError at path."""
+    """Report a setting that a library check rejects as a SchemaError at path."""
     try:
         yield
-    except (InvalidSpec, DimensionMismatch) as exc:
+    except (InvalidSpec, DimensionMismatch, DomainError) as exc:
         raise SchemaError(path, str(exc)) from None
 
 
@@ -114,40 +113,32 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_attack(block, alpha, rate, p, path) -> AttackSpec:
+def _parse_attack(block, alpha, rate, path) -> AttackSpec:
     _check_keys(block, _ATTACK_KEYS, set() if "preset" in block else {"kind", "c1"}, path)
-    mixture = dict(block)
-    direction = mixture.pop("direction_mode", UNIFORM_SPHERE)
-    if isinstance(direction, list):
-        direction = tuple(_vector(direction, p, f"{path}.direction_mode"))
-    elif not isinstance(direction, str):
-        raise SchemaError(f"{path}.direction_mode", "expected a mode name or a list of numbers")
-    if "preset" in mixture:
-        extra = set(mixture) - {"preset"}
+    if "preset" in block:
+        extra = set(block) - {"preset"}
         if extra:
             raise SchemaError(f"{path}.{sorted(extra)[0]}", "preset excludes explicit mixture keys")
-        return named_spec(mixture["preset"], alpha, rate, direction)
-    return attack_spec(mixture, alpha, rate, direction)
+        return named_spec(block["preset"], alpha, rate)
+    return attack_spec(block, alpha, rate)
 
 
 def parse_scenario(raw: dict) -> Scenario:
     _check_keys(raw, _TOP_KEYS, {"model", "detector", "sim"}, "scenario")
 
     mblock = raw["model"]
-    _check_keys(mblock, _MODEL_KEYS, _MODEL_REQUIRED, "scenario.model")
+    _check_keys(mblock, _MODEL_KEYS, _MODEL_KEYS, "scenario.model")
     mats = {k: _matrix(mblock[k], f"scenario.model.{k}") for k in mblock}
-    model = build_model(
-        mats["F"], mats["G"], mats["C"], mats["K"], mats["R1"], mats["R2"],
-        L=mats.get("L"),
-    )
+    model = build_model(mats["F"], mats["G"], mats["C"], mats["K"], mats["R1"], mats["R2"])
 
     dblock = raw["detector"]
     _check_keys(dblock, _DETECTOR_KEYS, {"A"}, "scenario.detector")
     rate = _scalar(dblock["A"], "scenario.detector.A")
     if not 0.0 < rate < 1.0:
         raise SchemaError("scenario.detector.A", f"must be in (0,1), got {rate}")
-    alpha = chi2_quantile(1.0 - rate, model.p)
-    vbar = chi2_quantile(1.0 - rate, model.n)
+    with _at("scenario.detector.A"):
+        alpha = chi2_quantile(1.0 - rate, model.p)
+        vbar = chi2_quantile(1.0 - rate, model.n)
 
     sblock = raw["sim"]
     _check_keys(sblock, _SIM_KEYS, _SIM_REQUIRED, "scenario.sim")
@@ -171,7 +162,7 @@ def parse_scenario(raw: dict) -> Scenario:
     attack = None
     if "attack" in raw:
         with _at("scenario.attack"):
-            attack = _parse_attack(raw["attack"], alpha, rate, model.p, "scenario.attack")
+            attack = _parse_attack(raw["attack"], alpha, rate, "scenario.attack")
         if sim.attack_start is None:
             raise SchemaError("scenario.sim.attack_start",
                               "required when an attack block is present")

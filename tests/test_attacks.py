@@ -68,9 +68,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             AttackSpec(kind=HIDDEN, alpha=alpha, c1=alpha, w1=0.0,
                        c2=2 * alpha, w2=3 * alpha, rate_above=0.05)  # dips under threshold
-        with pytest.raises(InvalidSpec):
-            AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=alpha / 2, w1=0.0,
-                       direction_mode=(1.0, 1.0))  # not a unit vector
 
 
 class TestSampleZ:
@@ -126,25 +123,19 @@ class TestSampleDeltaBar:
         z = _mixture_z(spec, stream(5, 0).random((_uniform_rows(spec), 5000)))
         assert np.max(np.abs(np.sum(dbar**2, axis=1) - z)) <= 1e-12 * max(alpha, 1.0)
 
-    @pytest.mark.parametrize("name,p,direction", [
-        ("ZA.B", 2, "uniform_sphere"), ("H.A", 2, "uniform_sphere"), ("H.B", 3, "uniform_sphere"),
-        ("ZA.A", 2, (0.6, -0.8)), ("H.C", 3, (0.0, 0.6, 0.8)),
-    ])
-    def test_equals_draws_written_out(self, alpha, name, p, direction):
+    @pytest.mark.parametrize("name,p", [("ZA.B", 2), ("H.A", 2), ("H.B", 3)])
+    def test_equals_draws_written_out(self, alpha, name, p):
         # stream order: segment-1 uniforms, for a hidden attack the segment
         # picks and the segment-2 uniforms, then the direction normals
-        spec = named_spec(name, alpha, direction_mode=direction)
+        spec = named_spec(name, alpha)
         rng = stream(10, p)
         z = (spec.c1 - spec.w1 / 2.0) + spec.w1 * rng.random(700)
         z = np.minimum(np.maximum(z, 0.0), spec.alpha * (1.0 - BOUNDARY_BACKOFF))
         if spec.kind == HIDDEN:
             above = rng.random(700) < spec.rate_above
             z = np.where(above, (spec.c2 - spec.w2 / 2.0) + spec.w2 * (1.0 - rng.random(700)), z)
-        if isinstance(spec.direction_mode, tuple):
-            u = np.tile(spec.direction_mode, (700, 1))
-        else:
-            g = rng.standard_normal((700, p))
-            u = g / np.linalg.norm(g, axis=1, keepdims=True)
+        g = rng.standard_normal((700, p))
+        u = g / np.linalg.norm(g, axis=1, keepdims=True)
         want = np.sqrt(z)[:, None] * u
         got_rng, draws = stream(10, p), AttackDraws(spec, np.empty((1, 700, p)))
         draws.pull(0, got_rng)
@@ -159,14 +150,6 @@ class TestSampleDeltaBar:
             draws.pull(0, stream(6, index))
             dbar = draws.transform()[0]
             assert np.sum(np.sum(dbar**2, axis=1) > alpha) == 0
-
-    def test_fixed_direction(self, alpha):
-        spec = named_spec("ZA.C", alpha, direction_mode=(1.0, 0.0))
-        draws = AttackDraws(spec, np.empty((1, 100, 2)))
-        draws.pull(0, stream(7, 0))
-        dbar = draws.transform()[0]
-        assert np.allclose(dbar[:, 1], 0.0)
-        assert np.allclose(dbar[:, 0], math.sqrt(alpha * (1.0 - BOUNDARY_BACKOFF)))
 
     def test_direction_isotropy(self, alpha):
         # chi-square goodness of fit over 36 angle bins at the 0.001 level

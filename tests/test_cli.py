@@ -17,7 +17,8 @@ from stealthreach.csvout import BLOCK_ROWS
 from stealthreach.errors import SchemaError, StealthreachError
 from stealthreach.montecarlo import admissible_cells
 
-from conftest import C, F, G, K, R1, R2, batch_parts, cell_cloud_volume, cpu_cases, plant_4d
+from conftest import (C, F, G, K, L_EXPECTED, R1, R2, batch_parts, cell_cloud_volume, cpu_cases,
+                      plant_4d)
 
 
 def base_raw(**overrides):
@@ -94,14 +95,13 @@ class TestScenarioSchema:
 
     def test_readme_example_parses(self):
         # the README's "Scenario format" example, with benchmark2d's matrices
-        # in its [[...]] slots and the optional L dropped, is a valid scenario
+        # in its [[...]] slots, is a valid scenario
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = readme.split("### Scenario format")[1].split("```json")[1].split("```")[0]
         bench = load_scenario("benchmark2d").raw["model"]
         example = re.sub(r'"(\w+)": \[\[\.\.\.\]\]',
                          lambda m: f'"{m[1]}": {json.dumps(bench.get(m[1]))}', example)
         raw = json.loads(example)
-        assert raw["model"].pop("L") is None
         assert set(raw["model"]) == set(bench)
         scn = parse_scenario(raw)
         assert (scn.bounds_method, scn.attack.c1) == ("both", scn.alpha)
@@ -117,17 +117,14 @@ class TestScenarioSchema:
         "H.D": {"kind": "hidden", "c1": "alpha", "c2": "100*alpha", "w2": 0.0},
     }
 
-    @pytest.mark.parametrize("direction", [None, [0.6, 0.8]])
+    @pytest.mark.parametrize("detector", [None, {"A": 0.01}])
     @pytest.mark.parametrize("preset", sorted(EXPLICIT_PRESETS))
-    def test_preset_equals_its_explicit_block(self, preset, direction):
+    def test_preset_equals_its_explicit_block(self, preset, detector):
         blocks = [{"preset": preset}, dict(self.EXPLICIT_PRESETS[preset])]
-        if direction is not None:
-            for block in blocks:
-                block["direction_mode"] = direction
-        by_preset, explicit = (parse_scenario(base_raw(attack=b)).attack for b in blocks)
+        overrides = {} if detector is None else {"detector": detector}
+        by_preset, explicit = (parse_scenario(base_raw(attack=b, **overrides)).attack
+                               for b in blocks)
         assert by_preset == explicit
-        assert explicit.direction_mode == ("uniform_sphere" if direction is None
-                                           else tuple(direction))
 
     @pytest.mark.parametrize("attack", [{"preset": "H.A"}, {"preset": "H.D"},
                                         EXPLICIT_PRESETS["H.B"]])
@@ -206,14 +203,17 @@ class TestCliExitCodes:
         ("attack", "preset", "ZZ", "scenario.attack: unknown preset"),
         ("attack", "c1", "2*alpha", "scenario.attack: below-threshold segment"),
         ("attack", "c1", "alpha*2", "scenario.attack: cannot resolve alpha expression"),
-        ("attack", "direction_mode", "diagonal", "scenario.attack: unknown direction mode"),
-        ("attack", "direction_mode", [1.0, 1.0], "scenario.attack: fixed direction must be a unit"),
-        ("attack", "direction_mode", [1.0, 0.0, 0.0], "scenario.attack.direction_mode"),
+        ("attack", "direction_mode", "diagonal", "scenario.attack.direction_mode: unknown key"),
+        ("attack", "direction_mode", [1.0, 1.0], "scenario.attack.direction_mode: unknown key"),
+        ("attack", "direction_mode", [1.0, 0.0, 0.0],
+         "scenario.attack.direction_mode: unknown key"),
         ("sim", "horizon", 0, "scenario.sim: horizon"),
         ("sim", "trials", 0, "scenario.sim: trials"),
         ("sim", "attack_start", 600, "scenario.sim: attack_start"),
         ("sim", "initial_state", [1.0, 2.0, 3.0], "scenario.sim.initial_state"),
         ("detector", "alpha", -1, "scenario.detector.alpha"),
+        # 1 - A rounds to 1.0, which has no chi-square quantile
+        ("detector", "A", 1e-17, "scenario.detector.A: quantile level"),
     ])
     def test_bad_attack_or_run_setting_exit_2(self, tmp_path, capsys, block, key, value, path):
         raw = base_raw()
@@ -241,18 +241,27 @@ class TestCliExitCodes:
         assert ("schema error: scenario.attack: expected a number or an alpha expression"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("block,key,value", [("detector", "alpha", 6.5), ("attack", "A", 0.2)])
-    @pytest.mark.parametrize("command", ["bound", "montecarlo", "verify"])
+    @pytest.mark.parametrize("block,key,value", [
+        ("detector", "alpha", 6.5), ("attack", "A", 0.2), ("model", "L", L_EXPECTED.tolist()),
+        ("attack", "direction_mode", [0.6, 0.8]),
+    ])
+    @pytest.mark.parametrize("command", ["tune", "bound", "montecarlo", "heatmap", "verify"])
     def test_derived_rate_and_threshold_are_not_settings(self, tmp_path, capsys, block, key,
                                                          value, command):
         # alpha is the detector's (1 - A)-quantile and a hidden attack's mass
-        # above it is A, so neither is a key of its own
+        # above it is A, so neither is a key of its own; the detector and the
+        # bounds assume the Riccati gain L and uniform attack directions, so
+        # neither of those is a key either
         raw = base_raw()
         raw[block][key] = value
         code = main([command, "--scenario", write_scenario(tmp_path, raw),
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"schema error: scenario.{block}.{key}: unknown key" in capsys.readouterr().err
+
+    def test_small_false_alarm_rate_loads(self):
+        scn = parse_scenario(base_raw(detector={"A": 1e-12}))
+        assert (scn.target_rate, scn.alpha) == (1e-12, chi2_quantile(1.0 - 1e-12, 2))
 
     @pytest.mark.parametrize("where,value,message", [
         (("model", "F", 0, 0), math.nan, "scenario.model.F: expected finite numbers"),

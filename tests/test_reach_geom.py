@@ -18,6 +18,7 @@ from stealthreach import (
     reach_bounds_geom,
     reach_bounds_lmi,
     reach_targets,
+    solve_steady_state_kalman,
 )
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
@@ -150,11 +151,14 @@ class TestAttackStateReach:
         assert worst_x <= 1.0 + 1e-6
 
     def test_two_leading_zero_terms(self):
-        # K L = 0, so C A B = -G K L = 0 as well as C B: the series starts at
-        # k = 2, and the bound still contains the attack and total clouds
-        model = build_model(np.array([[0.5, 0.0], [0.4, 0.3]]), np.array([[1.0], [0.0]]),
-                            np.array([[1.0, 0.0]]), np.array([[0.0, 0.5]]), 0.05 * np.eye(2),
-                            np.eye(1), L=np.array([[0.3], [0.0]]))
+        # K is orthogonal to the Riccati gain L, so C A B = -G K L = 0 as well
+        # as C B: the series starts at k = 2, and the bound still contains the
+        # attack and total clouds
+        F2, G2, C2, R1_2, R2_2 = (np.array([[0.5, 0.0], [0.4, 0.3]]), np.array([[1.0], [0.0]]),
+                                  np.array([[1.0, 0.0]]), 0.05 * np.eye(2), np.eye(1))
+        L = solve_steady_state_kalman(F2, C2, R1_2, R2_2).L[:, 0]
+        K2 = 0.5 * np.array([[-L[1], L[0]]]) / np.linalg.norm(L)
+        model = build_model(F2, G2, C2, K2, R1_2, R2_2)
         alpha, vbar = chi2_quantile(0.95, 1), chi2_quantile(0.95, 2)
         terms = attack_state_terms(model, alpha, 3)
         assert not terms[0].any() and not terms[1].any() and terms[2].any()

@@ -32,11 +32,7 @@ from .plant import (
     solve_steady_state_kalman,
 )
 from .reach_common import ReachBound
-from .reach_geom import (
-    geom_bound,
-    reach_bounds_geom,
-    reach_targets,
-)
+from .reach_geom import reach_bounds_geom, reach_targets
 from .reach_lmi import (
     min_volume_over_a,
     reach_bounds_lmi,
@@ -52,7 +48,7 @@ __all__ = [
     "fit_ellipsoid_moment", "volume_heatmap",
     "PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman",
     "ReachBound",
-    "geom_bound", "reach_bounds_geom", "reach_targets",
+    "reach_bounds_geom", "reach_targets",
     "min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp",
     "Scenario", "load_scenario", "parse_scenario",
 ]

@@ -204,7 +204,8 @@ def cmd_verify(args) -> int:
 
     seed, target = scenario.sim.master_seed, scenario.target_rate
     residual = abs(1.0 - chi2_cdf(scenario.alpha, model.p) - target)
-    check("threshold tuning round-trip", residual <= 1e-9 * target,
+    # 1 - chi2_cdf is a difference from 1: its rounding error is about an ulp of 1
+    check("threshold tuning round-trip", residual <= 1e-9 * target + np.spacing(1.0),
           f"|false-alarm rate at alpha - A| = {residual:.2e}")
     riccati, p_max = model.diagnostics["riccati_residual"], float(np.max(np.abs(model.P)))
     check("riccati fixed point", riccati <= 1e-10 * p_max,

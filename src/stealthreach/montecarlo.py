@@ -45,7 +45,6 @@ class PointCloud:
 
     points: np.ndarray
     source: str
-    spec: AttackSpec | None
     trials: int
     horizon: int
     burn_in: int
@@ -109,7 +108,7 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
         vs, etas, dbar = draw_inputs(model, cfg, spec, trials)
         block = None
         if source != SOURCE_ATTACK:
-            block = noise_part(model, vs, etas, kstar, cfg.initial_state)[:, first:, :n]
+            block = noise_part(model, vs, etas, kstar)[:, first:, :n]
         del vs, etas  # not held while the attack part and the alarm flags are computed
         if source != SOURCE_NOISE:
             x_delta = attack_part(model, dbar, attack_start)[:, first:, :n]
@@ -128,7 +127,7 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
     if not np.all(np.isfinite(points)):
         raise DegenerateCloud("cloud contains non-finite states")
     return PointCloud(
-        points=points, source=source, spec=spec, trials=T,
+        points=points, source=source, trials=T,
         horizon=cfg.horizon, burn_in=burn_in, trial_alarm_free=alarm_free,
     )
 

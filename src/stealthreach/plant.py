@@ -216,7 +216,6 @@ class SimConfig:
     attack_start: int | None = None
     master_seed: int = 0
     trials: int = 1
-    initial_state: np.ndarray | None = None
     vbar: float | None = None
 
     def __post_init__(self):
@@ -330,18 +329,12 @@ def _advance(model: PlantModel, W, pre: int, start: int = 0):
         W[i + 1] += np.einsum("ij,jt->it", (pre_A if i < pre else post)[lo:, lo:], W[i])
 
 
-def noise_part(model: PlantModel, vs, etas, kstar: int | None = None,
-               initial_state=None) -> np.ndarray:
-    """[x_v, e_v] per step, (trials, horizon, 2n), driven by the initial
-    state and the noise: v enters both blocks, and -L eta the e-block
-    before k*."""
+def noise_part(model: PlantModel, vs, etas, kstar: int | None = None) -> np.ndarray:
+    """[x_v, e_v] per step, (trials, horizon, 2n), from zero at step 1, driven
+    by the noise: v enters both blocks, and -L eta the e-block before k*."""
     n, (T, N) = model.n, vs.shape[:2]
-    x0 = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
-    if x0.shape != (n,):
-        raise DimensionMismatch(f"initial_state has shape {x0.shape}, expected ({n},)")
     pre = N - 1 if kstar is None else kstar - 1  # steps before k*
     W, S = _step_major(T, N, 2 * n)
-    S[:, 0, :n] = x0
     S[:, 1:, :n] = S[:, 1:, n:] = vs[:, :-1]
     S[:, 1:pre + 1, n:] = vs[:, :pre] - _dot(etas, model.L.T)[:, :pre]
     _advance(model, W, pre)

@@ -103,11 +103,6 @@ def fit_bound(terms, target: str, method: str = METHOD_GEOMETRIC,
                                    "stationarity_gap": stationarity_gap(E, terms)})
 
 
-def geom_bound(A, B, S, C=None, target: str = "bound") -> ReachBound:
-    """Outer bound of the truncated Minkowski sum of the series C A^k B S B^T A^k^T C^T."""
-    return fit_bound(truncated_terms(A, B, S, C), target)
-
-
 def reach_bounds_geom(model: PlantModel, alpha: float, vbar: float):
     """The three geometric bounds and the total-state bound, one fit over the
     noise and attack-state terms.  Each of the three carries its input

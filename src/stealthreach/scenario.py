@@ -25,7 +25,7 @@ from .plant import PlantModel, SimConfig, build_model
 _MODEL_KEYS = {"F", "G", "C", "K", "R1", "R2"}
 _DETECTOR_KEYS = {"A"}
 _ATTACK_KEYS = {"preset", "kind", "c1", "w1", "c2", "w2"}
-_SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "initial_state", "truncate_noise"}
+_SIM_KEYS = {"horizon", "attack_start", "master_seed", "trials", "truncate_noise"}
 _SIM_REQUIRED = {"horizon", "master_seed", "trials"}
 _BOUNDS_KEYS = {"method"}
 _OUTPUT_KEYS = {"dir", "formats"}
@@ -54,20 +54,6 @@ def _matrix(obj, path):
         raise SchemaError(path, f"not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise SchemaError(path, f"expected a nested array (matrix), got ndim={arr.ndim}")
-    return _finite(arr, path)
-
-
-def _vector(obj, length, path):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a numeric vector: {exc}") from None
-    if arr.shape != (length,):
-        raise SchemaError(path, f"expected {length} numbers, got shape {arr.shape}")
-    return _finite(arr, path)
-
-
-def _finite(arr, path):
     if not np.all(np.isfinite(arr)):
         raise SchemaError(path, "expected finite numbers, got NaN or infinity")
     return arr
@@ -145,9 +131,6 @@ def parse_scenario(raw: dict) -> Scenario:
     attack_start = sblock.get("attack_start")
     if attack_start is not None:
         attack_start = _scalar(attack_start, "scenario.sim.attack_start", int)
-    initial_state = sblock.get("initial_state")
-    if initial_state is not None:
-        initial_state = _vector(initial_state, model.n, "scenario.sim.initial_state")
     truncate = sblock.get("truncate_noise", False)
     if not isinstance(truncate, bool):
         raise SchemaError("scenario.sim.truncate_noise", "expected true/false")
@@ -156,8 +139,7 @@ def parse_scenario(raw: dict) -> Scenario:
     trials = _scalar(sblock["trials"], "scenario.sim.trials", int)
     with _at("scenario.sim"):
         sim = SimConfig(horizon=horizon, attack_start=attack_start, master_seed=master_seed,
-                        trials=trials, initial_state=initial_state,
-                        vbar=vbar if truncate else None)
+                        trials=trials, vbar=vbar if truncate else None)
 
     attack = None
     if "attack" in raw:

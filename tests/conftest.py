@@ -45,7 +45,7 @@ def batch_parts(model, cfg, spec=None):
     attack_residual from k*."""
     vs, etas, dbar = draw_inputs(model, cfg, spec)
     kstar = cfg.attack_start if spec is not None else None
-    noise = noise_part(model, vs, etas, kstar, cfg.initial_state)
+    noise = noise_part(model, vs, etas, kstar)
     r = noise_residual(model, noise[..., model.n:], etas)
     if kstar is not None:
         r[:, kstar - 1:] = attack_residual(model, dbar, kstar)

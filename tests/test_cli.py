@@ -210,7 +210,8 @@ class TestCliExitCodes:
         ("sim", "horizon", 0, "scenario.sim: horizon"),
         ("sim", "trials", 0, "scenario.sim: trials"),
         ("sim", "attack_start", 600, "scenario.sim: attack_start"),
-        ("sim", "initial_state", [1.0, 2.0, 3.0], "scenario.sim.initial_state"),
+        # the bounds cover the noise state from zero at k*, so no other start is a setting
+        ("sim", "initial_state", [20.0, -20.0], "scenario.sim.initial_state: unknown key"),
         ("detector", "alpha", -1, "scenario.detector.alpha"),
         # 1 - A rounds to 1.0, which has no chi-square quantile
         ("detector", "A", 1e-17, "scenario.detector.A: quantile level"),
@@ -269,7 +270,7 @@ class TestCliExitCodes:
         (("sim", "horizon"), math.nan, "scenario.sim.horizon: expected a finite number"),
         (("sim", "trials"), math.inf, "scenario.sim.trials: expected a finite number"),
         (("sim", "horizon"), 550.7, "scenario.sim.horizon: expected an integer"),
-        (("sim", "initial_state"), [math.nan, 0.0], "scenario.sim.initial_state: expected finite"),
+        (("model", "G", 1), [math.inf, 0.0], "scenario.model.G: expected finite numbers"),
         (("attack",), {"kind": "zero_alarm", "c1": "nan*alpha"},
          "scenario.attack: c1 must be finite"),
         (("attack",), {"kind": "hidden", "c1": "alpha", "c2": "inf*alpha", "w2": 0},
@@ -493,6 +494,27 @@ class TestVerifyCommand:
         assert not round_trip["pass"]
         assert round_trip["detail"] == (
             f"|false-alarm rate at alpha - A| = {abs(math.exp(-3.25) - 0.05):.2e}")
+
+    def test_threshold_round_trip_fails_a_millionth_off(self, tmp_path, monkeypatch, capsys):
+        # the ulp floor of the tolerance does not hide a threshold 1e-6 relative off
+        scenario = parse_scenario(base_raw())
+        monkeypatch.setattr(cli, "load_scenario", lambda _: dataclasses.replace(
+            scenario, alpha=scenario.alpha * (1.0 + 1e-6)))
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", "unused", "--out", str(out)]) == 4
+        checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+        assert not checks["threshold tuning round-trip"]["pass"]
+        assert sum(not c["pass"] for c in checks.values()) == 1
+
+    @pytest.mark.parametrize("rate", [1e-8, 1e-12])
+    def test_verify_passes_at_small_false_alarm_rate(self, tmp_path, capsys, rate):
+        # 1 - chi2_cdf(alpha, p) is a difference from 1 with a rounding error of
+        # about an ulp of 1, more than 1e-9 * A at these rates
+        raw = base_raw(detector={"A": rate})
+        del raw["attack"]
+        out = tmp_path / "out"
+        assert main(["verify", "--scenario", write_scenario(tmp_path, raw), "--out", str(out)]) == 0
+        assert json.loads((out / "verify.json").read_text())["all_pass"]
 
     def test_verify_passes_on_4d_plant(self, tmp_path, capsys):
         model = plant_4d()

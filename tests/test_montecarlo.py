@@ -106,8 +106,7 @@ class TestEmpiricalCloud:
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         spec = named_spec("H.B", a)
-        cfg = SimConfig(horizon=46, attack_start=40, master_seed=28, trials=60,
-                        initial_state=np.linspace(-1.0, 1.0, n))
+        cfg = SimConfig(horizon=46, attack_start=40, master_seed=28, trials=60)
         noise, attack, r = batch_parts(model, cfg, spec)
         alarm = distance(r, model.SigmaInv) > a
         alarm_free = ~alarm[:, 39:].any(axis=1)
@@ -143,16 +142,15 @@ class TestCloudSplit:
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         cfg = SimConfig(horizon=horizon, attack_start=5, master_seed=31, trials=trials,
-                        initial_state=np.linspace(-1.0, 1.0, n),
                         vbar=chi2_quantile(0.95, n) if truncate else None)
         return empirical_cloud(model, cfg, named_spec(preset, a), source=source, burn_in=4)
 
-    def assert_same(self, got, want):
+    def assert_same(self, got, want, case):
         for name in ("points", "trial_alarm_free", "trial_index"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.shape == w.shape and np.array_equal(g, w), name
-        # zero-alarm trials never alarm, and some hidden-attack trials do
-        assert want.trial_alarm_free.all() == (want.spec.kind == ZERO_ALARM)
+        # zero-alarm (ZA.*) trials never alarm, and some hidden-attack trials do
+        assert want.trial_alarm_free.all() == SPLIT_CASES[case][1].startswith("ZA.")
 
     @pytest.mark.parametrize("source", [SOURCE_NOISE, SOURCE_ATTACK, SOURCE_TOTAL])
     @pytest.mark.parametrize("case, cpus", cpu_cases(*SPLIT_CASES))
@@ -163,7 +161,7 @@ class TestCloudSplit:
         whole = self.cloud(bench_model, case, source, trials=27)
         monkeypatch.setattr(montecarlo, "BATCH_TRIALS", 8)
         usable_cpus(cpus)
-        self.assert_same(self.cloud(bench_model, case, source, trials=27), whole)
+        self.assert_same(self.cloud(bench_model, case, source, trials=27), whole, case)
 
     @pytest.mark.parametrize("case, cpus", cpu_cases("H.A-trunc"))
     def test_short_last_chunk_at_batch_size(self, bench_model, monkeypatch, usable_cpus, case,
@@ -173,7 +171,8 @@ class TestCloudSplit:
         split = self.cloud(bench_model, case, SOURCE_TOTAL, trials, horizon=12)
         monkeypatch.setattr(montecarlo, "BATCH_TRIALS", trials)
         usable_cpus(1)
-        self.assert_same(split, self.cloud(bench_model, case, SOURCE_TOTAL, trials, horizon=12))
+        self.assert_same(split, self.cloud(bench_model, case, SOURCE_TOTAL, trials, horizon=12),
+                         case)
 
     @pytest.mark.parametrize("trials", [100, BATCH_TRIALS])
     def test_one_chunk_forks_nothing(self, bench_model, monkeypatch, usable_cpus, trials):
@@ -185,7 +184,7 @@ class TestCloudSplit:
 
 
 # (plant dimension, preset, attack start) of the alarm-count cases; each run
-# truncates the noise and starts from a nonzero initial state
+# truncates the noise
 ALARM_CASES = {"free": (2, None, None), "free-n4": (4, None, None),
                "ZA.C": (2, "ZA.C", 1), "ZA.C-n4": (4, "ZA.C", 1),
                "H.B-k9": (2, "H.B", 9), "H.B-k9-n4": (4, "H.B", 9)}
@@ -198,8 +197,7 @@ class TestAlarmCounts:
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
         cfg = SimConfig(horizon=30, attack_start=kstar, master_seed=seed,
-                        trials=BATCH_TRIALS + 3, initial_state=np.linspace(-1.0, 1.0, n),
-                        vbar=chi2_quantile(0.95, n))
+                        trials=BATCH_TRIALS + 3, vbar=chi2_quantile(0.95, n))
         return model, a, cfg, preset and named_spec(preset, a)
 
     def simulated(self, model, a, cfg, spec):

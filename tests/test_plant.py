@@ -170,14 +170,13 @@ def reference_trace(model, cfg, spec, alpha):
 
     Each trial redraws its inputs from its own stream (v block with
     rejection rounds, eta block, dbar block) and runs x' = F x + G u + v,
-    y = C x + eta + delta, xhat' = F xhat + G u + L (y - C xhat), u = K xhat,
-    with delta = -C e - eta + SigmaSqrt dbar from k*.  The noise part is the
-    same loop with dbar = 0 (the attacker still cancels C e + eta); the
-    attack part is the difference.
+    y = C x + eta + delta, xhat' = F xhat + G u + L (y - C xhat), u = K xhat
+    from x = xhat = 0, with delta = -C e - eta + SigmaSqrt dbar from k*.
+    The noise part is the same loop with dbar = 0 (the attacker still
+    cancels C e + eta); the attack part is the difference.
     """
     n, p, N = model.n, model.p, cfg.horizon
     kstar = cfg.attack_start if spec is not None else None
-    x0 = np.zeros(n) if cfg.initial_state is None else np.asarray(cfg.initial_state, dtype=float)
     chol_r1, chol_r2 = np.linalg.cholesky(model.R1), np.linalg.cholesky(model.R2)
     cols = {name: [] for name in COLUMNS}
     for t in range(cfg.trials):
@@ -195,7 +194,7 @@ def reference_trace(model, cfg, spec, alpha):
             draws.transform()
 
         def run(dbar):
-            x, xhat = x0.copy(), x0.copy()
+            x, xhat = np.zeros(n), np.zeros(n)
             rows = {name: [] for name in ("x", "xhat", "r")}
             for i in range(N):
                 e = x - xhat
@@ -238,10 +237,8 @@ class TestReferenceDynamics:
         model = bench_model if n == 2 else plant_4d()
         alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
         spec = named_spec(preset, alpha) if preset else None
-        x0 = np.array([0.5, -1.0] if n == 2 else [0.5, -1.0, 0.25, 0.75])
         cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
-                        master_seed=11, trials=3, initial_state=x0,
-                        vbar=vbar if truncate else None)
+                        master_seed=11, trials=3, vbar=vbar if truncate else None)
         got, ref = part_columns(model, cfg, spec, alpha), reference_trace(model, cfg, spec, alpha)
         for name in COLUMNS:
             assert got[name].shape == ref[name].shape, name
@@ -272,15 +269,14 @@ class TestBatchInvariance:
         # around 64 and BATCH_TRIALS, at the start, inside and at the end
         model = bench_model if n == 2 else plant_4d()
         a = chi2_quantile(0.95, model.p)
-        x0 = np.linspace(-1.0, 1.0, n)
         trials, kstar = 300, 15
         cfg = SimConfig(horizon=40, attack_start=kstar, master_seed=9, trials=trials)
         vs, etas, dbar = draw_inputs(model, cfg, named_spec("H.B", a))
 
         def parts(rows):
-            free = noise_part(model, vs[rows], etas[rows], None, x0)
+            free = noise_part(model, vs[rows], etas[rows])
             e_v = noise_error(model, vs[rows], etas[rows])
-            return {"noise": free, "noise-kstar": noise_part(model, vs[rows], etas[rows], kstar, x0),
+            return {"noise": free, "noise-kstar": noise_part(model, vs[rows], etas[rows], kstar),
                     "attack": attack_part(model, dbar[rows], kstar), "noise_error": e_v,
                     "residual": noise_residual(model, free[..., n:], etas[rows]),
                     "residual-e": noise_residual(model, e_v, etas[rows])}
@@ -295,15 +291,28 @@ class TestBatchInvariance:
 class TestNoiseError:
     @pytest.mark.parametrize("n", [2, 4])
     def test_equals_e_block_of_noise_part(self, bench_model, n):
-        # attack-free alarm counts propagate e alone; the x-block and the
-        # initial state do not reach it
+        # attack-free alarm counts propagate e alone; the x-block does not reach it
         model = bench_model if n == 2 else plant_4d()
-        cfg = SimConfig(horizon=300, master_seed=12, trials=70, vbar=chi2_quantile(0.95, n),
-                        initial_state=np.linspace(-1.0, 1.0, n))
+        cfg = SimConfig(horizon=300, master_seed=12, trials=70, vbar=chi2_quantile(0.95, n))
         vs, etas, _ = draw_inputs(model, cfg)
         e_v = noise_error(model, vs, etas)
         assert e_v.shape == vs.shape
-        assert np.array_equal(e_v, noise_part(model, vs, etas, None, cfg.initial_state)[..., n:])
+        assert np.array_equal(e_v, noise_part(model, vs, etas)[..., n:])
+
+
+class TestZeroStart:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_x_block_equals_e_block_from_zero_at_kstar_1(self, bench_model, n):
+        # with e' = F e + v from step 1, x' = (F + G K) x - G K e + v keeps x = e
+        # from the zero start, so the noise row's e-recursion (F, I, vbar R1)
+        # bounds x_v; before a later k* the filter feedback -L C e sets them apart
+        model = bench_model if n == 2 else plant_4d()
+        for kstar, apart in ((1, False), (120, True)):
+            cfg = SimConfig(horizon=300, attack_start=kstar, master_seed=12, trials=70)
+            vs, etas, _ = draw_inputs(model, cfg)
+            noise = noise_part(model, vs, etas, kstar)
+            gap, scale = np.max(np.abs(noise[..., :n] - noise[..., n:])), np.max(np.abs(noise))
+            assert (gap >= 0.1 * scale) if apart else (gap <= 1e-12 * scale), kstar
 
 
 def full_recheck_draw(rng, count, chol, vbar):

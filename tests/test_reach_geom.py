@@ -12,7 +12,6 @@ from stealthreach import (
     build_model,
     chi2_quantile,
     empirical_cloud,
-    geom_bound,
     minkowski_sum_many,
     named_spec,
     reach_bounds_geom,
@@ -38,7 +37,7 @@ import workloads  # noqa: E402
 def geom(model, target, scale):
     """The geometric bound of one reach target at input scale vbar (noise)
     or alpha (attack error and state)."""
-    return geom_bound(*reach_targets(model, scale, scale)[target], target=target)
+    return fit_bound(truncated_terms(*reach_targets(model, scale, scale)[target]), target)
 
 
 def noise_terms(model, vbar, count):

@@ -50,10 +50,14 @@ def distance(r: np.ndarray, sigma_inv: np.ndarray) -> float:
     """Quadratic distance measure r^T Sigma^-1 r.
 
     Accepts a single residual (p,) or a batch (..., p); returns matching shape.
+    Fewer than three rows are padded with zero rows, so each row gets its bits in a batch.
     """
     r = np.asarray(r, dtype=float)
     sigma_inv = np.asarray(sigma_inv, dtype=float)
     if r.shape[-1] != sigma_inv.shape[0] or sigma_inv.shape[0] != sigma_inv.shape[1]:
         raise DimensionMismatch(f"residual dim {r.shape[-1]} vs Sigma dim {sigma_inv.shape}")
-    z = np.einsum("...i,ij,...j->...", r, sigma_inv, r)
+    lone = r.size < 3 * r.shape[-1]  # einsum sums one or two rows in another order (p = 2)
+    x = np.concatenate([r.reshape(-1, r.shape[-1]), np.zeros((2, r.shape[-1]))]) if lone else r
+    z = np.einsum("...i,ij,...j->...", x, sigma_inv, x)
+    z = z[:r.size // r.shape[-1]].reshape(r.shape[:-1]) if lone else z
     return float(z) if z.ndim == 0 else z

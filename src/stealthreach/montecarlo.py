@@ -63,15 +63,26 @@ class PointCloud:
 
 
 class CloudRows:
-    """A cloud's CSV rows [trial, k, x], each slice built on demand for write_csv."""
+    """A cloud's CSV rows [trial, k, x], k from horizon - steps + 1, each slice built on demand."""
 
-    def __init__(self, cloud: PointCloud, first_k: int):
-        self.cloud, self.first_k, self.shape = cloud, first_k, (len(cloud), 2 + cloud.dim)
+    def __init__(self, cloud: PointCloud):
+        self.cloud, self.shape = cloud, (len(cloud), 2 + cloud.dim)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(self.shape[0])
         i, steps = np.arange(lo, hi), self.shape[0] // self.cloud.trials
-        return np.column_stack([i // steps, self.first_k + i % steps, self.cloud.points[lo:hi]])
+        first_k = self.cloud.horizon - steps + 1
+        return np.column_stack([i // steps, first_k + i % steps, self.cloud.points[lo:hi]])
+
+
+def _first_kept(cfg: SimConfig, burn_in: int) -> int:
+    """Index of the first kept step k* + burn_in, with burn_in in 0 .. horizon - k*."""
+    if not 0 <= burn_in <= cfg.horizon - cfg.attack_start:
+        raise DimensionMismatch(
+            f"burn_in {burn_in} must be in [0, {cfg.horizon - cfg.attack_start}] "
+            f"(attack_start {cfg.attack_start}, horizon {cfg.horizon})"
+        )
+    return cfg.attack_start - 1 + burn_in
 
 
 def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
@@ -79,28 +90,21 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
     """Simulate cfg.trials trajectories and collect post-burn-in states.
 
     source picks the column: noise-driven split, attack-driven split, or the
-    full state; only the parts it reads are propagated.  Steps k >= k* +
-    burn_in are kept (k >= 1 + burn_in for attack-free runs).  Alarm-free
-    flags per trial are recorded so callers can split clouds by whether the
-    whole attack history stayed below the threshold spec.alpha.  The trials
-    run in chunks of BATCH_TRIALS spread over the usable CPUs
-    (workers.ordered_map); each trial's rows are bitwise what it gives
-    alone, and a cloud of one chunk forks nothing.
+    full state; only the parts it reads are propagated.  The attack and total
+    sources need a spec.  Steps k >= k* + burn_in are kept, k* =
+    cfg.attack_start.  Alarm-free flags per trial are recorded so callers can
+    split clouds by whether the whole attack history stayed below the
+    threshold spec.alpha.  The trials run in chunks of BATCH_TRIALS spread
+    over the usable CPUs (workers.ordered_map); each trial's rows are bitwise
+    what it gives alone, and a cloud of one chunk forks nothing.
     """
-    if source not in (SOURCE_NOISE, SOURCE_ATTACK, SOURCE_TOTAL):
+    if source not in SOURCE_TARGET:
         raise DimensionMismatch(f"unknown cloud source {source!r}")
-    attack_start = cfg.attack_start if spec is not None else None
-    # the noise-driven split is the eta-free recursion that runs only inside
-    # an attack window, from k = 1 when no attack is given
-    kstar = (cfg.attack_start or 1) if source == SOURCE_NOISE else attack_start
-    start = kstar or 1
-    if not 0 <= burn_in <= cfg.horizon - start:
-        raise DimensionMismatch(
-            f"burn_in {burn_in} must be in [0, {cfg.horizon - start}] "
-            f"(attack_start {start}, horizon {cfg.horizon})"
-        )
-    T, n = cfg.trials, model.n
-    first = start - 1 + burn_in
+    if spec is None and source != SOURCE_NOISE:
+        raise DimensionMismatch(f"cloud source {source!r} needs an attack spec")
+    first = _first_kept(cfg, burn_in)
+    # the noise-driven split is the eta-free recursion inside the attack window
+    T, n, kstar = cfg.trials, model.n, cfg.attack_start
     steps = cfg.horizon - first
 
     def chunk(trials):
@@ -111,11 +115,11 @@ def empirical_cloud(model: PlantModel, cfg: SimConfig, spec: AttackSpec | None,
             block = noise_part(model, vs, etas, kstar)[:, first:, :n]
         del vs, etas  # not held while the attack part and the alarm flags are computed
         if source != SOURCE_NOISE:
-            x_delta = attack_part(model, dbar, attack_start)[:, first:, :n]
+            x_delta = attack_part(model, dbar, kstar)[:, first:, :n]
             block = x_delta if block is None else block + x_delta
         flags = np.ones(len(trials), dtype=bool)
         if spec is not None:
-            flags = ~_attack_alarms(model, dbar, attack_start, spec.alpha).any(axis=1)
+            flags = ~_attack_alarms(model, dbar, kstar, spec.alpha).any(axis=1)
         return block.reshape(-1, n), flags
 
     chunks = _chunks(T)
@@ -226,11 +230,8 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
     """
     if grid_res < 4:
         raise DimensionMismatch(f"grid resolution must be >= 4, got {grid_res}")
-    if not 0 <= burn_in <= horizon - 1:
-        raise DimensionMismatch(
-            f"burn_in {burn_in} must be in [0, {horizon - 1}] (attack_start 1, horizon {horizon})"
-        )
-    cfg = SimConfig(horizon=horizon, attack_start=1, master_seed=master_seed, trials=trials)
+    cfg = SimConfig(horizon=horizon, master_seed=master_seed, trials=trials)
+    first = _first_kept(cfg, burn_in)
     # every zero-alarm spec pulls the same raw numbers; the corner's sizes the pull
     raw = pull_inputs(model, cfg, AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=alpha))[3]
     raw.normalise()
@@ -242,7 +243,7 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
         dbar = np.empty((len(batch) * trials, horizon, model.p))
         for cell, (c1, w1) in zip(np.split(dbar, len(batch)), batch):
             raw.scale(AttackSpec(kind=ZERO_ALARM, alpha=alpha, c1=c1, w1=w1), cell)
-        x_delta = attack_part(model, dbar, kstar=1)[:, burn_in:, :model.n]
+        x_delta = attack_part(model, dbar, cfg.attack_start)[:, first:, :model.n]
         volumes = []
         for cell in np.split(x_delta, len(batch)):
             points = cell.reshape(-1, model.n)

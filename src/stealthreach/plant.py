@@ -205,15 +205,15 @@ def build_model(F, G, C, K, R1, R2) -> PlantModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run shape: horizon steps 1..N, attack from step k*.
+    """Simulation run shape: horizon steps 1..N, an attack (when given) from step k*.
 
-    attack_start=None means attack-free.  With a vbar the system-noise
-    draws are rejection-sampled to v^T R1^-1 v <= vbar; vbar=None leaves
-    them untruncated.
+    A run is attack-free exactly when no attack spec is passed.  With a vbar
+    the system-noise draws are rejection-sampled to v^T R1^-1 v <= vbar;
+    vbar=None leaves them untruncated.
     """
 
     horizon: int
-    attack_start: int | None = None
+    attack_start: int = 1
     master_seed: int = 0
     trials: int = 1
     vbar: float | None = None
@@ -223,9 +223,10 @@ class SimConfig:
             raise DimensionMismatch(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:
             raise DimensionMismatch(f"trials must be >= 1, got {self.trials}")
-        if self.attack_start is not None and not 1 <= self.attack_start <= self.horizon:
+        if self.attack_start not in range(1, self.horizon + 1):
             raise DimensionMismatch(
-                f"attack_start must be in [1, {self.horizon}] or None, got {self.attack_start}"
+                f"attack_start must be a step in [1, {self.horizon}], got {self.attack_start} "
+                "(a run without an attack spec is attack-free)"
             )
         if self.vbar is not None and not self.vbar > 0.0:
             raise DimensionMismatch(f"vbar must be positive or None, got {self.vbar}")
@@ -288,16 +289,13 @@ def pull_inputs(model: PlantModel, cfg: SimConfig, attack: AttackSpec | None = N
     n, p = model.n, model.p
     trials = range(cfg.trials) if trials is None else trials
     T, N = len(trials), cfg.horizon
-    if attack is not None and cfg.attack_start is None:
-        raise DimensionMismatch("attack spec given but cfg.attack_start is None")
-    kstar = cfg.attack_start if attack is not None else None
     chol_r1 = _chol_or_zero(model.R1)
     chol_r2 = _chol_or_zero(model.R2)
 
     vs = np.zeros((T, N, n))
     etas = np.zeros((T, N, p))
     dbar = np.zeros((T, N, p))
-    raw_attack = AttackDraws(attack, dbar[:, kstar - 1:]) if kstar is not None else None
+    raw_attack = AttackDraws(attack, dbar[:, cfg.attack_start - 1:]) if attack is not None else None
     for i, t in enumerate(trials):
         rng = stream(cfg.master_seed, t)
         if chol_r1 is not None:
@@ -349,14 +347,13 @@ def noise_error(model: PlantModel, vs, etas) -> np.ndarray:
     return e_v
 
 
-def attack_part(model: PlantModel, dbar, kstar: int | None) -> np.ndarray:
+def attack_part(model: PlantModel, dbar, kstar: int) -> np.ndarray:
     """[x_delta, e_delta] per step, (trials, horizon, 2n), driven by
-    -L SigmaSqrt dbar in the e-block; zero up to step k* (throughout when
-    kstar is None), so its recursion starts after it."""
+    -L SigmaSqrt dbar in the e-block; zero up to step k*, so its recursion
+    starts after it."""
     W, S = _step_major(*dbar.shape[:2], 2 * model.n)
-    if kstar is not None:
-        S[:, kstar:, model.n:] = _dot(dbar, -(model.L @ model.SigmaSqrt).T)[:, kstar - 1:-1]
-        _advance(model, W, 0, start=kstar)
+    S[:, kstar:, model.n:] = _dot(dbar, -(model.L @ model.SigmaSqrt).T)[:, kstar - 1:-1]
+    _advance(model, W, 0, start=kstar)
     return S
 
 

@@ -128,9 +128,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     sblock = raw["sim"]
     _check_keys(sblock, _SIM_KEYS, _SIM_REQUIRED, "scenario.sim")
-    attack_start = sblock.get("attack_start")
-    if attack_start is not None:
-        attack_start = _scalar(attack_start, "scenario.sim.attack_start", int)
+    attack_start = _scalar(sblock.get("attack_start", 1), "scenario.sim.attack_start", int)
     truncate = sblock.get("truncate_noise", False)
     if not isinstance(truncate, bool):
         raise SchemaError("scenario.sim.truncate_noise", "expected true/false")
@@ -145,7 +143,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if "attack" in raw:
         with _at("scenario.attack"):
             attack = _parse_attack(raw["attack"], alpha, rate, "scenario.attack")
-        if sim.attack_start is None:
+        if "attack_start" not in sblock:
             raise SchemaError("scenario.sim.attack_start",
                               "required when an attack block is present")
 

@@ -42,13 +42,15 @@ def batch_parts(model, cfg, spec=None):
     """(noise, attack, r) of a run, its parts on the whole batch in one call:
     [x_v, e_v] from noise_part, [x_delta, e_delta] from attack_part, each
     (trials, horizon, 2n), and the residual r, noise_residual before k* and
-    attack_residual from k*."""
+    attack_residual from k*.  Without a spec the run is attack-free: the
+    noise part keeps the filter on throughout, and the attack part is zero."""
     vs, etas, dbar = draw_inputs(model, cfg, spec)
     kstar = cfg.attack_start if spec is not None else None
     noise = noise_part(model, vs, etas, kstar)
     r = noise_residual(model, noise[..., model.n:], etas)
-    if kstar is not None:
-        r[:, kstar - 1:] = attack_residual(model, dbar, kstar)
+    if spec is None:
+        return noise, np.zeros_like(noise), r
+    r[:, kstar - 1:] = attack_residual(model, dbar, kstar)
     return noise, attack_part(model, dbar, kstar), r
 
 

@@ -344,7 +344,8 @@ def csv_meta(scn):
 
 
 def cloud_csv_oracle(scn, burn_in):
-    """The attack cloud's CSV bytes, formatted row by row as '%d,%d,%.17g,%.17g'."""
+    """The attack cloud's CSV bytes, formatted row by row as '%d,%d,%.17g,%.17g',
+    with k = k* + burn_in at each trial's first row."""
     cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack", burn_in=burn_in)
     steps = len(cloud) // cloud.trials
     lines = csv_meta(scn) + ["trial,k,x1,x2"]
@@ -386,17 +387,23 @@ class TestCliOutputs:
         assert ("lmi", "attack_state") in entries
 
     def test_csv_bytes_match_per_row_oracle(self, tmp_path, capsys):
-        raw = base_raw()
-        path = write_scenario(tmp_path, raw)
-        out = tmp_path / "out"
-        assert main(["montecarlo", "--scenario", path, "--out", str(out),
-                     "--cloud", "attack", "--burn-in", "10"]) == 0
+        # an attack from k* = 5 with burn-in 3 keeps the steps from k = 8 on
+        for attack_start, burn_in, first_k in ((1, 10, 11), (5, 3, 8)):
+            raw = base_raw()
+            raw["sim"]["attack_start"] = attack_start
+            path = write_scenario(tmp_path, raw, f"scn{attack_start}.json")
+            out = tmp_path / f"out{attack_start}"
+            assert main(["montecarlo", "--scenario", path, "--out", str(out),
+                         "--cloud", "attack", "--burn-in", str(burn_in)]) == 0
+            scn = load_scenario(path)
+            csv = (out / "cloud_attack.csv").read_bytes()
+            assert csv == cloud_csv_oracle(scn, burn_in)
+            assert csv.decode().splitlines()[4].startswith(f"0,{first_k},")
         assert main(["heatmap", "--scenario", path, "--out", str(out),
                      "--res", "5", "--cell-trials", "2"]) == 0
-        scn = load_scenario(path)
-        assert (out / "cloud_attack.csv").read_bytes() == cloud_csv_oracle(scn, burn_in=10)
 
-        # each heatmap row is the fit of its cell's own cloud at the scenario's seed
+        # each heatmap row is the fit of its cell's own cloud at the scenario's seed;
+        # the cells attack from step 1 whatever sim.attack_start says
         lines = csv_meta(scn) + ["c1,w1,volume"]
         for c1, w1 in admissible_cells(scn.alpha, 5):
             vol = cell_cloud_volume(scn.model, scn.alpha, c1, w1, scn.sim.master_seed, trials=2,
@@ -515,6 +522,29 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--scenario", write_scenario(tmp_path, raw), "--out", str(out)]) == 0
         assert json.loads((out / "verify.json").read_text())["all_pass"]
+
+    @pytest.mark.parametrize("rate, silenced, code", [
+        (0.005, False, 0), (0.005, True, 4), (1e-8, True, 0),
+    ])
+    def test_alarm_rate_tolerance_scales_with_the_rate(self, tmp_path, monkeypatch, capsys, rate,
+                                                       silenced, code):
+        # the rate checks allow five binomial standard deviations of the 100,000
+        # counted steps: no alarm at all is about 22 of them at A = 0.005, and
+        # 0.5 at A = 1e-8
+        raw = json.loads(json.dumps(load_scenario("benchmark2d").raw))
+        raw["detector"], raw["attack"] = {"A": rate}, {"preset": "H.B"}
+        if silenced:
+            monkeypatch.setattr(cli, "alarm_counts", lambda model, runs, alpha: [
+                (0, cfg.trials * cfg.horizon) for cfg, _ in runs])
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, raw)
+        assert main(["verify", "--scenario", path, "--out", str(out)]) == code
+        checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+        failed = {name for name, c in checks.items() if not c["pass"]}
+        assert failed == ({"attack-free alarm rate", "hidden-attack rate match"} if code else set())
+        if silenced:
+            assert checks["attack-free alarm rate"]["detail"] == (
+                f"0.0000 vs target {rate} (0 alarms in 100000 steps)")
 
     def test_verify_passes_on_4d_plant(self, tmp_path, capsys):
         model = plant_4d()

@@ -130,6 +130,21 @@ class TestDistance:
         with pytest.raises(DimensionMismatch):
             distance(np.ones(3), np.eye(2))
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_lone_rows_get_their_batch_bits(self, p):
+        # at p = 2 einsum sums one or two rows in another order than a batch
+        rng = np.random.default_rng(700 + p)
+        M = rng.standard_normal((p, p))
+        S = M @ M.T + p * np.eye(p)
+        r = rng.standard_normal((128, 40, p)) * 10.0 ** rng.uniform(-3, 3, (128, 40, 1))
+        z = distance(r, S)
+        for t, k in zip(rng.integers(0, 128, 40), rng.integers(0, 39, 40)):
+            lone = distance(r[t, k], S)
+            assert isinstance(lone, float) and lone == z[t, k]
+            assert np.array_equal(distance(r[t, k:k + 1], S), z[t, k:k + 1])
+            assert np.array_equal(distance(r[t, k:k + 2], S), z[t, k:k + 2])
+            assert np.array_equal(distance(r[t:t + 1, k:k + 2], S), z[t:t + 1, k:k + 2])
+
 
 class TestAlarmStream:
     # the threshold rule of alarm_counts: z == alpha raises no alarm, any z

@@ -98,6 +98,10 @@ class TestEmpiricalCloud:
         attacked = empirical_cloud(bench_model, cfg_att, spec, source=SOURCE_NOISE, burn_in=20)
         # the noise-driven component is attack-independent
         assert np.array_equal(cloud.points, attacked.points)
+        # no bound targets an attack or total cloud of an attack-free run
+        for source in (SOURCE_ATTACK, SOURCE_TOTAL):
+            with pytest.raises(DimensionMismatch, match=f"'{source}' needs an attack spec"):
+                empirical_cloud(bench_model, cfg, None, source=source, burn_in=20)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_clouds_equal_full_trace(self, bench_model, n):
@@ -185,7 +189,7 @@ class TestCloudSplit:
 
 # (plant dimension, preset, attack start) of the alarm-count cases; each run
 # truncates the noise
-ALARM_CASES = {"free": (2, None, None), "free-n4": (4, None, None),
+ALARM_CASES = {"free": (2, None, 1), "free-n4": (4, None, 1),
                "ZA.C": (2, "ZA.C", 1), "ZA.C-n4": (4, "ZA.C", 1),
                "H.B-k9": (2, "H.B", 9), "H.B-k9-n4": (4, "H.B", 9)}
 
@@ -262,7 +266,7 @@ class TestContainmentReport:
         try:
             entry = tracemalloc.get_traced_memory()[0]
             report = containment_report(cloud, bounds)
-            write_csv(path, None, ["trial", "k", "x1", "x2", "x3", "x4"], CloudRows(cloud, 51),
+            write_csv(path, None, ["trial", "k", "x1", "x2", "x3", "x4"], CloudRows(cloud),
                       ["%d", "%d"] + ["%.17g"] * 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

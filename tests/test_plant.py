@@ -156,6 +156,10 @@ class TestSimulate:
     def test_config_validation(self):
         with pytest.raises(DimensionMismatch):
             SimConfig(horizon=10, attack_start=11, master_seed=0, trials=1)
+        # attack_start is always a step: only a missing attack spec makes a run attack-free
+        assert SimConfig(horizon=10).attack_start == 1
+        with pytest.raises(DimensionMismatch, match="without an attack spec is attack-free"):
+            SimConfig(horizon=10, attack_start=None)
         with pytest.raises(DimensionMismatch):
             SimConfig(horizon=10, master_seed=0, trials=0)
         with pytest.raises(DimensionMismatch):
@@ -237,8 +241,10 @@ class TestReferenceDynamics:
         model = bench_model if n == 2 else plant_4d()
         alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
         spec = named_spec(preset, alpha) if preset else None
-        cfg = SimConfig(horizon=200 if attack_start != 120 else 300, attack_start=attack_start,
-                        master_seed=11, trials=3, vbar=vbar if truncate else None)
+        # the attack-free case (no preset) runs at the default attack_start
+        cfg = SimConfig(horizon=200 if attack_start != 120 else 300,
+                        attack_start=attack_start or 1, master_seed=11, trials=3,
+                        vbar=vbar if truncate else None)
         got, ref = part_columns(model, cfg, spec, alpha), reference_trace(model, cfg, spec, alpha)
         for name in COLUMNS:
             assert got[name].shape == ref[name].shape, name
@@ -372,8 +378,8 @@ def draw_case(bench_model, plant, preset, truncate):
              "zero-R2": lambda: build_model(F, G, C, K, R1, np.zeros((2, 2)))}[plant]()
     alpha, vbar = chi2_quantile(0.95, model.p), chi2_quantile(0.95, model.n)
     spec = named_spec(preset, alpha) if preset else None
-    cfg = SimConfig(horizon=90, attack_start=None if spec is None else 17, master_seed=13,
-                    trials=9, vbar=vbar if truncate else None)
+    cfg = SimConfig(horizon=90, attack_start=17, master_seed=13, trials=9,
+                    vbar=vbar if truncate else None)
     return model, cfg, spec
 
 

@@ -180,7 +180,8 @@ class AttackDraws:
         self.spec, self.out = spec, out
         self.uniforms = np.empty((trials, _uniform_rows(spec), count))
 
-    def pull(self, i: int, rng: np.random.Generator) -> None:
+    # quoted, as in seeding.stream: numpy.random loads on the first draw
+    def pull(self, i: int, rng: "np.random.Generator") -> None:
         """Fill trial row i from rng."""
         rng.random(out=self.uniforms[i])
         rng.standard_normal(out=self.out[i])

@@ -128,10 +128,12 @@ def cmd_bound(args) -> int:
             _write_json(out_dir / name, bound.to_dict(), scenario)
             rendered.append(bound)
     if "svg" in scenario.output_formats:
-        if scenario.model.n == 2:
-            _write_text(out_dir / "bounds.svg", render_bounds_svg(rendered), scenario)
-        else:
+        if scenario.model.n != 2:
             print("notice: SVG output skipped (plots are 2-D only)")
+        elif all(bound.shape.is_degenerate() for bound in rendered):
+            print("notice: SVG output skipped (every bound is degenerate, so none has an outline)")
+        else:
+            _write_text(out_dir / "bounds.svg", render_bounds_svg(rendered), scenario)
     return 0
 
 

@@ -149,7 +149,8 @@ def volume(E: Ellipsoid) -> float:
 
 def weighted_shape(Qs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Q(w) = sum_i Q_i / w_i for stacked terms Qs of shape (N, n, n)."""
-    Q = np.tensordot(1.0 / w, Qs, axes=1)
+    # the (1, N) x (N, n^2) product that np.tensordot makes, without its wrapper
+    Q = np.dot((1.0 / w)[None], Qs.reshape(len(Qs), -1)).reshape(Qs.shape[1:])
     return (Q + Q.T) / 2.0
 
 
@@ -172,7 +173,8 @@ def stationarity_gap(E: Ellipsoid, terms) -> float | None:
     """
     if E.is_degenerate():
         return None
-    Qs = np.stack([Q for Q in terms if np.trace(Q) > 0.0])
+    Qs = np.asarray(terms, dtype=float)
+    Qs = Qs[np.trace(Qs, axis1=1, axis2=2) > 0.0]  # minkowski_sum_many's filter
     resid = E.Q - weighted_shape(Qs, stationary_weights(E.Q, Qs))
     return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
 

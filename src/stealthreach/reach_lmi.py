@@ -85,7 +85,8 @@ def logdet_slope(A: np.ndarray, W0: np.ndarray, a: float, C=None) -> tuple[np.nd
     Q is positive definite.
     """
     n = A.shape[0]
-    lhs = np.eye(n * n) - np.kron(A, A) / a
+    # A (x) A by one broadcast: entry (i n + j, k n + l) is A[i, k] A[j, l], as np.kron gives
+    lhs = np.eye(n * n) - (A[:, None, :, None] * A[None, :, None, :]).reshape(n * n, n * n) / a
     Q = _solve_sym(lhs, W0 / (1.0 - a))
     if np.linalg.eigvalsh(Q)[0] <= _Q_PD_RTOL * np.linalg.norm(Q):
         raise Infeasible(f"Lyapunov solution is not positive definite at a={a:.4f}")

@@ -12,7 +12,8 @@ chunks and heatmap batches are spread over worker processes.
 import numpy as np
 
 
-def stream(master_seed: int, *path: int) -> np.random.Generator:
+# the annotation is quoted so that numpy.random loads on the first draw, not at import
+def stream(master_seed: int, *path: int) -> "np.random.Generator":
     """Return the Philox generator for the given seed path."""
     ss = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(seed=ss))

@@ -33,7 +33,8 @@ class SvgCanvas:
         return x, y
 
     def polyline(self, points, color, width=1.5, closed=False):
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(self._px, points))
+        xs, ys = self._px(np.asarray(points).reshape(-1, 2).T)  # as in dots
+        coords = " ".join(map("{:.6g},{:.6g}".format, xs.tolist(), ys.tolist()))
         tag = "polygon" if closed else "polyline"
         self.elements.append(
             f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"/>'
@@ -44,10 +45,8 @@ class SvgCanvas:
         if len(pts) > max_points:  # stride subsample keeps determinism
             pts = pts[:: max(1, len(pts) // max_points)][:max_points]
         xs, ys = self._px(pts.reshape(-1, 2).T)  # _px's arithmetic on all points at once
-        for px, py in zip(xs.tolist(), ys.tolist()):
-            self.elements.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" fill="{color}"/>'
-            )
+        circle = f'<circle cx="{{:.6g}}" cy="{{:.6g}}" r="{_fmt(radius)}" fill="{color}"/>'
+        self.elements.extend(map(circle.format, xs.tolist(), ys.tolist()))
 
     def rect(self, xy, wh, fill):
         px, py = self._px((xy[0], xy[1] + wh[1]))

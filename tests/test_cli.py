@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +477,20 @@ class TestCliOutputs:
         assert "skipped" in captured
         assert not (out / "bounds.svg").exists()
 
+    def test_svg_skipped_when_every_bound_is_degenerate(self, tmp_path, capsys):
+        # G = 0 and a noise covariance of rank one: every geometric bound is
+        # flat, so no bound has an outline to draw; the JSON files stand
+        raw = base_raw(output={"dir": "out", "formats": ["json", "svg"]})
+        raw["model"].update(F=[[0.5, 0.0], [0.0, 0.3]], G=[[0.0], [0.0]], C=[[1.0, 0.0]],
+                            K=[[0.1, 0.1]], R1=[[0.05, 0.0], [0.0, 0.0]], R2=[[1.0]])
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["bound", "--scenario", path, "--out", str(out), "--method", "geom"]) == 0
+        assert "every bound is degenerate" in capsys.readouterr().out
+        assert not (out / "bounds.svg").exists()
+        volumes = [json.loads(f.read_text())["volume"] for f in sorted(out.glob("bound_*.json"))]
+        assert volumes == [0.0] * 4
+
 
 class TestVerifyCommand:
     def test_verify_passes_on_benchmark(self, tmp_path, capsys):
@@ -689,3 +705,15 @@ class TestInvalidCovariance:
         path = write_scenario(tmp_path, raw)
         assert main([argv[0], "--scenario", path, "--out", str(tmp_path / "out"), *argv[1:]]) == 4
         assert f"{error}: {name}:" in capsys.readouterr().err
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random, and with it secrets, hmac and hashlib, loads on the first draw
+    code = ("import sys; sys.path[:0] = sys.argv[1:2]; import stealthreach; "
+            "from stealthreach.cli import main; stealthreach.load_scenario('benchmark2d'); "
+            "common = ['--scenario', 'benchmark2d', '--out', sys.argv[2]]; "
+            "assert main(['bound', '--method', 'both', *common]) == 0; "
+            "assert main(['tune', *common]) == 0; "
+            "assert 'numpy.random' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, str(Path(cli.__file__).parents[1]), str(tmp_path)],
+                   check=True, capture_output=True)

@@ -3,10 +3,12 @@
 The attack-direction norms and the membership sums run one numpy call per
 component along the long trials x steps axis.  Their earlier formulations
 reduced across the short component axis; they live here as the oracles
-(tests/test_svgplot.py::stacked_limits serves svgplot._limits).  Run this
-file as a script to print the width table: each kernel's earlier and current
-form, and the forms not taken for distance, scale and plant._dot, timed at
-widths 1-12 on a 128 x 550 batch.
+(tests/test_svgplot.py::stacked_limits serves svgplot._limits).  So do the
+earlier forms on the bound path: the SVG outline mapped and formatted point
+by point, I - A (x) A / a through np.kron and the weighted shape through
+np.tensordot.  Run this file as a script to print the width table: each
+kernel's earlier and current form, and the forms not taken for distance,
+scale and plant._dot, timed at widths 1-12 on a 128 x 550 batch.
 """
 
 import sys
@@ -17,8 +19,11 @@ import pytest
 
 from stealthreach import Ellipsoid, distance, named_spec
 from stealthreach.attacks import AttackDraws, _mixture_z
-from stealthreach.ellipsoids import BLOCK_ROWS, DEGENERATE_RTOL, RANGE_TOL
-from stealthreach.svgplot import _limits
+from stealthreach.ellipsoids import (BLOCK_ROWS, DEGENERATE_RTOL, RANGE_TOL, stationarity_gap,
+                                     stationary_weights, weighted_shape)
+from stealthreach.plant import spectral_radius
+from stealthreach.reach_lmi import _project, _solve_sym, logdet_slope
+from stealthreach.svgplot import SvgCanvas, _fmt, _limits
 
 WIDTHS = (1, 2, 3, 4, 6)
 ALPHA = 5.99
@@ -62,6 +67,45 @@ def limits_oracle(point_sets, pad=0.08):
     lo -= pad * span
     hi += pad * span
     return (lo[0], hi[0]), (lo[1], hi[1])
+
+
+def polyline_oracle(canvas, points, color, width=1.5, closed=False):
+    """SvgCanvas.polyline's element through _px on each row and _fmt on each
+    coordinate."""
+    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(canvas._px, points))
+    tag = "polygon" if closed else "polyline"
+    return f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+
+
+def dots_oracle(canvas, points, color, radius=1.0):
+    """SvgCanvas.dots' elements (below max_points) with one f-string per circle."""
+    xs, ys = canvas._px(np.asarray(points).T)
+    return [f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" fill="{color}"/>'
+            for px, py in zip(xs.tolist(), ys.tolist())]
+
+
+def logdet_slope_oracle(A, W0, a, C=None):
+    """reach_lmi.logdet_slope with I - A (x) A / a from np.kron, for a
+    positive definite Q."""
+    n = A.shape[0]
+    lhs = np.eye(n * n) - np.kron(A, A) / a
+    Q = _solve_sym(lhs, W0 / (1.0 - a))
+    dQ = _solve_sym(lhs, W0 / (1.0 - a) ** 2 - A @ Q @ A.T / (a * a))
+    return Q, float(np.trace(np.linalg.solve(_project(C, Q), _project(C, dQ))))
+
+
+def weighted_shape_oracle(Qs, w):
+    """ellipsoids.weighted_shape through np.tensordot."""
+    Q = np.tensordot(1.0 / w, Qs, axes=1)
+    return (Q + Q.T) / 2.0
+
+
+def stationarity_gap_oracle(E, terms):
+    """ellipsoids.stationarity_gap with the nonzero terms taken one np.trace
+    at a time, and the tensordot weighted shape."""
+    Qs = np.stack([Q for Q in terms if np.trace(Q) > 0.0])
+    resid = E.Q - weighted_shape_oracle(Qs, stationary_weights(E.Q, Qs))
+    return float(np.linalg.norm(resid) / np.linalg.norm(E.Q))
 
 
 def awkward(rng, shape):
@@ -184,6 +228,62 @@ def test_zero_shape_membership():
     assert same_bits(Ellipsoid(np.zeros((2, 2))).membership(x), membership_oracle(np.zeros((2, 2)), x))
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e-3, 1.0, 1e3, 1e7])
+def test_polyline_and_dots_equal_per_point_formatting(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 700)
+    outline = Ellipsoid(spd(rng, 2)).boundary_points(256) * scale
+    outline[::17, 1] = -0.0
+    outline[5] = -0.0
+    # a canvas fitted to the outline, and a fixed one on which the pixels
+    # reach below 1e-4 or beyond 1e6, so that .6g turns to exponent form
+    for canvas in (SvgCanvas(*_limits([outline])), SvgCanvas((0.0, 1.0), (0.0, 1.0), margin=0)):
+        canvas.polyline(outline, "#d82f1f", closed=True)
+        canvas.polyline(list(outline[:9]), "#1f4fd8", width=2)
+        canvas.dots(outline, "#222222", radius=1.5)
+        assert canvas.elements == [polyline_oracle(canvas, outline, "#d82f1f", closed=True),
+                                   polyline_oracle(canvas, outline[:9], "#1f4fd8", width=2),
+                                   *dots_oracle(canvas, outline, "#222222", radius=1.5)]
+    if scale in (1e-7, 1e7):
+        assert ("e-0" if scale < 1.0 else "e+0") in canvas.elements[0]
+
+
+def stable_case(rng, n):
+    """(A, W0): A with rho(A) = 0.9 and a -0.0 entry, and W0 positive
+    definite at a scale of 10^-7 to 10^7."""
+    A = rng.standard_normal((n, n))
+    if n > 1:
+        A[-1, -1] = -0.0
+    A *= 0.9 / spectral_radius(A)
+    B = rng.standard_normal((n, n))
+    return A, (B @ B.T + 0.1 * np.eye(n)) * 10.0 ** rng.integers(-7, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_logdet_slope_equals_kron_formulation(n):
+    rng = np.random.default_rng(800 + n)
+    A, W0 = stable_case(rng, n)
+    for C in (None, rng.standard_normal((max(1, n // 2), n))):
+        for a in (0.8101, 0.9, 0.99):  # rho(A)^2 = 0.81
+            Q, slope = logdet_slope(A, W0, a, C)
+            want_Q, want_slope = logdet_slope_oracle(A, W0, a, C)
+            assert same_bits(Q, want_Q) and same_bits(slope, want_slope)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weighted_shape_equals_tensordot(n):
+    rng = np.random.default_rng(900 + n)
+    Qs = np.stack([spd(rng, n) * 10.0 ** k for k in rng.integers(-7, 8, 30)])
+    Qs[4] = 0.0
+    Qs[7, 0] = -0.0
+    for count in (1, 2, 30):
+        w = rng.random(count)
+        assert same_bits(weighted_shape(Qs[:count], w / w.sum()),
+                         weighted_shape_oracle(Qs[:count], w / w.sum()))
+    terms = list(Qs[:12]) + [np.zeros((n, n))]
+    E = Ellipsoid(weighted_shape(Qs[:12], np.full(12, 1.0 / 12)))
+    assert same_bits(stationarity_gap(E, terms), stationarity_gap_oracle(E, terms))
+
+
 # ---- the width table: python tests/test_kernels.py ------------------------------------
 
 def _median_ms(before, after, reps=15):
@@ -222,9 +322,18 @@ def dot_per_component(a, M):
 
 def _round_off(a, b):
     """(same bits, largest |a - b| / |a| over the entries that differ)."""
-    a, b = np.ravel(a), np.ravel(np.asarray(b, dtype=float))
+    a, b = np.ravel(a), np.ravel(b)
+    if a.dtype.kind == "U":  # SVG text: the same characters or not
+        return bool(np.array_equal(a, b)), float("nan")
+    b = b.astype(float)
     differ = a != b
     return same_bits(a, b), float(np.max(np.abs(a[differ] - b[differ]) / np.abs(a[differ]), initial=0.0))
+
+
+def _polylines(canvas, outlines):
+    for pts in outlines:
+        canvas.polyline(pts, "#d82f1f", closed=True)
+    return canvas.elements
 
 
 def width_table(widths=(1, 2, 3, 4, 6, 8, 12), trials=128, steps=550):
@@ -255,6 +364,20 @@ def width_table(widths=(1, 2, 3, 4, 6, 8, 12), trials=128, steps=550):
         }
         if p > 1:  # plot limits read two coordinates
             rows["_limits"] = (lambda: limits_oracle([points]), lambda: _limits([points]))
+        A = R * 0.9  # rho(A) = 0.9
+        Qs, v = np.stack([spd(rng, p) for _ in range(40)]), rng.random(40)
+        rows["logdet_slope, 100 calls"] = (
+            lambda: [logdet_slope_oracle(A, S, 0.95)[0] for _ in range(100)],
+            lambda: [logdet_slope(A, S, 0.95)[0] for _ in range(100)])
+        rows["weighted_shape, 40 terms, 100 calls"] = (
+            lambda: [weighted_shape_oracle(Qs, v / v.sum()) for _ in range(100)],
+            lambda: [weighted_shape(Qs, v / v.sum()) for _ in range(100)])
+        if p == 2:  # the outlines of bound --method both
+            outlines = [Ellipsoid(spd(rng, 2)).boundary_points(256) for _ in range(8)]
+            canvas = SvgCanvas(*_limits(outlines))
+            rows["polyline, 8 outlines of 256 points"] = (
+                lambda: [polyline_oracle(canvas, pts, "#d82f1f", closed=True) for pts in outlines],
+                lambda: _polylines(SvgCanvas(canvas.xlim, canvas.ylim), outlines))
         for name, (before, after) in rows.items():
             checked = _round_off(np.copy(before()), np.copy(after()))
             table.setdefault(name, {})[p] = (*_median_ms(before, after), *checked)

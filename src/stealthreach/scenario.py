@@ -8,7 +8,6 @@ A.  Attack parameters may be written in terms of the threshold ("alpha",
 "2*alpha", "alpha/8"); they resolve after detector tuning.
 """
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -95,6 +94,8 @@ class Scenario:
 
     @property
     def hash(self) -> str:
+        import hashlib  # here, not at module level: it loads OpenSSL, which a load never needs
+
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

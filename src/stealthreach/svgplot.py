@@ -72,6 +72,8 @@ class SvgCanvas:
 
 def _limits(point_sets, pad=0.08):
     sets = [np.asarray(p) for p in point_sets if len(p)]
+    if not sets:  # every bound degenerate and no cloud: an empty plot
+        return (-1.0, 1.0), (-1.0, 1.0)
     lo = np.min([[p[:, k].min() for k in (0, 1)] for p in sets], axis=0)
     hi = np.max([[p[:, k].max() for k in (0, 1)] for p in sets], axis=0)
     span = np.maximum(hi - lo, 1e-12)

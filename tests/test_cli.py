@@ -708,7 +708,8 @@ class TestInvalidCovariance:
 
 
 def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
-    # numpy.random, and with it secrets, hmac and hashlib, loads on the first draw
+    # numpy.random, and with it secrets and hmac, loads on the first draw; hashlib
+    # loads then or on the first output write (the scenario hash), whichever comes first
     code = ("import sys; sys.path[:0] = sys.argv[1:2]; import stealthreach; "
             "from stealthreach.cli import main; stealthreach.load_scenario('benchmark2d'); "
             "common = ['--scenario', 'benchmark2d', '--out', sys.argv[2]]; "

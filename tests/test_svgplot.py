@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stealthreach import reach_bounds_geom, svgplot
+from stealthreach import build_model, chi2_quantile, reach_bounds_geom, svgplot
 
 
 def stacked_limits(point_sets, pad=0.08):
@@ -45,3 +45,14 @@ def test_dots_equal_per_point_mapping(count):
                     f'r="{svgplot._fmt(1.0)}" fill="#222222"/>')
     assert canvas.elements == want
     assert len(want) == min(count, 4000)
+
+
+def test_bounds_svg_with_every_bound_degenerate_and_no_cloud():
+    # G = 0 and a noise covariance of rank one: every geometric bound is flat
+    model = build_model(np.diag([0.5, 0.3]), [[0.0], [0.0]], [[1.0, 0.0]], [[0.1, 0.1]],
+                        np.diag([0.05, 0.0]), [[1.0]])
+    alpha = chi2_quantile(0.95, 1)
+    bounds = reach_bounds_geom(model, alpha, alpha)
+    assert all(b.shape.is_degenerate() for b in bounds)
+    svg = svgplot.render_bounds_svg(bounds)
+    assert svg.startswith("<svg") and "<polygon" not in svg and "<circle" not in svg

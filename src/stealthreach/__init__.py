@@ -46,5 +46,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def __dir__():
-    return sorted({*globals(), *_HOME})
+def __dir__():  # every submodule too, each of which __getattr__ resolves
+    import pkgutil
+
+    return sorted({*globals(), *_HOME, *(m.name for m in pkgutil.iter_modules(__path__))})

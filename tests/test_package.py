@@ -62,9 +62,11 @@ def test_public_names_are_their_home_modules_objects():
 
 def test_submodule_resolves_after_a_bare_import():
     got = run_fresh("import stealthreach\n"
-                    "print(stealthreach.montecarlo is sys.modules['stealthreach.montecarlo'],\n"
+                    "print({'montecarlo', 'workers', 'errors', 'seeding'} <= set(dir(stealthreach)),\n"
+                    "      'stealthreach.montecarlo' in sys.modules,\n"
+                    "      stealthreach.montecarlo is sys.modules['stealthreach.montecarlo'],\n"
                     "      stealthreach.empirical_cloud is stealthreach.montecarlo.empirical_cloud)")
-    assert got.split() == ["True", "True"]
+    assert got.split() == ["True", "False", "True", "True"]
 
 
 def test_unknown_name_raises_attribute_error():

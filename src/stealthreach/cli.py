@@ -9,13 +9,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .attacks import ZERO_ALARM
-from .csvout import write_csv
 from .detector import chi2_cdf
 from .errors import SchemaError, StealthreachError, UsageError
 from .montecarlo import (
@@ -23,7 +23,6 @@ from .montecarlo import (
     SOURCE_NOISE,
     SOURCE_TARGET,
     SOURCE_TOTAL,
-    CloudRows,
     alarm_counts,
     containment_report,
     empirical_cloud,
@@ -45,21 +44,30 @@ def _meta(scenario: Scenario) -> dict:
     }
 
 
+@contextmanager
+def _output(path: Path, mode: str = "w"):
+    """The output file opened for writing; an OS refusal is an argument error (exit 2)."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    print(f"wrote {path}")
+
+
 def _write_json(path: Path, payload: dict, scenario: Scenario) -> None:
     payload = dict(payload)
     payload["meta"] = _meta(scenario)
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {path}")
 
 
 def _write_text(path: Path, text: str, scenario: Scenario) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in _meta(scenario).items())
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         fh.write(f"<!-- {pairs} -->\n")
         fh.write(text)
-    print(f"wrote {path}")
 
 
 def _check_arg(flag: str, value: int, lo: int, hi: int | None = None) -> None:
@@ -160,11 +168,9 @@ def cmd_montecarlo(args) -> int:
     }
     _write_json(out_dir / "containment.json", report, scenario)
 
-    if "csv" in scenario.output_formats:
-        csv_path = out_dir / f"cloud_{source}.csv"
-        write_csv(csv_path, _meta(scenario), ["trial", "k"] + [f"x{i+1}" for i in range(cloud.dim)],
-                  CloudRows(cloud), ["%d", "%d"] + ["%.17g"] * cloud.dim)
-        print(f"wrote {csv_path}")
+    # a[t, j] is trial t at step k = horizon - steps + 1 + j
+    with _output(out_dir / f"cloud_{source}.npy", "wb") as fh:
+        np.save(fh, cloud.points.reshape(cloud.trials, -1, cloud.dim))
 
     if "svg" in scenario.output_formats:
         if scenario.model.n == 2:
@@ -184,9 +190,9 @@ def cmd_heatmap(args) -> int:
         trials=args.cell_trials, master_seed=scenario.sim.master_seed,
     )
     out_dir = Path(scenario.output_dir)
-    csv_path = out_dir / "heatmap.csv"
-    write_csv(csv_path, _meta(scenario), ["c1", "w1", "volume"], np.array(result.grid), "%.17g")
-    print(f"wrote {csv_path}")
+    header = "\n".join([f"# {k}={v}" for k, v in _meta(scenario).items()] + ["c1,w1,volume"])
+    with _output(out_dir / "heatmap.csv") as fh:
+        np.savetxt(fh, result.grid, fmt="%.17g", delimiter=",", header=header, comments="")
     if "svg" in scenario.output_formats:
         _write_text(out_dir / "heatmap.svg", render_heatmap_svg(result), scenario)
     c1, w1, vol = result.argmax_cell()

@@ -41,7 +41,7 @@ BATCH_TRIALS = 128
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Sampled states with provenance, trial by trial; trial_index is derived, not stored."""
+    """Sampled states with provenance: each trial's kept steps in order, trial after trial."""
 
     points: np.ndarray
     source: str
@@ -56,23 +56,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def trial_index(self) -> np.ndarray:
-        return np.arange(len(self)) // (len(self) // self.trials)
-
-
-class CloudRows:
-    """A cloud's CSV rows [trial, k, x], k from horizon - steps + 1, each slice built on demand."""
-
-    def __init__(self, cloud: PointCloud):
-        self.cloud, self.shape = cloud, (len(cloud), 2 + cloud.dim)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0])
-        i, steps = np.arange(lo, hi), self.shape[0] // self.cloud.trials
-        first_k = self.cloud.horizon - steps + 1
-        return np.column_stack([i // steps, first_k + i % steps, self.cloud.points[lo:hi]])
 
 
 def _first_kept(cfg: SimConfig, burn_in: int) -> int:

@@ -157,6 +157,7 @@ def parse_scenario(raw: dict) -> Scenario:
     oblock = raw.get("output", {})
     _check_keys(oblock, _OUTPUT_KEYS, set(), "scenario.output")
     out_dir = oblock.get("dir", "out")
+    # json and csv select nothing, as their files are always written; svg is the one option
     formats = tuple(oblock.get("formats", ["json", "csv", "svg"]))
     for fmt in formats:
         if fmt not in ("json", "csv", "svg"):

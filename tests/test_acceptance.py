@@ -222,7 +222,7 @@ def test_criterion_09_hidden_unboundedness(model, tuned, geom_bounds):
     cloud = empirical_cloud(model, cfg, spec, source=SOURCE_TOTAL, burn_in=0)
     memberships = np.atleast_1d(total.shape.membership(cloud.points))
     escapes = int(np.sum(memberships > 1.0 + 1e-6))
-    clean_mask = cloud.trial_alarm_free[cloud.trial_index]
+    clean_mask = np.repeat(cloud.trial_alarm_free, len(cloud) // cloud.trials)
     clean_points = int(clean_mask.sum())
     worst_clean = float(np.max(memberships[clean_mask])) if clean_points else math.inf
     elapsed = time.time() - t0

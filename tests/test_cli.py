@@ -15,7 +15,6 @@ from stealthreach import (
     parse_scenario,
 )
 from stealthreach.cli import main
-from stealthreach.csvout import BLOCK_ROWS
 from stealthreach.errors import SchemaError, StealthreachError
 from stealthreach.montecarlo import admissible_cells
 
@@ -339,21 +338,36 @@ class TestCliExitCodes:
         assert ("argument error: cannot create the output directory out: No such file"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, name, args", [
+        ("tune", "tuning.json", []),
+        ("montecarlo", "containment.json", ["--burn-in", "10"]),
+        ("montecarlo", "cloud_attack.npy", ["--burn-in", "10"]),
+        ("heatmap", "heatmap.csv", ["--res", "4", "--cell-trials", "1"]),
+    ], ids=["tuning.json", "containment.json", "cloud_attack.npy", "heatmap.csv"])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, name, args):
+        # a directory squats on the file's name, so opening it for writing fails
+        path = write_scenario(tmp_path, base_raw())
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--scenario", path, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert f"argument error: cannot write {out / name}: Is a directory" in err
+        assert "Traceback" not in err
+
 
 def csv_meta(scn):
     return [f"# scenario_hash={scn.hash}", f"# master_seed={scn.sim.master_seed}",
             f"# version={__version__}"]
 
 
-def cloud_csv_oracle(scn, burn_in):
-    """The attack cloud's CSV bytes, formatted row by row as '%d,%d,%.17g,%.17g',
-    with k = k* + burn_in at each trial's first row."""
+def assert_cloud_file(out, scn, burn_in):
+    """cloud_attack.npy is the attack cloud as (trials, steps, n), bit for bit, with
+    steps = horizon - k* - burn_in + 1."""
     cloud = empirical_cloud(scn.model, scn.sim, scn.attack, source="attack", burn_in=burn_in)
-    steps = len(cloud) // cloud.trials
-    lines = csv_meta(scn) + ["trial,k,x1,x2"]
-    lines += ["%d,%d,%.17g,%.17g" % (idx // steps, scn.sim.attack_start + burn_in + idx % steps,
-                                     *pt) for idx, pt in enumerate(cloud.points)]
-    return ("\n".join(lines) + "\n").encode()
+    steps = scn.sim.horizon - scn.sim.attack_start - burn_in + 1
+    got = np.load(out / "cloud_attack.npy")
+    assert got.dtype == np.float64 and got.shape == (scn.sim.trials, steps, 2)
+    assert got.tobytes() == cloud.points.reshape(scn.sim.trials, steps, 2).tobytes()
 
 
 class TestCliOutputs:
@@ -374,7 +388,7 @@ class TestCliOutputs:
             math.pi * math.sqrt(np.linalg.det(Q)), abs=1e-9
         )
 
-    def test_montecarlo_deterministic_csv(self, tmp_path, capsys):
+    def test_montecarlo_deterministic_cloud(self, tmp_path, capsys):
         raw = base_raw()
         path = write_scenario(tmp_path, raw)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -382,25 +396,32 @@ class TestCliOutputs:
                      "--cloud", "attack", "--burn-in", "10"]) == 0
         assert main(["montecarlo", "--scenario", path, "--out", str(out2),
                      "--cloud", "attack", "--burn-in", "10"]) == 0
-        assert (out1 / "cloud_attack.csv").read_bytes() == (out2 / "cloud_attack.csv").read_bytes()
+        assert (out1 / "cloud_attack.npy").read_bytes() == (out2 / "cloud_attack.npy").read_bytes()
         report = json.loads((out1 / "containment.json").read_text())
         entries = {(b["method"], b["target"]) for b in report["bounds"]}
         assert ("geometric", "attack_state") in entries
         assert ("lmi", "attack_state") in entries
 
-    def test_csv_bytes_match_per_row_oracle(self, tmp_path, capsys):
-        # an attack from k* = 5 with burn-in 3 keeps the steps from k = 8 on
-        for attack_start, burn_in, first_k in ((1, 10, 11), (5, 3, 8)):
+    @pytest.mark.parametrize("trials, cpus", cpu_cases(130))
+    def test_cloud_npy_is_the_reshaped_cloud(self, tmp_path, capsys, usable_cpus, trials, cpus):
+        # 130 trials are two chunks, so two CPUs fork; an attack from k* = 5 with
+        # burn-in 3 keeps the steps from k = 8 on, horizon - 7 of them
+        usable_cpus(cpus)
+        for attack_start, burn_in in ((1, 10), (5, 3)):
             raw = base_raw()
-            raw["sim"]["attack_start"] = attack_start
+            raw["sim"].update(attack_start=attack_start, trials=trials)
             path = write_scenario(tmp_path, raw, f"scn{attack_start}.json")
             out = tmp_path / f"out{attack_start}"
             assert main(["montecarlo", "--scenario", path, "--out", str(out),
                          "--cloud", "attack", "--burn-in", str(burn_in)]) == 0
-            scn = load_scenario(path)
-            csv = (out / "cloud_attack.csv").read_bytes()
-            assert csv == cloud_csv_oracle(scn, burn_in)
-            assert csv.decode().splitlines()[4].startswith(f"0,{first_k},")
+            assert_cloud_file(out, load_scenario(path), burn_in)
+
+    def test_heatmap_bytes_match_per_cell_oracle(self, tmp_path, capsys):
+        raw = base_raw()
+        raw["sim"]["attack_start"] = 5
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        scn = load_scenario(path)
         assert main(["heatmap", "--scenario", path, "--out", str(out),
                      "--res", "5", "--cell-trials", "2"]) == 0
 
@@ -413,18 +434,17 @@ class TestCliOutputs:
             lines.append(f"{c1:.17g},{w1:.17g},{vol:.17g}")
         assert (out / "heatmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
-    @pytest.mark.parametrize("trials, cpus", cpu_cases(130))
-    def test_cloud_csv_over_block_boundaries(self, tmp_path, capsys, usable_cpus, trials, cpus):
-        # 130 trials of 70 kept steps: 9100 rows, and both block boundaries fall inside a trial
-        usable_cpus(cpus)
-        raw = base_raw()
-        raw["sim"]["trials"] = trials
-        path = write_scenario(tmp_path, raw)
-        out = tmp_path / "out"
-        assert main(["montecarlo", "--scenario", path, "--out", str(out),
-                     "--cloud", "attack", "--burn-in", "10"]) == 0
-        assert 70 * trials > 2 * BLOCK_ROWS and BLOCK_ROWS % 70 and 2 * BLOCK_ROWS % 70
-        assert (out / "cloud_attack.csv").read_bytes() == cloud_csv_oracle(load_scenario(path), 10)
+    def test_scenario_listing_csv_writes_the_cloud_array(self, tmp_path, capsys):
+        # csv names no file of its own: the cloud array is written with or without it
+        for formats in (["json", "csv", "svg"], []):
+            raw = base_raw(output={"dir": "out", "formats": formats})
+            path = write_scenario(tmp_path, raw)
+            assert load_scenario(path).output_formats == tuple(formats)
+            out = tmp_path / f"out{len(formats)}"
+            assert main(["montecarlo", "--scenario", path, "--out", str(out),
+                         "--cloud", "attack", "--burn-in", "10"]) == 0
+            assert_cloud_file(out, load_scenario(path), 10)
+            assert (out / "cloud_attack.svg").is_file() == bool(formats)
 
     def test_heatmap_outputs(self, tmp_path, capsys):
         raw = base_raw()
@@ -452,7 +472,7 @@ class TestCliOutputs:
               "--cloud", "attack", "--burn-in", "10", "--seed", "1"])
         main(["montecarlo", "--scenario", path, "--out", str(out2),
               "--cloud", "attack", "--burn-in", "10", "--seed", "2"])
-        assert (out1 / "cloud_attack.csv").read_text() != (out2 / "cloud_attack.csv").read_text()
+        assert (out1 / "cloud_attack.npy").read_bytes() != (out2 / "cloud_attack.npy").read_bytes()
 
     def test_svg_skipped_for_higher_dims(self, tmp_path, capsys):
         # 3-state stable chain with 2 sensors: plots are 2-D only

@@ -19,14 +19,12 @@ from stealthreach import (
 )
 from stealthreach.attacks import ZERO_ALARM, AttackSpec
 from stealthreach import montecarlo, plant
-from stealthreach.csvout import write_csv
 from stealthreach.errors import DegenerateCloud, DimensionMismatch
 from stealthreach.montecarlo import (
     BATCH_TRIALS,
     SOURCE_ATTACK,
     SOURCE_NOISE,
     SOURCE_TOTAL,
-    CloudRows,
     admissible_cells,
     alarm_counts,
 )
@@ -150,7 +148,8 @@ class TestCloudSplit:
         return empirical_cloud(model, cfg, named_spec(preset, a), source=source, burn_in=4)
 
     def assert_same(self, got, want, case):
-        for name in ("points", "trial_alarm_free", "trial_index"):
+        assert got.trials == want.trials
+        for name in ("points", "trial_alarm_free"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.shape == w.shape and np.array_equal(g, w), name
         # zero-alarm (ZA.*) trials never alarm, and some hidden-attack trials do
@@ -252,8 +251,8 @@ class TestContainmentReport:
 
     def test_caller_holds_only_the_cloud(self, tmp_path, usable_cpus):
         # 400 trials x 500 kept steps of the n = 4 plant: 200k points, 6.4 MB.  Scoring
-        # four bounds and writing the cloud CSV in this process may add a cloud-length
-        # membership column and O(block) temporaries, and no full-size copy of the cloud.
+        # four bounds and saving the cloud array in this process may add a cloud-length
+        # membership column, and no full-size copy of the cloud.
         usable_cpus(1)
         model = plant_4d()
         a = chi2_quantile(0.95, model.p)
@@ -261,23 +260,20 @@ class TestContainmentReport:
         cloud = empirical_cloud(model, cfg, named_spec("ZA.C", a), burn_in=50)
         bounds = reach_bounds_geom(model, a, chi2_quantile(0.95, model.n))
         assert len(cloud) == 200_000 and len(bounds) == 4
-        path = tmp_path / "cloud.csv"
+        path = tmp_path / "cloud.npy"
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             report = containment_report(cloud, bounds)
-            write_csv(path, None, ["trial", "k", "x1", "x2", "x3", "x4"], CloudRows(cloud),
-                      ["%d", "%d"] + ["%.17g"] * 4)
+            np.save(path, cloud.points.reshape(cloud.trials, -1, cloud.dim))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - entry < cloud.points.nbytes / 2
         assert len(report["bounds"]) == 4
-        with open(path) as fh:
-            lines = fh.readlines()
-        assert len(lines) == 1 + len(cloud)
-        assert lines[-1].startswith("399,550,") and lines[1].startswith("0,51,")
-        assert np.array_equal(cloud.trial_index, np.repeat(np.arange(400), 500))
+        saved = np.load(path)
+        assert saved.shape == (400, 500, 4)
+        assert saved.tobytes() == cloud.points.tobytes()
 
 
 class TestHeatmap:

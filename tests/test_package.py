@@ -41,7 +41,7 @@ def test_load_scenario_leaves_unused_modules_unloaded():
         "import stealthreach\n"
         "stealthreach.load_scenario('benchmark2d')\n"
         "heavy = {f'stealthreach.{m}' for m in ('montecarlo', 'workers', 'reach_common',\n"
-        "         'reach_geom', 'reach_lmi', 'cli', 'csvout', 'svgplot')}\n"
+        "         'reach_geom', 'reach_lmi', 'cli', 'svgplot')}\n"
         "heavy |= {'hashlib'} - before\n"
         "print(json.dumps(sorted(heavy & set(sys.modules))))\n")
     assert json.loads(got) == []

@@ -22,8 +22,7 @@ _PUBLIC = {
     "montecarlo": ("HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
                    "fit_ellipsoid_moment", "volume_heatmap"),
     "plant": ("PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman"),
-    "reach_common": ("ReachBound",),
-    "reach_geom": ("reach_bounds_geom", "reach_targets"),
+    "reach_geom": ("ReachBound", "reach_bounds_geom", "reach_targets"),
     "reach_lmi": ("min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
 }

@@ -29,8 +29,7 @@ from .montecarlo import (
     volume_heatmap,
 )
 from .plant import SimConfig
-from .reach_common import TARGET_TOTAL_STATE
-from .reach_geom import reach_bounds_geom
+from .reach_geom import TARGET_TOTAL_STATE, reach_bounds_geom
 from .reach_lmi import LMI_CERT_TOL, reach_bounds_lmi
 from .scenario import Scenario, load_scenario
 from .svgplot import render_bounds_svg, render_heatmap_svg

@@ -135,9 +135,6 @@ class Ellipsoid:
         circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return circle @ sym_sqrt(self.Q).T
 
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "Q": self.Q.tolist()}
-
 
 def volume(E: Ellipsoid) -> float:
     """unit-ball-volume(n) * sqrt(det Q); zero for singular Q."""

@@ -16,7 +16,7 @@ from .errors import DegenerateCloud, DimensionMismatch
 from .detector import distance
 from .plant import (PlantModel, SimConfig, attack_part, attack_residual, draw_inputs, noise_error,
                     noise_part, noise_residual, pull_inputs)
-from .reach_common import TARGET_ATTACK_STATE, TARGET_NOISE, TARGET_TOTAL_STATE, ReachBound
+from .reach_geom import TARGET_ATTACK_STATE, TARGET_NOISE, TARGET_TOTAL_STATE, ReachBound
 from .workers import ordered_map
 
 SOURCE_NOISE = "noise"
@@ -154,13 +154,13 @@ def alarm_counts(model: PlantModel, runs, alpha: float) -> list[tuple[int, int]]
             for a, (cfg, spec) in zip(alarms, runs)]
 
 
-def fit_ellipsoid_moment(cloud) -> tuple[Ellipsoid, float]:
-    """Second-moment ellipsoid scaled to contain every point, and its volume.
+def fit_ellipsoid_moment(points) -> tuple[Ellipsoid, float]:
+    """Second-moment ellipsoid scaled to contain every row of points, and its volume.
 
     Q = s * M with M the raw second moment and s the largest membership
     x^T M^-1 x, scored by Ellipsoid.membership like containment.
     """
-    X = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1] + 1:
         raise DegenerateCloud(f"need at least dim+1 points, got shape {X.shape}")
     M = Ellipsoid(X.T @ X / X.shape[0])
@@ -250,7 +250,7 @@ def containment_report(cloud: PointCloud, bounds: list[ReachBound]) -> dict:
     """
     X = cloud.points
     try:
-        _, fit_volume = fit_ellipsoid_moment(cloud)
+        _, fit_volume = fit_ellipsoid_moment(X)
     except DegenerateCloud:
         fit_volume = 0.0
     report = {

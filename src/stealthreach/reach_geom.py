@@ -24,26 +24,67 @@ bounds, the LMI total included, is a member of its weighted family.
 """
 
 from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .ellipsoids import minkowski_sum_many, stationarity_gap
+from .ellipsoids import Ellipsoid, minkowski_sum_many, stationarity_gap
 from .errors import MaxTermsExceeded, UnstableF
 from .plant import PlantModel, spectral_radius
-from .reach_common import (
-    METHOD_GEOMETRIC,
-    TARGET_ATTACK_ERROR,
-    TARGET_ATTACK_STATE,
-    TARGET_NOISE,
-    TARGET_TOTAL_STATE,
-    ReachBound,
-)
 
+METHOD_LMI = "lmi"
+METHOD_GEOMETRIC = "geometric"
+
+TARGET_NOISE = "noise"
+TARGET_ATTACK_ERROR = "attack_error"
+TARGET_ATTACK_STATE = "attack_state"
+TARGET_TOTAL_STATE = "total_state"
 
 # truncated_terms' tail test and its cap on the number of terms
 TAIL_TOL = 1e-13
 MAX_TERMS = 500
+
+
+@dataclass(frozen=True)
+class ReachBound:
+    """Labeled outer ellipsoid bound on a reachable set, from either method.
+
+    shape is the Ellipsoid; quad_matrix is the inverse P of its shape
+    matrix Q (the x^T P x <= 1 form), None when the bound is degenerate.
+    """
+
+    shape: Ellipsoid
+    method: str
+    target: str
+    a_star: float | None = None
+    terms_used: int | None = None
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def volume(self) -> float:
+        return self.shape.volume
+
+    @property
+    def quad_matrix(self) -> np.ndarray | None:
+        if self.shape.is_degenerate():
+            return None
+        P = np.linalg.inv(self.shape.Q)
+        return (P + P.T) / 2.0
+
+    def to_dict(self) -> dict:
+        P = self.quad_matrix
+        return {
+            "method": self.method,
+            "target": self.target,
+            "volume": self.volume,
+            "a_star": self.a_star,
+            "terms_used": self.terms_used,
+            "P": None if P is None else P.tolist(),
+            "Q": self.shape.Q.tolist(),
+            "dim": self.shape.dim,
+            "diagnostics": self.diagnostics,
+        }
 
 
 def reach_targets(model: PlantModel, alpha: float, vbar: float) -> dict[str, tuple]:

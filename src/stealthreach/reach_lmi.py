@@ -42,8 +42,7 @@ import numpy as np
 from .ellipsoids import Ellipsoid, sym_sqrt
 from .errors import AllInfeasible, DimensionMismatch, Infeasible
 from .plant import PlantModel, spectral_radius
-from .reach_common import METHOD_LMI, TARGET_TOTAL_STATE, ReachBound
-from .reach_geom import fit_bound, reach_targets
+from .reach_geom import METHOD_LMI, TARGET_TOTAL_STATE, ReachBound, fit_bound, reach_targets
 
 # A certificate whose unit-free block matrix has a smaller minimum
 # eigenvalue than -LMI_CERT_TOL is rejected.

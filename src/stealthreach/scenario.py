@@ -157,8 +157,14 @@ def parse_scenario(raw: dict) -> Scenario:
     oblock = raw.get("output", {})
     _check_keys(oblock, _OUTPUT_KEYS, set(), "scenario.output")
     out_dir = oblock.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise SchemaError("scenario.output.dir", f"expected a string, got {type(out_dir).__name__}")
     # json and csv select nothing, as their files are always written; svg is the one option
-    formats = tuple(oblock.get("formats", ["json", "csv", "svg"]))
+    formats = oblock.get("formats", ["json", "csv", "svg"])
+    if not isinstance(formats, list):
+        raise SchemaError("scenario.output.formats",
+                          f"expected a list of format names, got {type(formats).__name__}")
+    formats = tuple(formats)
     for fmt in formats:
         if fmt not in ("json", "csv", "svg"):
             raise SchemaError("scenario.output.formats", f"unknown format {fmt!r}")

@@ -71,7 +71,7 @@ def cell_cloud_volume(model, alpha, c1, w1, seed, idx=None, *, trials, horizon, 
     cloud = empirical_cloud(model, cfg, AttackSpec(ZERO_ALARM, alpha, c1, w1), SOURCE_ATTACK,
                             burn_in)
     try:
-        return fit_ellipsoid_moment(cloud)[1]
+        return fit_ellipsoid_moment(cloud.points)[1]
     except DegenerateCloud:
         return 0.0
 

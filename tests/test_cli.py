@@ -261,6 +261,22 @@ class TestCliExitCodes:
         assert code == 2
         assert f"schema error: scenario.{block}.{key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("dir", 5, "expected a string, got int"), ("dir", None, "expected a string, got NoneType"),
+        ("dir", ["a"], "expected a string, got list"),
+        ("formats", 5, "expected a list of format names, got int"),
+        ("formats", None, "expected a list of format names, got NoneType"),
+        ("formats", "svg", "expected a list of format names, got str"),
+    ])
+    def test_malformed_output_block_exit_2(self, tmp_path, monkeypatch, capsys, key, value,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, base_raw(output={key: value}))
+        assert main(["tune", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert f"schema error: scenario.output.{key}: {message}" in err
+        assert "Traceback" not in err
+
     def test_small_false_alarm_rate_loads(self):
         scn = parse_scenario(base_raw(detector={"A": 1e-12}))
         assert (scn.target_rate, scn.alpha) == (1e-12, chi2_quantile(1.0 - 1e-12, 2))

@@ -1,4 +1,3 @@
-import json
 import math
 from functools import reduce
 
@@ -114,13 +113,6 @@ class TestEllipsoid:
                 make(scale * np.diag([-1.0, 1.0]))
         with pytest.raises(NotPSD):
             sym_sqrt(scale * np.diag([-1e-9, 1.0]))
-
-    def test_json_round_trip(self):
-        E = Ellipsoid(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        d = E.to_dict()
-        assert d["dim"] == 2
-        E2 = Ellipsoid(np.asarray(json.loads(json.dumps(d))["Q"]))
-        assert np.array_equal(E.Q, E2.Q)
 
 
 class TestLinearImage:

@@ -18,8 +18,7 @@ HOMES = {
     "montecarlo": ("HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
                    "fit_ellipsoid_moment", "volume_heatmap"),
     "plant": ("PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman"),
-    "reach_common": ("ReachBound",),
-    "reach_geom": ("reach_bounds_geom", "reach_targets"),
+    "reach_geom": ("ReachBound", "reach_bounds_geom", "reach_targets"),
     "reach_lmi": ("min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
 }
@@ -40,8 +39,8 @@ def test_load_scenario_leaves_unused_modules_unloaded():
         "before = set(sys.modules)\n"
         "import stealthreach\n"
         "stealthreach.load_scenario('benchmark2d')\n"
-        "heavy = {f'stealthreach.{m}' for m in ('montecarlo', 'workers', 'reach_common',\n"
-        "         'reach_geom', 'reach_lmi', 'cli', 'svgplot')}\n"
+        "heavy = {f'stealthreach.{m}' for m in ('montecarlo', 'workers', 'reach_geom',\n"
+        "         'reach_lmi', 'cli', 'svgplot')}\n"
         "heavy |= {'hashlib'} - before\n"
         "print(json.dumps(sorted(heavy & set(sys.modules))))\n")
     assert json.loads(got) == []

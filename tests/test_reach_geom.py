@@ -166,7 +166,7 @@ class TestAttackStateReach:
         cfg = SimConfig(horizon=300, attack_start=1, master_seed=3, trials=100, vbar=vbar)
         for source, bound in ((SOURCE_ATTACK, geo[2]), (SOURCE_TOTAL, geo[3])):
             cloud = empirical_cloud(model, cfg, named_spec("ZA.C", alpha), source=source)
-            assert np.max(bound.membership(cloud.points)) <= 1.0 + 1e-6, source
+            assert np.max(bound.shape.membership(cloud.points)) <= 1.0 + 1e-6, source
 
 
 class TestTruncationAndScaling:

@@ -21,8 +21,7 @@ from stealthreach import (
 )
 from stealthreach.errors import AllInfeasible, DimensionMismatch, Infeasible
 from stealthreach.plant import build_model, spectral_radius
-from stealthreach.reach_common import METHOD_LMI
-from stealthreach.reach_geom import fit_bound
+from stealthreach.reach_geom import METHOD_LMI, fit_bound
 from stealthreach.reach_lmi import A_BRACKET_TOL, _checked, logdet_slope
 from stealthreach.seeding import stream
 
@@ -165,7 +164,7 @@ class TestCertificate:
         cfg = SimConfig(horizon=550, attack_start=1, master_seed=25, trials=200)
         cloud = empirical_cloud(model, cfg, named_spec("ZA.C", alpha), source="attack",
                                 burn_in=50)
-        assert float(np.max(bound.membership(cloud.points))) <= 1.0 + 1e-6
+        assert float(np.max(bound.shape.membership(cloud.points))) <= 1.0 + 1e-6
 
 
 class TestMinVolumeOverA:

@@ -21,7 +21,7 @@ _PUBLIC = {
     "ellipsoids": ("Ellipsoid", "minkowski_sum_many", "sym_sqrt", "unit_ball_volume", "volume"),
     "montecarlo": ("HeatmapResult", "PointCloud", "containment_report", "empirical_cloud",
                    "fit_ellipsoid_moment", "volume_heatmap"),
-    "plant": ("PlantModel", "SimConfig", "build_model", "solve_steady_state_kalman"),
+    "plant": ("PlantModel", "SimConfig", "build_model"),
     "reach_geom": ("ReachBound", "reach_bounds_geom", "reach_targets"),
     "reach_lmi": ("min_volume_over_a", "reach_bounds_lmi", "solve_logdet_sdp"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),

@@ -29,10 +29,6 @@ class DegenerateCloud(StealthreachError):
     """Point cloud has no full-dimensional spread to fit an ellipsoid to."""
 
 
-class NotDetectable(StealthreachError):
-    """(F, C) fails the PBH detectability test."""
-
-
 class NoConvergence(StealthreachError):
     """An iterative routine hit its iteration cap before reaching tolerance."""
     exit_code = 3

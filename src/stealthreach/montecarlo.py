@@ -244,10 +244,9 @@ def volume_heatmap(model: PlantModel, alpha: float, grid_res: int = 16,
 
 
 def containment_report(cloud: PointCloud, bounds: list[ReachBound]) -> dict:
-    """Fraction of cloud points inside each bound at each of CONTAINMENT_SLACKS.
-
-    Also reports the worst membership value and the bound/fit volume ratio.
-    """
+    """Fraction of cloud points inside each bound at each of CONTAINMENT_SLACKS,
+    the worst membership value and the bound/fit volume ratio, each None (JSON
+    null) where not finite: a point off a flat bound's range, a degenerate fit."""
     X = cloud.points
     try:
         _, fit_volume = fit_ellipsoid_moment(X)
@@ -265,12 +264,13 @@ def containment_report(cloud: PointCloud, bounds: list[ReachBound]) -> dict:
                 f"bound dim {bound.shape.dim} vs cloud dim {cloud.dim}"
             )
         memberships = np.atleast_1d(bound.shape.membership(X))
+        worst = float(np.max(memberships)) if len(X) else 0.0
         report["bounds"].append({
             "method": bound.method,
             "target": bound.target,
             "volume": bound.volume,
-            "max_membership": float(np.max(memberships)) if len(X) else 0.0,
-            "volume_ratio_vs_fit": (bound.volume / fit_volume) if fit_volume > 0.0 else math.inf,
+            "max_membership": worst if math.isfinite(worst) else None,
+            "volume_ratio_vs_fit": bound.volume / fit_volume if fit_volume > 0.0 else None,
             "contained_fraction": {
                 str(s): float(np.mean(memberships <= 1.0 + s)) for s in CONTAINMENT_SLACKS
             },

@@ -11,7 +11,6 @@ recursions; noise_residual and attack_residual give r.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .ellipsoids import checked_shape, sym_sqrt
 from .errors import (
     DimensionMismatch,
     NoConvergence,
-    NotDetectable,
     UnstableClosedLoop,
     UnstableF,
     UnstableFilter,
@@ -39,47 +37,22 @@ def _as_matrix(M, rows, cols, name):
     return M
 
 
-def _pbh_detectable(F: np.ndarray, C: np.ndarray) -> bool:
-    """PBH rank test on eigenvalues with modulus >= 1."""
-    n = F.shape[0]
-    for lam in np.linalg.eigvals(F):
-        if abs(lam) >= 1.0 - 1e-10:
-            test = np.vstack([lam * np.eye(n) - F, C.astype(complex)])
-            if np.linalg.matrix_rank(test, tol=1e-10) < n:
-                return False
-    return True
-
-
-class KalmanSolution(NamedTuple):
-    P: np.ndarray
-    L: np.ndarray
-    residual: float
-    iterations: int
-
-
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
 
 
-def solve_steady_state_kalman(F, C, R1, R2) -> KalmanSolution:
-    """Steady-state predictor-form filter gain and error covariance.
+def _steady_state_kalman(F, C, R1, R2):
+    """(P, L, residual, iterations) of the steady-state predictor-form filter.
 
     Iterates P <- F P F^T + R1 - F P C^T (C P C^T + R2)^+ C P F^T from
     P0 = R1 until the largest entry of the update is at most RICCATI_TOL
     times the largest entry of P, so scaling the state by a constant does not
-    move the stopping point; then L = F P C^T (C P C^T + R2)^+.  The final
-    update size (absolute) is returned as a diagnostic residual.
-    RICCATI_MAX_ITER updates without meeting the test raise NoConvergence.
+    move the stopping point; then L = F P C^T (C P C^T + R2)^+.  The residual is
+    the final update size (absolute); RICCATI_MAX_ITER updates without meeting
+    the test raise NoConvergence.  build_model has checked the inputs and that
+    rho(F) < 1, so (F, C) is detectable and P tends to the stabilising solution
+    (Anderson and Moore, Optimal Filtering, 1979).
     """
-    F = np.asarray(F, dtype=float)
-    n = F.shape[0]
-    p = np.asarray(C).shape[0]
-    C = _as_matrix(C, p, n, "C")
-    R1 = _as_matrix(R1, n, n, "R1")
-    R2 = _as_matrix(R2, p, p, "R2")
-    if not _pbh_detectable(F, C):
-        raise NotDetectable("(F, C) fails the PBH detectability test")
-
     P = (R1 + R1.T) / 2.0
     residual = np.inf
     for it in range(1, RICCATI_MAX_ITER + 1):
@@ -96,7 +69,7 @@ def solve_steady_state_kalman(F, C, R1, R2) -> KalmanSolution:
                             f"after {RICCATI_MAX_ITER} iterations")
     S = C @ P @ C.T + R2
     L = F @ P @ C.T @ np.linalg.pinv(S, hermitian=True)
-    return KalmanSolution(P=P, L=L, residual=residual, iterations=it)
+    return P, L, residual, it
 
 
 @dataclass(frozen=True)
@@ -178,12 +151,12 @@ def build_model(F, G, C, K, R1, R2) -> PlantModel:
     if rho_cl >= 1.0:
         raise UnstableClosedLoop(f"spectral radius of F + G K is {rho_cl:.4f} >= 1")
 
-    sol = solve_steady_state_kalman(F, C, R1, R2)
-    rho_filt = spectral_radius(F - sol.L @ C)
+    P, L, riccati_residual, riccati_iterations = _steady_state_kalman(F, C, R1, R2)
+    rho_filt = spectral_radius(F - L @ C)
     if rho_filt >= 1.0:
         raise UnstableFilter(f"spectral radius of F - L C is {rho_filt:.4f} >= 1")
 
-    Sigma = C @ sol.P @ C.T + R2
+    Sigma = C @ P @ C.T + R2
     Sigma = (Sigma + Sigma.T) / 2.0
     eigmin = float(np.linalg.eigvalsh(Sigma)[0])
     if eigmin > 0.0:
@@ -191,11 +164,11 @@ def build_model(F, G, C, K, R1, R2) -> PlantModel:
     else:
         SigmaInv = np.linalg.pinv(Sigma, hermitian=True)
     return PlantModel(
-        F=F, G=G, C=C, K=K, R1=R1, R2=R2, L=sol.L, P=sol.P,
+        F=F, G=G, C=C, K=K, R1=R1, R2=R2, L=L, P=P,
         Sigma=Sigma, SigmaSqrt=sym_sqrt(Sigma), SigmaInv=SigmaInv,
         diagnostics={
-            "riccati_residual": sol.residual,
-            "riccati_iterations": sol.iterations,
+            "riccati_residual": riccati_residual,
+            "riccati_iterations": riccati_iterations,
             "rho_F": rho_f,
             "rho_closed_loop": rho_cl,
             "rho_filter": rho_filt,
@@ -327,11 +300,11 @@ def _advance(model: PlantModel, W, pre: int, start: int = 0):
         W[i + 1] += np.einsum("ij,jt->it", (pre_A if i < pre else post)[lo:, lo:], W[i])
 
 
-def noise_part(model: PlantModel, vs, etas, kstar: int | None = None) -> np.ndarray:
-    """[x_v, e_v] per step, (trials, horizon, 2n), from zero at step 1, driven
-    by the noise: v enters both blocks, and -L eta the e-block before k*."""
+def noise_part(model: PlantModel, vs, etas, kstar: int) -> np.ndarray:
+    """[x_v, e_v] per step, (trials, horizon, 2n), from zero at step 1, driven by the
+    noise: v enters both blocks, and -L eta the e-block before k* (horizon if attack-free)."""
     n, (T, N) = model.n, vs.shape[:2]
-    pre = N - 1 if kstar is None else kstar - 1  # steps before k*
+    pre = kstar - 1  # steps before k*
     W, S = _step_major(T, N, 2 * n)
     S[:, 1:, :n] = S[:, 1:, n:] = vs[:, :-1]
     S[:, 1:pre + 1, n:] = vs[:, :pre] - _dot(etas, model.L.T)[:, :pre]

@@ -1,4 +1,6 @@
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def batch_parts(model, cfg, spec=None):
     attack_residual from k*.  Without a spec the run is attack-free: the
     noise part keeps the filter on throughout, and the attack part is zero."""
     vs, etas, dbar = draw_inputs(model, cfg, spec)
-    kstar = cfg.attack_start if spec is not None else None
+    kstar = cfg.attack_start if spec is not None else cfg.horizon
     noise = noise_part(model, vs, etas, kstar)
     r = noise_residual(model, noise[..., model.n:], etas)
     if spec is None:
@@ -118,3 +120,11 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"test left a child process behind ({'running' if pid == 0 else f'pid {pid}'})")
+
+
+def strict_json(path):
+    """The JSON document at path, parsed as standard JSON: NaN and Infinity,
+    which Python's json writes by default, raise ValueError."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not standard JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)

@@ -20,7 +20,6 @@ from stealthreach import (
     named_spec,
     reach_bounds_geom,
     reach_bounds_lmi,
-    solve_steady_state_kalman,
     sym_sqrt,
 )
 from stealthreach.montecarlo import (
@@ -91,10 +90,10 @@ def worst_membership(bound, points):
 
 def test_criterion_01_riccati_regression():
     t0 = time.time()
-    sol = solve_steady_state_kalman(F, C, R1, R2)
-    sigma = C @ sol.P @ C.T + R2
+    model = build_model(F, G, C, K, R1, R2)
+    sigma = C @ model.P @ C.T + R2
     sigma_err = float(np.max(np.abs(sigma - SIGMA_EXPECTED)))
-    gain_err = float(np.max(np.abs(sol.L - L_EXPECTED)))
+    gain_err = float(np.max(np.abs(model.L - L_EXPECTED)))
     elapsed = time.time() - t0
     ok = sigma_err <= 2e-3 and gain_err <= 2e-3 and elapsed < 1.0
     report(1, "Riccati regression",

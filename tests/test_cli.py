@@ -19,7 +19,7 @@ from stealthreach.errors import SchemaError, StealthreachError
 from stealthreach.montecarlo import admissible_cells
 
 from conftest import (C, F, G, K, L_EXPECTED, R1, R2, batch_parts, cell_cloud_volume, cpu_cases,
-                      plant_4d)
+                      plant_4d, strict_json)
 
 
 def base_raw(**overrides):
@@ -527,6 +527,18 @@ class TestCliOutputs:
         volumes = [json.loads(f.read_text())["volume"] for f in sorted(out.glob("bound_*.json"))]
         assert volumes == [0.0] * 4
 
+    def test_degenerate_fit_writes_a_null_ratio(self, tmp_path, capsys):
+        # benchmark2d with G = 0: the attack cannot move x, so the attack cloud
+        # is the origin, its fit has no volume, and the ratio to it is null
+        raw = load_scenario("benchmark2d").raw
+        raw["model"]["G"], raw["bounds"] = [[0.0, 0.0], [0.0, 0.0]], {"method": "geom"}
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", write_scenario(tmp_path, raw), "--out", str(out),
+                     "--cloud", "attack", "--trials", "4"]) == 0
+        report = strict_json(out / "containment.json")
+        assert report["fit_volume"] == 0.0
+        assert [b["volume_ratio_vs_fit"] for b in report["bounds"]] == [None]
+
 
 class TestVerifyCommand:
     def test_verify_passes_on_benchmark(self, tmp_path, capsys):
@@ -653,7 +665,7 @@ DOCUMENTED_EXIT_CODES = {
     "NoConvergence": 3, "Infeasible": 3, "AllInfeasible": 3, "MaxTermsExceeded": 3,
     "DomainError": 3,
     "DimensionMismatch": 4, "NonSymmetric": 4, "NotPSD": 4, "EmptyTermList": 4,
-    "DegenerateCloud": 4, "NotDetectable": 4, "UnstableF": 4, "UnstableClosedLoop": 4,
+    "DegenerateCloud": 4, "UnstableF": 4, "UnstableClosedLoop": 4,
     "UnstableFilter": 4, "InvalidSpec": 4,
 }
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)

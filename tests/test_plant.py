@@ -8,19 +8,17 @@ from stealthreach import (
     chi2_quantile,
     distance,
     named_spec,
-    solve_steady_state_kalman,
 )
 from stealthreach.attacks import ZERO_ALARM, AttackDraws, AttackSpec
 from stealthreach.errors import (
     DimensionMismatch,
-    NotDetectable,
     UnstableClosedLoop,
     UnstableF,
     UnstableFilter,
 )
 from stealthreach.montecarlo import alarm_counts
-from stealthreach.plant import (_draw_system_noise, attack_part, draw_inputs, noise_error,
-                                noise_part, noise_residual)
+from stealthreach.plant import (_draw_system_noise, _steady_state_kalman, attack_part, draw_inputs,
+                                noise_error, noise_part, noise_residual)
 from stealthreach.seeding import stream
 
 from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, batch_parts, plant_4d
@@ -28,27 +26,26 @@ from conftest import C, F, G, K, L_EXPECTED, R1, R2, SIGMA_EXPECTED, batch_parts
 
 class TestKalman:
     def test_noiseless_fixed_point(self):
-        sol = solve_steady_state_kalman(F, C, np.zeros((2, 2)), R2)
-        assert np.max(np.abs(sol.P)) == 0.0
-        assert np.max(np.abs(sol.L)) == 0.0
+        model = build_model(F, G, C, K, np.zeros((2, 2)), R2)
+        assert np.max(np.abs(model.P)) == 0.0
+        assert np.max(np.abs(model.L)) == 0.0
 
-    def test_benchmark_sigma_and_gain(self):
-        sol = solve_steady_state_kalman(F, C, R1, R2)
-        sigma = C @ sol.P @ C.T + R2
+    def test_benchmark_sigma_and_gain(self, bench_model):
+        sigma = C @ bench_model.P @ C.T + R2
         assert np.max(np.abs(sigma - SIGMA_EXPECTED)) <= 2e-3
-        assert np.max(np.abs(sol.L - L_EXPECTED)) <= 2e-3
-        assert sol.residual <= 1e-12
+        assert np.max(np.abs(bench_model.L - L_EXPECTED)) <= 2e-3
+        assert bench_model.diagnostics["riccati_residual"] <= 1e-12
 
-    def test_against_scipy_dare(self):
-        sol = solve_steady_state_kalman(F, C, R1, R2)
+    def test_against_scipy_dare(self, bench_model):
         P_ref = sla.solve_discrete_are(F.T, C.T, R1, R2)
-        assert np.max(np.abs(sol.P - P_ref)) <= 1e-9
+        assert np.max(np.abs(bench_model.P - P_ref)) <= 1e-9
 
-    def test_undetectable_rejected(self):
-        F_bad = np.diag([1.2, 0.5])
-        C_bad = np.array([[0.0, 1.0]])
-        with pytest.raises(NotDetectable):
-            solve_steady_state_kalman(F_bad, C_bad, np.eye(2), np.eye(1))
+    def test_undetectable_plant_is_refused_as_unstable_f(self):
+        # the mode 1.2 is unstable and no sensor reads it; build_model refuses
+        # every rho(F) >= 1 before the filter, and a stable F is detectable
+        with pytest.raises(UnstableF):
+            build_model(np.diag([1.2, 0.5]), np.zeros((2, 1)), np.array([[0.0, 1.0]]),
+                        np.zeros((1, 2)), np.eye(2), np.eye(1))
 
 
 class TestBuildModel:
@@ -73,8 +70,11 @@ class TestBuildModel:
         # the guard is reached through a solver that returns a destabilising gain
         L_bad = 10.0 * np.ones((2, 2))
         assert max(abs(np.linalg.eigvals(F - L_bad @ C))) > 1.0  # oracle
-        monkeypatch.setattr("stealthreach.plant.solve_steady_state_kalman",
-                            lambda *args: solve_steady_state_kalman(*args)._replace(L=L_bad))
+        def bad_gain(*args):
+            P, _, residual, iterations = _steady_state_kalman(*args)
+            return P, L_bad, residual, iterations
+
+        monkeypatch.setattr("stealthreach.plant._steady_state_kalman", bad_gain)
         with pytest.raises(UnstableFilter):
             build_model(F, G, C, K, R1, R2)
 
@@ -280,7 +280,7 @@ class TestBatchInvariance:
         vs, etas, dbar = draw_inputs(model, cfg, named_spec("H.B", a))
 
         def parts(rows):
-            free = noise_part(model, vs[rows], etas[rows])
+            free = noise_part(model, vs[rows], etas[rows], vs.shape[1])
             e_v = noise_error(model, vs[rows], etas[rows])
             return {"noise": free, "noise-kstar": noise_part(model, vs[rows], etas[rows], kstar),
                     "attack": attack_part(model, dbar[rows], kstar), "noise_error": e_v,
@@ -303,7 +303,7 @@ class TestNoiseError:
         vs, etas, _ = draw_inputs(model, cfg)
         e_v = noise_error(model, vs, etas)
         assert e_v.shape == vs.shape
-        assert np.array_equal(e_v, noise_part(model, vs, etas)[..., n:])
+        assert np.array_equal(e_v, noise_part(model, vs, etas, vs.shape[1])[..., n:])
 
 
 class TestZeroStart:

@@ -17,7 +17,6 @@ from stealthreach import (
     reach_bounds_geom,
     reach_bounds_lmi,
     reach_targets,
-    solve_steady_state_kalman,
 )
 from stealthreach.cli import main
 from stealthreach.errors import MaxTermsExceeded
@@ -155,7 +154,7 @@ class TestAttackStateReach:
         # attack and total clouds
         F2, G2, C2, R1_2, R2_2 = (np.array([[0.5, 0.0], [0.4, 0.3]]), np.array([[1.0], [0.0]]),
                                   np.array([[1.0, 0.0]]), 0.05 * np.eye(2), np.eye(1))
-        L = solve_steady_state_kalman(F2, C2, R1_2, R2_2).L[:, 0]
+        L = build_model(F2, G2, C2, np.zeros((1, 2)), R1_2, R2_2).L[:, 0]
         K2 = 0.5 * np.array([[-L[1], L[0]]]) / np.linalg.norm(L)
         model = build_model(F2, G2, C2, K2, R1_2, R2_2)
         alpha, vbar = chi2_quantile(0.95, 1), chi2_quantile(0.95, 2)
